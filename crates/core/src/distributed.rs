@@ -4,9 +4,10 @@
 //!
 //! Each worker holds one shard of a [`LabeledDataset`] partition and
 //! computes per-batch gradients on its own model replica; a pluggable
-//! [`Aggregator`] combines the per-worker gradients into one update that
-//! every replica applies, so replicas stay bit-identical — synchronous
-//! data-parallel SGD. The robust aggregators ([`AggregatorKind::TrimmedMean`],
+//! [`Aggregator`] combines the per-worker gradients into one update, which
+//! the shared training pipeline (`tdfm_nn::trainer::train`) applies to
+//! worker 0's replica before copying its parameters to the others —
+//! synchronous data-parallel SGD. The robust aggregators ([`AggregatorKind::TrimmedMean`],
 //! [`AggregatorKind::Median`], [`AggregatorKind::Ctma`] after Dahan & Levy's
 //! CTMA with double momentum) bound the damage a faulty shard's gradients
 //! can do; [`crate::detect::localize_faulty_shards`] then *fingers* the
@@ -33,13 +34,15 @@ use tdfm_inject::{ProvenanceBuilder, ShardFaultPlan};
 use tdfm_json::json_struct;
 use tdfm_nn::loss::{CrossEntropy, Target};
 use tdfm_nn::models::{ModelConfig, ModelKind};
-use tdfm_nn::optim::{Optimizer, Sgd};
-use tdfm_nn::trainer::{export_batch_gradients, load_gradients, FitConfig};
+use tdfm_nn::trainer::{
+    export_batch_gradients, gather, train, Batches, FitConfig, GradientSource, NonFinitePolicy,
+    StateSnapshot,
+};
 use tdfm_nn::Network;
 use tdfm_obs::{event, span, Level, ManifestCell, ProvenanceRecord, RunManifest};
 use tdfm_tensor::parallel::num_threads;
 use tdfm_tensor::rng::Rng;
-use tdfm_tensor::Tensor;
+use tdfm_tensor::{Scratch, Tensor};
 
 /// Cached handle on the global trimmed-contribution counter: one increment
 /// per worker contribution an aggregator excluded from a round's update.
@@ -375,7 +378,7 @@ impl AggregatorKind {
 }
 
 /// What a sharded training run produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardedFitReport {
     /// Mean per-round training loss per epoch (over surviving workers).
     pub epoch_losses: Vec<f32>,
@@ -392,34 +395,163 @@ pub struct ShardedFitReport {
     pub worker_walls: Vec<Duration>,
 }
 
-/// Per-worker mutable state: a model replica, its optimiser (replicas step
-/// in lockstep on the same aggregated gradient, so their optimiser states
-/// stay identical), its shard's shuffle stream, and its wall clock.
-struct WorkerState {
+/// Per-worker mutable state: a model replica, its shard's batch order, the
+/// replica's pre-round BatchNorm state, and its wall clock.
+struct Worker {
     net: Network,
-    opt: Sgd,
-    order: Vec<usize>,
-    rng: Rng,
+    batches: Batches,
+    state: StateSnapshot,
     wall: Duration,
 }
 
+/// The sharded [`GradientSource`]: every worker exports one batch's
+/// gradients from its own replica, non-finite contributions are dropped,
+/// and the aggregate lands in worker 0's gradients for the pipeline to
+/// clip and apply.
+struct Sharded<'a> {
+    shards: &'a [LabeledDataset],
+    workers: Vec<Mutex<Worker>>,
+    aggregator: &'a mut dyn Aggregator,
+    epoch: usize,
+    report: ShardedFitReport,
+}
+
+/// Lock-free access to a worker's state outside the parallel phase.
+fn worker_mut(worker: &mut Mutex<Worker>) -> &mut Worker {
+    worker.get_mut().expect("worker state poisoned")
+}
+
+impl GradientSource for Sharded<'_> {
+    fn net(&mut self) -> &mut Network {
+        &mut worker_mut(&mut self.workers[0]).net
+    }
+
+    fn begin_epoch(&mut self, epoch: usize) -> usize {
+        self.epoch = epoch;
+        // Shards differ by at most one sample; the longest shard sets the
+        // round count and shorter shards wrap around their batch cycle.
+        self.workers
+            .iter_mut()
+            .map(|w| worker_mut(w).batches.shuffle())
+            .max()
+            .expect("non-empty shards")
+    }
+
+    fn gradients(&mut self, step: usize) -> f32 {
+        // Every worker computes gradients for its own batch, in parallel
+        // under the two-level thread budget.
+        let (shards, workers) = (self.shards, &self.workers);
+        let exports = run_indexed(workers.len(), |w| {
+            let mut guard = workers[w].lock().expect("worker state poisoned");
+            let worker = &mut *guard;
+            // tdfm-lint: allow(lock-held-across-call, the snapshot reads the locked worker's own replica; no lock below)
+            worker.state.save(&mut worker.net);
+            // tdfm-lint: allow(lock-held-across-call, batch() slices the locked worker's own batch order)
+            let batch = worker.batches.batch(step);
+            // tdfm-lint: allow(lock-held-across-call, gather copies shard rows into the arena, whose pool lock is never held across a call)
+            let images = gather(shards[w].images(), batch);
+            // tdfm-lint: allow(lock-held-across-call, labels() is a lock-free slice accessor on the worker's own shard)
+            let labels: Vec<u32> = batch.iter().map(|&i| shards[w].labels()[i]).collect();
+            let started = Instant::now();
+            // tdfm-lint: allow(lock-held-across-call, the backward pass over the replica is exactly what the per-worker lock protects; no callee takes a lock)
+            let export = export_batch_gradients(
+                &mut worker.net,
+                &CrossEntropy,
+                &images,
+                &Target::Hard(&labels),
+            );
+            worker.wall += started.elapsed();
+            // tdfm-lint: allow(lock-held-across-call, recycle returns the batch buffer to the arena, whose pool lock is never held across a call)
+            Scratch::shared().recycle(images);
+            // tdfm-lint: allow(lock-held-across-call, is_finite reads two floats of the export)
+            if !export.is_finite() {
+                // tdfm-lint: allow(lock-held-across-call, the restore writes the locked worker's own replica; no lock below)
+                worker.state.restore(&mut worker.net);
+            }
+            export
+        });
+        // Screen, then aggregate in ascending-shard order.
+        let mut survivors = Vec::with_capacity(exports.len());
+        for (worker, e) in exports.iter().enumerate() {
+            if e.is_finite() {
+                survivors.push(WorkerGrads {
+                    worker,
+                    grads: &e.grads,
+                });
+                continue;
+            }
+            self.report.dropped_contributions += 1;
+            drops_counter().inc();
+            event!(
+                Level::Debug,
+                "shard_worker_drop",
+                aggregator = self.aggregator.name().as_str(),
+                worker = worker,
+                epoch = self.epoch,
+                step = step,
+                loss = e.loss,
+                grad_norm = e.grad_norm
+            );
+        }
+        if survivors.is_empty() {
+            return f32::NAN;
+        }
+        let loss = survivors
+            .iter()
+            .map(|s| exports[s.worker].loss)
+            .sum::<f32>()
+            / survivors.len() as f32;
+        let aggregated = self.aggregator.aggregate(&survivors);
+        self.report.trimmed_contributions += aggregated.trimmed as u64;
+        trims_counter().add(aggregated.trimmed as u64);
+        for (p, g) in self.net().params_mut().into_iter().zip(aggregated.grads) {
+            p.grad = g;
+        }
+        loss
+    }
+
+    fn discard(&mut self) {
+        for w in &mut self.workers {
+            let worker = worker_mut(w);
+            worker.state.restore(&mut worker.net);
+        }
+    }
+
+    fn stepped(&mut self) {
+        // One optimiser steps worker 0's replica; the others receive its
+        // parameters. BatchNorm running statistics stay per replica.
+        self.report.rounds += 1;
+        let (first, rest) = self.workers.split_first_mut().expect("worker 0 exists");
+        let params = worker_mut(first).net.params_mut();
+        for w in rest {
+            for (dst, src) in worker_mut(w).net.params_mut().into_iter().zip(&params) {
+                dst.value.data_mut().copy_from_slice(src.value.data());
+            }
+        }
+    }
+}
+
 /// Trains one logical model across `shards.len()` data-parallel workers
-/// with synchronous robust gradient aggregation, returning the final model
-/// (worker replicas are bit-identical; worker 0's is returned).
+/// with synchronous robust gradient aggregation, returning worker 0's
+/// replica (every replica holds the same parameters).
+///
+/// A thin driver over [`tdfm_nn::trainer::train`] with the drop policy:
+/// per round, each worker exports gradients for one mini-batch of its
+/// shard ([`export_batch_gradients`]) on its own replica; non-finite
+/// contributions are dropped, counted and traced, and their replica's
+/// BatchNorm state restored; the survivors are aggregated in fixed order;
+/// the pipeline clips the aggregate and steps one optimiser on worker 0,
+/// whose parameters are then copied to every other replica.
 ///
 /// Workers fan out over threads through the same two-level budget as the
 /// grid runner: spawned worker threads re-establish `with_inner_threads`
 /// so a run inside a `Runner::run_grid` cell divides the cell's budget
-/// instead of multiplying `TDFM_THREADS`. Per round, each worker exports
-/// gradients for one mini-batch of its shard ([`export_batch_gradients`]);
-/// non-finite contributions are dropped, counted and traced; the survivors
-/// are aggregated in fixed order, globally clipped, and applied by every
-/// replica.
+/// instead of multiplying `TDFM_THREADS`.
 ///
 /// # Panics
 ///
-/// Panics if `shards` is empty, any shard is smaller than 1, or the fit
-/// config has zero epochs/batch size.
+/// Panics if `shards` is empty or the fit config has zero epochs/batch
+/// size.
 pub fn fit_sharded(
     model: ModelKind,
     config: &ModelConfig,
@@ -427,205 +559,64 @@ pub fn fit_sharded(
     cfg: &FitConfig,
     aggregator: &mut dyn Aggregator,
 ) -> (Network, ShardedFitReport) {
+    let (mut replicas, report) = fit_replicas(model, config, shards, cfg, aggregator);
+    (replicas.swap_remove(0), report)
+}
+
+/// [`fit_sharded`], returning every worker's replica in shard order.
+fn fit_replicas(
+    model: ModelKind,
+    config: &ModelConfig,
+    shards: &[LabeledDataset],
+    cfg: &FitConfig,
+    aggregator: &mut dyn Aggregator,
+) -> (Vec<Network>, ShardedFitReport) {
     assert!(!shards.is_empty(), "need at least one shard");
-    assert!(cfg.batch_size > 0, "batch size must be positive");
-    assert!(cfg.epochs > 0, "must train for at least one epoch");
-    let n = shards.len();
-    let name = aggregator.name();
-    let server_momentum = if aggregator.replaces_server_momentum() {
-        0.0
-    } else {
-        cfg.momentum
-    };
-    let _span = span!("fit_sharded", workers = n, epochs = cfg.epochs);
-    let states: Vec<Mutex<WorkerState>> = shards
+    let _span = span!("fit_sharded", workers = shards.len(), epochs = cfg.epochs);
+    let mut server = *cfg;
+    if aggregator.replaces_server_momentum() {
+        server.momentum = 0.0;
+    }
+    let workers = shards
         .iter()
         .enumerate()
         .map(|(w, shard)| {
-            Mutex::new(WorkerState {
+            Mutex::new(Worker {
                 net: model.build(config),
-                opt: Sgd::new(cfg.lr, server_momentum, cfg.weight_decay),
-                order: (0..shard.len()).collect(),
-                rng: Rng::seed_from(cfg.shuffle_seed ^ 0x5_4A2D).derive(w as u64),
+                batches: Batches::new(
+                    shard.len(),
+                    cfg.batch_size,
+                    Rng::seed_from(cfg.shuffle_seed ^ 0x5_4A2D).derive(w as u64),
+                ),
+                state: StateSnapshot::default(),
                 wall: Duration::ZERO,
             })
         })
         .collect();
-    // Shards differ by at most one sample; the longest shard sets the
-    // round count and shorter shards wrap around their batch cycle.
-    let steps_per_epoch = shards
-        .iter()
-        .map(|s| s.len().div_ceil(cfg.batch_size))
-        .max()
-        .expect("non-empty shards");
-    let mut lr = cfg.lr;
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let mut rounds = 0usize;
-    let mut trimmed_contributions = 0u64;
-    let mut dropped_contributions = 0u64;
-    let mut skipped_rounds = 0usize;
-
-    for epoch in 0..cfg.epochs {
-        for state in &states {
-            let mut st = state.lock().expect("worker state poisoned");
-            let mut order = std::mem::take(&mut st.order);
-            st.rng.shuffle(&mut order);
-            st.order = order;
-        }
-        let mut epoch_loss = 0.0f64;
-        let mut epoch_rounds = 0usize;
-        for step in 0..steps_per_epoch {
-            // Phase 1: every worker computes gradients for its own batch,
-            // in parallel under the two-level thread budget.
-            let exports = run_indexed(n, |w| {
-                let mut st = states[w].lock().expect("worker state poisoned");
-                let shard = &shards[w];
-                let batches = shard.len().div_ceil(cfg.batch_size);
-                let b = step % batches;
-                let lo = b * cfg.batch_size;
-                let hi = (lo + cfg.batch_size).min(shard.len());
-                let indices = st.order[lo..hi].to_vec();
-                // tdfm-lint: allow(lock-held-across-call, st is this worker's private state lock; shard accessors and gather_rows take no lock)
-                let images = shard.images().gather_rows(&indices);
-                // tdfm-lint: allow(lock-held-across-call, labels() is a lock-free slice accessor on the worker's own shard)
-                let labels: Vec<u32> = indices.iter().map(|&i| shard.labels()[i]).collect();
-                let started = Instant::now();
-                // tdfm-lint: allow(lock-held-across-call, the backward pass over st.net is exactly what the per-worker lock protects; no callee takes a lock)
-                let export = export_batch_gradients(
-                    &mut st.net,
-                    &CrossEntropy,
-                    &images,
-                    &Target::Hard(&labels),
-                );
-                st.wall += started.elapsed();
-                export
-            });
-            // Phase 2: screen, aggregate in ascending-shard order, clip.
-            let survivors: Vec<WorkerGrads<'_>> = exports
-                .iter()
-                .enumerate()
-                .filter_map(|(w, e)| {
-                    if e.is_finite() {
-                        Some(WorkerGrads {
-                            worker: w,
-                            grads: &e.grads,
-                        })
-                    } else {
-                        dropped_contributions += 1;
-                        drops_counter().inc();
-                        event!(
-                            Level::Debug,
-                            "shard_worker_drop",
-                            aggregator = name.as_str(),
-                            worker = w,
-                            epoch = epoch,
-                            step = step,
-                            loss = e.loss,
-                            grad_norm = e.grad_norm
-                        );
-                        None
-                    }
-                })
-                .collect();
-            if survivors.is_empty() {
-                skipped_rounds += 1;
-                event!(
-                    Level::Debug,
-                    "sharded_round_skip",
-                    aggregator = name.as_str(),
-                    epoch = epoch,
-                    step = step
-                );
-                continue;
-            }
-            let round_loss = survivors
-                .iter()
-                .map(|s| exports[s.worker].loss as f64)
-                .sum::<f64>()
-                / survivors.len() as f64;
-            let aggregated = aggregator.aggregate(&survivors);
-            trimmed_contributions += aggregated.trimmed as u64;
-            trims_counter().add(aggregated.trimmed as u64);
-            let mut grads = aggregated.grads;
-            let norm = grads
-                .iter()
-                .map(|g| g.data().iter().map(|v| v * v).sum::<f32>())
-                .sum::<f32>()
-                .sqrt();
-            if !norm.is_finite() {
-                // An aggregate can only go non-finite by overflow of finite
-                // contributions; drop the round like a non-finite batch.
-                skipped_rounds += 1;
-                event!(
-                    Level::Debug,
-                    "sharded_round_skip",
-                    aggregator = name.as_str(),
-                    epoch = epoch,
-                    step = step,
-                    grad_norm = norm
-                );
-                continue;
-            }
-            if cfg.grad_clip > 0.0 && norm > cfg.grad_clip {
-                let scale = cfg.grad_clip / norm;
-                for g in &mut grads {
-                    g.scale(scale);
-                }
-            }
-            // Phase 3: every replica applies the same update in lockstep.
-            run_indexed(n, |w| {
-                let mut st = states[w].lock().expect("worker state poisoned");
-                // Each replica owns an identical optimiser fed identical
-                // gradients, so no weight broadcast is needed.
-                let WorkerState { net, opt, .. } = &mut *st;
-                // tdfm-lint: allow(lock-held-across-call, load_gradients only writes the locked worker's own net; no lock below)
-                load_gradients(net, &grads);
-                // tdfm-lint: allow(lock-held-across-call, the optimiser step mutates the locked worker's own params; no lock below)
-                opt.step(&mut net.params_mut());
-            });
-            epoch_loss += round_loss;
-            epoch_rounds += 1;
-            rounds += 1;
-        }
-        epoch_losses.push((epoch_loss / epoch_rounds.max(1) as f64) as f32);
-        lr *= cfg.lr_decay;
-        for state in &states {
-            let mut st = state.lock().expect("worker state poisoned");
-            st.opt.set_learning_rate(lr);
-        }
-        event!(
-            Level::Debug,
-            "sharded_epoch",
-            aggregator = name.as_str(),
-            epoch = epoch,
-            loss = *epoch_losses.last().expect("pushed above"),
-            lr = lr
-        );
-    }
-
-    let mut worker_walls = Vec::with_capacity(n);
-    let mut final_net = None;
-    for (w, state) in states.into_iter().enumerate() {
-        let st = state.into_inner().expect("worker state poisoned");
-        tdfm_obs::global()
-            .histogram("shard_worker_seconds")
-            .record(st.wall);
-        worker_walls.push(st.wall);
-        if w == 0 {
-            final_net = Some(st.net);
-        }
-    }
-    (
-        final_net.expect("worker 0 exists"),
-        ShardedFitReport {
-            epoch_losses,
-            rounds,
-            trimmed_contributions,
-            dropped_contributions,
-            skipped_rounds,
-            worker_walls,
-        },
-    )
+    let mut source = Sharded {
+        shards,
+        workers,
+        aggregator,
+        epoch: 0,
+        report: ShardedFitReport::default(),
+    };
+    let fit = train(&mut source, &server, NonFinitePolicy::Drop);
+    let mut report = source.report;
+    report.epoch_losses = fit.epoch_losses;
+    report.skipped_rounds = fit.skipped_batches;
+    let replicas = source
+        .workers
+        .into_iter()
+        .map(|w| {
+            let worker = w.into_inner().expect("worker state poisoned");
+            tdfm_obs::global()
+                .histogram("shard_worker_seconds")
+                .record(worker.wall);
+            report.worker_walls.push(worker.wall);
+            worker.net
+        })
+        .collect();
+    (replicas, report)
 }
 
 /// A shard-fault sweep: every listed aggregator scored against every listed
@@ -1182,18 +1173,30 @@ mod tests {
         }
     }
 
+    fn param_bits(net: &mut Network) -> Vec<Vec<u32>> {
+        net.params_mut()
+            .iter()
+            .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
     #[test]
     fn sharded_training_learns_and_replicas_stay_in_lockstep() {
         let (shards, test) = tiny_shards(4, 20);
         let config = tiny_model_config(&shards, 21);
         let mut agg = Mean;
-        let (mut net, report) = fit_sharded(
+        let (mut replicas, report) = fit_replicas(
             ModelKind::ConvNet,
             &config,
             &shards,
             &quick_cfg(21),
             &mut agg,
         );
+        let lead = param_bits(&mut replicas[0]);
+        for (w, replica) in replicas.iter_mut().enumerate().skip(1) {
+            assert!(param_bits(replica) == lead, "replica {w} diverged");
+        }
+        let net = &mut replicas[0];
         assert_eq!(report.epoch_losses.len(), 6);
         assert!(
             report.epoch_losses.last().unwrap() < &report.epoch_losses[0],
@@ -1221,11 +1224,7 @@ mod tests {
                     &quick_cfg(23),
                     &mut agg,
                 );
-                let weights: Vec<Vec<u32>> = net
-                    .params_mut()
-                    .iter()
-                    .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
-                    .collect();
+                let weights = param_bits(&mut net);
                 let losses: Vec<u32> = report.epoch_losses.iter().map(|l| l.to_bits()).collect();
                 (weights, losses)
             })
@@ -1262,6 +1261,35 @@ mod tests {
             .params_mut()
             .iter()
             .all(|p| p.value.data().iter().all(|v| v.is_finite())));
+    }
+
+    #[test]
+    fn all_nan_shards_skip_every_round_and_keep_the_initial_weights() {
+        // No worker ever contributes a finite gradient, so every round is
+        // skipped and the returned model is the untouched initialisation.
+        let (shards, _) = tiny_shards(4, 28);
+        let shards: Vec<LabeledDataset> = shards
+            .iter()
+            .map(|s| {
+                let mut images = s.images().clone();
+                images.data_mut().fill(f32::NAN);
+                LabeledDataset::new(images, s.labels().to_vec(), s.classes())
+            })
+            .collect();
+        let config = tiny_model_config(&shards, 29);
+        let initial = param_bits(&mut ModelKind::ConvNet.build(&config));
+        let mut agg = Mean;
+        let (mut net, report) = fit_sharded(
+            ModelKind::ConvNet,
+            &config,
+            &shards,
+            &quick_cfg(29),
+            &mut agg,
+        );
+        assert_eq!(report.rounds, 0);
+        assert_eq!(report.skipped_rounds, 6 * 4, "16-sample shards, batch 4");
+        assert_eq!(report.dropped_contributions, 6 * 4 * 4);
+        assert!(param_bits(&mut net) == initial, "weights moved");
     }
 
     #[test]

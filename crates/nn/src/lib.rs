@@ -12,11 +12,12 @@
 //!   smoothing, label relaxation (the representative label-smoothing
 //!   technique), NCE/RCE and their Active-Passive combination (robust
 //!   loss), and the distillation loss (Section III-B of the paper).
-//! * [`optim`] — SGD with momentum/weight decay and Adam.
+//! * [`optim`] — SGD with momentum and weight decay.
 //! * [`models`] — the seven-model zoo of Table III (ConvNet, DeconvNet,
 //!   VGG11, VGG16, ResNet18, ResNet50, MobileNet) as width-scaled analogues.
-//! * [`trainer`] — a mini-batch training loop with wall-clock accounting
-//!   (needed by the paper's Section IV-E overhead study).
+//! * [`trainer`] — the one mini-batch training pipeline behind plain,
+//!   fault-aware and sharded training, with wall-clock accounting (needed
+//!   by the paper's Section IV-E overhead study).
 //!
 //! # Examples
 //!

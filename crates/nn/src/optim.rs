@@ -1,4 +1,4 @@
-//! Optimisers: SGD with momentum and Adam.
+//! The optimiser: SGD with momentum and weight decay.
 
 use crate::layer::Param;
 use tdfm_tensor::Tensor;
@@ -7,7 +7,7 @@ use tdfm_tensor::Tensor;
 ///
 /// Optimisers keep per-parameter state indexed by position, so the same
 /// parameter list (in the same order) must be passed to every `step` —
-/// which [`crate::trainer::fit`] guarantees.
+/// which [`crate::trainer::train`] guarantees.
 pub trait Optimizer: Send {
     /// Applies one update using each parameter's accumulated gradient,
     /// then zeroes the gradients.
@@ -18,13 +18,6 @@ pub trait Optimizer: Send {
 
     /// Current learning rate.
     fn learning_rate(&self) -> f32;
-
-    /// Clears accumulated per-parameter state (momentum buffers, step
-    /// counters). [`crate::trainer::fit_with`] calls this on entry so a
-    /// reused optimiser starts every training run from a clean slate —
-    /// velocity accumulated against one network's parameters is meaningless
-    /// for the next.
-    fn reset(&mut self);
 }
 
 /// Stochastic gradient descent with momentum and decoupled weight decay.
@@ -91,100 +84,6 @@ impl Optimizer for Sgd {
     fn learning_rate(&self) -> f32 {
         self.lr
     }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Creates an Adam optimiser with the standard `beta = (0.9, 0.999)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn new(lr: f32, weight_decay: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.m.is_empty() {
-            self.m = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape().dims()))
-                .collect();
-            self.v = self.m.clone();
-        }
-        assert_eq!(
-            self.m.len(),
-            params.len(),
-            "parameter list changed between steps"
-        );
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for ((p, m), v) in params
-            .iter_mut()
-            .zip(self.m.iter_mut())
-            .zip(self.v.iter_mut())
-        {
-            for (((wi, &gi), mi), vi) in p
-                .value
-                .data_mut()
-                .iter_mut()
-                .zip(p.grad.data())
-                .zip(m.data_mut().iter_mut())
-                .zip(v.data_mut().iter_mut())
-            {
-                let g = gi + self.weight_decay * *wi;
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
-                let m_hat = *mi / bc1;
-                let v_hat = *vi / bc2;
-                *wi -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-            p.zero_grad();
-        }
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn reset(&mut self) {
-        self.m.clear();
-        self.v.clear();
-        self.t = 0;
-    }
 }
 
 #[cfg(test)]
@@ -227,16 +126,6 @@ mod tests {
         // Zero gradient; decay alone should shrink the weight.
         opt.step(&mut [&mut w]);
         assert!(w.value.data()[0] < 1.0);
-    }
-
-    #[test]
-    fn adam_minimises_quadratic() {
-        let mut opt = Adam::new(0.1, 0.0);
-        let mut w = Param::new(Tensor::full(&[4], 10.0));
-        for _ in 0..300 {
-            quadratic_step(&mut opt, &mut w);
-        }
-        assert!(w.value.max_abs() < 1e-2, "{:?}", w.value);
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Mini-batch training loop with wall-clock accounting.
+//! Mini-batch training with wall-clock accounting.
 //!
 //! The paper trains every (model, technique, dataset, fault) configuration
 //! with the same loop and measures both accuracy effects and runtime
-//! overheads (Section IV-E); [`fit`] is that loop.
+//! overheads (Section IV-E). [`train`] is that loop: one epoch/step
+//! pipeline — shuffle, gather, forward, loss, screen, backward, clip,
+//! optimiser step, per-epoch report — with exactly two variation points,
+//! the [`NonFinitePolicy`] and the [`GradientSource`]. [`fit`],
+//! [`fit_fault_aware`] and `tdfm-core`'s sharded trainer are thin drivers
+//! over it.
 
 use crate::loss::{Loss, Target};
 use crate::network::Network;
@@ -13,7 +18,7 @@ use std::time::{Duration, Instant};
 use tdfm_obs::{event, span, Level};
 use tdfm_tensor::bitops::bitflip_f32;
 use tdfm_tensor::rng::Rng;
-use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
+use tdfm_tensor::{Scratch, Tensor};
 
 /// Cached handle on the global grad-clip counter: per-batch increments
 /// must not pay the registry's name lookup.
@@ -188,8 +193,8 @@ pub struct FitReport {
     pub epoch_grad_norms: Vec<f32>,
     /// Wall-clock training time (feeds the Section IV-E overhead study).
     pub wall: Duration,
-    /// Batches dropped because an injected fault drove the loss non-finite
-    /// (always 0 outside [`fit_fault_aware`] runs).
+    /// Steps dropped under [`NonFinitePolicy::Drop`] (always 0 for plain
+    /// [`fit`] runs, which panic instead).
     pub skipped_batches: usize,
 }
 
@@ -204,294 +209,184 @@ impl FitReport {
     }
 }
 
-/// Trains `net` on `(images, targets)` with SGD + momentum.
-///
-/// Mini-batches are reshuffled every epoch; the learning rate decays by
-/// `cfg.lr_decay` per epoch. Returns per-epoch losses and wall-clock time.
-///
-/// # Panics
-///
-/// Panics if `images` is not NCHW, if the target count does not match the
-/// image count, or if `cfg.batch_size == 0`.
-pub fn fit(
-    net: &mut Network,
-    loss: &dyn Loss,
-    images: &Tensor,
-    targets: &TargetSource,
-    cfg: &FitConfig,
-) -> FitReport {
-    let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
-    fit_with(net, loss, images, targets, cfg, &mut opt)
+/// What the pipeline does with a step whose loss or gradient norm is
+/// non-finite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NonFinitePolicy {
+    /// Fail loudly, in every build profile: outside fault injection a NaN
+    /// would silently corrupt every subsequent update.
+    Panic,
+    /// Discard the step and count it in [`FitReport::skipped_batches`]:
+    /// an injected fault can legitimately blow a step up, and dropping it
+    /// keeps every corrupted value away from the model.
+    Drop,
 }
 
-/// [`fit`] with a caller-provided optimiser.
-///
-/// The per-epoch learning-rate decay runs through a local schedule: the
-/// optimiser's entry learning rate is restored before returning, so a
-/// reused optimiser starts every run at its configured rate instead of
-/// the previous run's decayed one.
-///
-/// # Panics
-///
-/// See [`fit`]. Additionally panics — in every build profile — if a batch
-/// produces a non-finite loss, naming the loss, epoch and batch index;
-/// a silent NaN would corrupt every subsequent weight update.
-pub fn fit_with(
-    net: &mut Network,
-    loss: &dyn Loss,
-    images: &Tensor,
-    targets: &TargetSource,
-    cfg: &FitConfig,
-    opt: &mut dyn Optimizer,
-) -> FitReport {
-    fit_with_arena(net, loss, images, targets, cfg, opt, Scratch::shared())
+/// Where a training step's gradients come from: local backward, fault-
+/// aware flip → backward → restore, or `tdfm-core`'s sharded workers.
+pub trait GradientSource {
+    /// The network the optimiser updates.
+    fn net(&mut self) -> &mut Network;
+
+    /// Reshuffles the batch order for `epoch` and returns its step count.
+    fn begin_epoch(&mut self, epoch: usize) -> usize;
+
+    /// Leaves step `step`'s gradients in [`GradientSource::net`]'s
+    /// parameters and returns the step loss (non-finite when the step
+    /// produced nothing usable).
+    fn gradients(&mut self, step: usize) -> f32;
+
+    /// Undoes a step's non-parameter side effects once the pipeline has
+    /// dropped it (BatchNorm running statistics, see [`StateSnapshot`]).
+    fn discard(&mut self);
+
+    /// Called after the optimiser applied a step.
+    fn stepped(&mut self) {}
 }
 
-/// [`fit_with`] drawing every per-batch buffer from a caller-provided
-/// scratch arena.
-///
-/// The network is rebound onto `scratch` for the duration of the run, and
-/// the batch input, logits, loss gradient and input gradient are recycled
-/// back into the arena after every step — once the arena is warm, the
-/// dense/conv hot path performs no heap allocation per batch. Buffer
-/// routing never changes numerics: two runs sharing one arena produce
-/// bit-identical loss curves.
-///
-/// # Panics
-///
-/// See [`fit_with`].
-pub fn fit_with_arena(
-    net: &mut Network,
-    loss: &dyn Loss,
-    images: &Tensor,
-    targets: &TargetSource,
-    cfg: &FitConfig,
-    opt: &mut dyn Optimizer,
-    scratch: &ScratchHandle,
-) -> FitReport {
-    fit_inner(net, loss, images, targets, cfg, opt, scratch, None)
+/// Shuffled mini-batch order over one training set, reshuffled per epoch.
+#[derive(Debug)]
+pub struct Batches {
+    order: Vec<usize>,
+    rng: Rng,
+    batch_size: usize,
 }
 
-/// Fault-aware training (Vinck et al. 2024): [`fit`] plus stochastic
-/// weight bit-flips, injected before each step's forward pass and reverted
-/// (XOR is involutive, so reversal is bit-exact) before the optimiser
-/// updates the weights. Gradients are therefore computed *under* the
-/// fault but applied to the clean weights — the scheme that teaches the
-/// network to tolerate transient SEUs at inference time.
-///
-/// Unlike every other `fit` variant, a non-finite loss does **not** panic
-/// here: an exponent-bit flip legitimately drives the loss to Inf/NaN, so
-/// the batch is reverted, dropped and counted in
-/// [`FitReport::skipped_batches`] instead. The clean-weight invariant
-/// makes the drop safe — no corrupted value can reach the weights.
-///
-/// # Panics
-///
-/// As [`fit`], and additionally if `fa` names an invalid bit range or the
-/// network has no parameters to flip.
-pub fn fit_fault_aware(
-    net: &mut Network,
-    loss: &dyn Loss,
-    images: &Tensor,
-    targets: &TargetSource,
-    cfg: &FitConfig,
-    fa: &FaultAwareConfig,
-) -> FitReport {
-    assert!(fa.flips_per_step > 0, "fault-aware training needs flips");
-    assert!(
-        fa.bit_lo <= fa.bit_hi && fa.bit_hi < 32,
-        "invalid bit range {}..={}",
-        fa.bit_lo,
-        fa.bit_hi
-    );
-    let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
-    fit_inner(
-        net,
-        loss,
-        images,
-        targets,
-        cfg,
-        &mut opt,
-        Scratch::shared(),
-        Some(fa),
-    )
-}
+impl Batches {
+    /// Batches of `batch_size` over `len` samples, shuffled by `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch_size == 0`.
+    pub fn new(len: usize, batch_size: usize, rng: Rng) -> Self {
+        assert!(batch_size > 0, "batch size must be positive");
+        Self {
+            order: (0..len).collect(),
+            rng,
+            batch_size,
+        }
+    }
 
-/// Applies (or, by involution, reverts) a set of weight bit-flips.
-fn xor_weight_flips(net: &mut Network, flips: &[(usize, usize, u32)]) {
-    let mut params = net.params_mut();
-    for &(tensor, element, bit) in flips {
-        let data = params[tensor].value.data_mut();
-        data[element] = bitflip_f32(data[element], bit);
+    /// Reshuffles for a new epoch and returns the batch count.
+    pub fn shuffle(&mut self) -> usize {
+        self.rng.shuffle(&mut self.order);
+        self.order.len().div_ceil(self.batch_size)
+    }
+
+    /// Sample indices of batch `step`, wrapping around the batch cycle (a
+    /// shorter shard repeats batches while longer shards finish theirs).
+    pub fn batch(&self, step: usize) -> &[usize] {
+        let batches = self.order.len().div_ceil(self.batch_size);
+        let lo = (step % batches) * self.batch_size;
+        &self.order[lo..(lo + self.batch_size).min(self.order.len())]
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fit_inner(
-    net: &mut Network,
-    loss: &dyn Loss,
-    images: &Tensor,
-    targets: &TargetSource,
-    cfg: &FitConfig,
-    opt: &mut dyn Optimizer,
-    scratch: &ScratchHandle,
-    fault: Option<&FaultAwareConfig>,
-) -> FitReport {
-    assert_eq!(images.shape().rank(), 4, "images must be NCHW");
-    let n = images.shape().dim(0);
-    assert_eq!(n, targets.len(), "target count must match image count");
-    assert!(cfg.batch_size > 0, "batch size must be positive");
-    assert!(cfg.epochs > 0, "must train for at least one epoch");
+/// Copies the NCHW `images` rows named by `indices` into a tensor from the
+/// shared scratch arena instead of a fresh allocation; recycle it after the
+/// step.
+pub fn gather(images: &Tensor, indices: &[usize]) -> Tensor {
+    let row_len = images.numel() / images.shape().dim(0).max(1);
+    let mut dims = [0usize; 4];
+    dims.copy_from_slice(images.shape().dims());
+    dims[0] = indices.len();
+    let mut x = Scratch::shared().tensor_uninit(&dims);
+    for (row, &i) in x.data_mut().chunks_exact_mut(row_len).zip(indices) {
+        row.copy_from_slice(&images.data()[i * row_len..(i + 1) * row_len]);
+    }
+    x
+}
 
+/// A network's BatchNorm running statistics, saved before a step that may
+/// be dropped: the Train-mode forward writes them before the loss is
+/// screened, so a dropped step must put them back.
+#[derive(Debug, Default)]
+pub struct StateSnapshot(Vec<f32>);
+
+impl StateSnapshot {
+    /// Saves `net`'s state, reusing the snapshot's buffer.
+    pub fn save(&mut self, net: &mut Network) {
+        self.0.clear();
+        for s in net.state_mut() {
+            self.0.extend_from_slice(s);
+        }
+    }
+
+    /// Restores the state saved by [`StateSnapshot::save`].
+    pub fn restore(&self, net: &mut Network) {
+        let mut saved = self.0.as_slice();
+        for s in net.state_mut() {
+            let (head, rest) = saved.split_at(s.len());
+            s.copy_from_slice(head);
+            saved = rest;
+        }
+    }
+}
+
+/// Runs the training pipeline: `cfg.epochs` epochs of the source's steps,
+/// each screened, globally clipped and applied by one SGD optimiser built
+/// from `cfg`, with the learning rate decayed per epoch.
+///
+/// # Panics
+///
+/// Panics if `cfg.epochs == 0`, and under [`NonFinitePolicy::Panic`] on a
+/// non-finite loss or gradient norm, naming the epoch and batch.
+pub fn train(
+    source: &mut dyn GradientSource,
+    cfg: &FitConfig,
+    policy: NonFinitePolicy,
+) -> FitReport {
+    assert!(cfg.epochs > 0, "must train for at least one epoch");
     let start = Instant::now();
-    let _fit_span = span!("fit", epochs = cfg.epochs, samples = n, loss = loss.name());
-    net.bind_scratch(scratch);
-    let mut rng = Rng::seed_from(cfg.shuffle_seed ^ 0xF17_5EED);
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
+    let mut lr = cfg.lr;
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     let mut epoch_walls = Vec::with_capacity(cfg.epochs);
     let mut epoch_grad_norms = Vec::with_capacity(cfg.epochs);
-    let row_len = images.numel() / n.max(1);
-    let mut batch_dims = [0usize; 4];
-    batch_dims.copy_from_slice(images.shape().dims());
-
-    // Decay through a local schedule so the caller's optimiser comes back
-    // with the learning rate it arrived with, and drop any per-parameter
-    // state left over from a previous run — both would otherwise make a
-    // reused optimiser train differently from a fresh one.
-    opt.reset();
-    let entry_lr = opt.learning_rate();
-    let mut lr = entry_lr;
-
-    // Fault-aware runs draw flip locations from their own stream so the
-    // shuffle order stays identical to a fault-free run with the same
-    // shuffle seed.
-    let mut fault_rng = Rng::seed_from(fault.map_or(0, |fa| fa.seed) ^ 0xB17F_11B5);
-    if fault.is_some() {
-        assert!(
-            !net.params_mut().is_empty(),
-            "fault-aware training needs trainable parameters"
-        );
-    }
     let mut skipped_batches = 0usize;
 
     for epoch in 0..cfg.epochs {
         let epoch_start = Instant::now();
-        rng.shuffle(&mut order);
-        let mut total_loss = 0.0;
+        let steps = source.begin_epoch(epoch);
+        let mut total_loss = 0.0f32;
         let mut total_norm = 0.0f32;
         let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
-            // Gather the batch into an arena buffer instead of a fresh
-            // allocation (`gather_rows` would clone every row into a new
-            // tensor each step).
-            batch_dims[0] = chunk.len();
-            let mut x = scratch.tensor_uninit(&batch_dims);
-            for (r, &i) in chunk.iter().enumerate() {
-                x.data_mut()[r * row_len..(r + 1) * row_len]
-                    .copy_from_slice(&images.data()[i * row_len..(i + 1) * row_len]);
-            }
-            let target = targets.batch(chunk);
-
-            // Fault-aware training: flip weight bits for the duration of
-            // this step's forward/backward, remembering the locations so
-            // the flips can be reverted bit-exactly (XOR involution)
-            // before the optimiser touches the weights.
-            let mut flips: Vec<(usize, usize, u32)> = Vec::new();
-            if let Some(fa) = fault {
-                let mut params = net.params_mut();
-                for _ in 0..fa.flips_per_step {
-                    let tensor = fault_rng.below(params.len());
-                    let data = params[tensor].value.data_mut();
-                    let element = fault_rng.below(data.len());
-                    let bit =
-                        fa.bit_lo + fault_rng.below((fa.bit_hi - fa.bit_lo + 1) as usize) as u32;
-                    data[element] = bitflip_f32(data[element], bit);
-                    flips.push((tensor, element, bit));
-                }
-            }
-
-            let logits = net.forward(&x, Mode::Train);
-            let out = loss.evaluate(&logits, &target.as_target());
-            if !out.loss.is_finite() {
-                if fault.is_some() {
-                    // An exponent-bit flip can legitimately blow the loss
-                    // up; revert the flips and drop the batch — training
-                    // on a non-finite gradient would corrupt the weights,
-                    // and panicking would make high-bit fault-aware
-                    // training impossible.
-                    xor_weight_flips(net, &flips);
-                    scratch.recycle(x);
-                    scratch.recycle(logits);
-                    scratch.recycle(out.grad);
+        for step in 0..steps {
+            let loss = source.gradients(step);
+            let mut params = source.net().params_mut();
+            let norm = global_grad_norm(&params);
+            if !loss.is_finite() || !norm.is_finite() {
+                if policy == NonFinitePolicy::Drop {
+                    // The clip below cannot rescale a non-finite norm, and
+                    // stepping unclipped would blast the weights into the
+                    // 1e34 range and kill the rest of the run.
+                    for p in params.iter_mut() {
+                        p.zero_grad();
+                    }
+                    drop(params);
+                    source.discard();
                     skipped_batches += 1;
                     event!(
                         Level::Debug,
-                        "fault_aware_skip",
-                        loss_name = loss.name(),
-                        loss = out.loss,
+                        "step_dropped",
                         epoch = epoch,
-                        batch = batches
+                        step = step,
+                        loss = loss,
+                        grad_norm = norm
                     );
                     continue;
                 }
                 // Leave evidence in the trace file before the panic
                 // message dies on a joined worker thread.
+                let (what, name) = if loss.is_finite() {
+                    ("gradient norm", "grad_nonfinite")
+                } else {
+                    ("loss", "loss_nonfinite")
+                };
                 event!(
                     Level::Error,
-                    "loss_nonfinite",
-                    loss_name = loss.name(),
-                    loss = out.loss,
-                    epoch = epoch,
-                    batch = batches,
-                    lr = lr
-                );
-                tdfm_obs::flush();
-                panic!(
-                    "{} produced a non-finite loss ({}) at epoch {epoch}, batch {batches} — \
-                     a NaN here would silently corrupt every subsequent update",
-                    loss.name(),
-                    out.loss
-                );
-            }
-            let grad_input = net.backward(&out.grad);
-            if !flips.is_empty() {
-                // Gradients were computed under the fault; the update
-                // below must land on the clean weights.
-                xor_weight_flips(net, &flips);
-            }
-            scratch.recycle(x);
-            scratch.recycle(logits);
-            scratch.recycle(out.grad);
-            scratch.recycle(grad_input);
-            let mut params = net.params_mut();
-            let norm = global_grad_norm(&params);
-            if !norm.is_finite() {
-                if fault.is_some() {
-                    // A fault-amplified batch can overflow the gradients
-                    // while the loss itself stays finite; the clip below
-                    // cannot rescale a non-finite norm, and stepping
-                    // unclipped would blast the clean weights into the
-                    // 1e34 range and kill the rest of the run. Drop the
-                    // batch like a non-finite loss.
-                    for p in params.iter_mut() {
-                        p.zero_grad();
-                    }
-                    skipped_batches += 1;
-                    event!(
-                        Level::Debug,
-                        "fault_aware_skip",
-                        loss_name = loss.name(),
-                        grad_norm = norm,
-                        epoch = epoch,
-                        batch = batches
-                    );
-                    continue;
-                }
-                event!(
-                    Level::Error,
-                    "grad_nonfinite",
-                    loss_name = loss.name(),
+                    name,
+                    loss = loss,
                     grad_norm = norm,
                     epoch = epoch,
                     batch = batches,
@@ -499,10 +394,9 @@ fn fit_inner(
                 );
                 tdfm_obs::flush();
                 panic!(
-                    "{} produced a non-finite gradient norm ({norm}) at epoch {epoch}, \
-                     batch {batches} — an unclipped step here would silently corrupt \
-                     every subsequent update",
-                    loss.name()
+                    "training produced a non-finite {what} (loss {loss}, gradient norm {norm}) \
+                     at epoch {epoch}, batch {batches} — an unscreened step here would \
+                     silently corrupt every subsequent update"
                 );
             }
             if cfg.grad_clip > 0.0 && norm > cfg.grad_clip {
@@ -513,15 +407,17 @@ fn fit_inner(
                 clip_counter().inc();
             }
             opt.step(&mut params);
+            drop(params);
+            source.stepped();
             event!(
                 Level::Trace,
                 "batch",
                 epoch = epoch,
                 batch = batches,
-                loss = out.loss,
+                loss = loss,
                 grad_norm = norm
             );
-            total_loss += out.loss;
+            total_loss += loss;
             total_norm += norm;
             batches += 1;
         }
@@ -543,7 +439,6 @@ fn fit_inner(
         opt.set_learning_rate(lr);
     }
 
-    opt.set_learning_rate(entry_lr);
     FitReport {
         epoch_losses,
         epoch_walls,
@@ -555,11 +450,170 @@ fn fit_inner(
 
 /// Global L2 norm over all parameter gradients.
 fn global_grad_norm(params: &[&mut crate::layer::Param]) -> f32 {
-    let sq: f32 = params
+    params
         .iter()
         .map(|p| p.grad.data().iter().map(|g| g * g).sum::<f32>())
-        .sum();
-    sq.sqrt()
+        .sum::<f32>()
+        .sqrt()
+}
+
+/// The in-process gradient source of [`fit`] and [`fit_fault_aware`]: one
+/// backward pass per batch, optionally under fault-aware weight flips.
+struct Local<'a> {
+    net: &'a mut Network,
+    loss: &'a dyn Loss,
+    images: &'a Tensor,
+    targets: &'a TargetSource,
+    batches: Batches,
+    /// Fault-aware runs draw flip locations from their own stream so the
+    /// shuffle order stays identical to a fault-free run with the same
+    /// shuffle seed.
+    fault: Option<(FaultAwareConfig, Rng)>,
+    flips: Vec<(usize, usize, u32)>,
+    state: StateSnapshot,
+}
+
+impl GradientSource for Local<'_> {
+    fn net(&mut self) -> &mut Network {
+        self.net
+    }
+
+    fn begin_epoch(&mut self, _epoch: usize) -> usize {
+        self.batches.shuffle()
+    }
+
+    fn gradients(&mut self, step: usize) -> f32 {
+        let chunk = self.batches.batch(step);
+        let x = gather(self.images, chunk);
+        let target = self.targets.batch(chunk);
+        // Fault-aware training flips weight bits for the duration of this
+        // step's forward/backward, remembering the locations so the flips
+        // can be reverted bit-exactly (XOR involution) before the
+        // optimiser touches the weights. Only these steps can be dropped,
+        // so only they pay for the state snapshot.
+        if let Some((fa, rng)) = &mut self.fault {
+            self.state.save(self.net);
+            let mut params = self.net.params_mut();
+            for _ in 0..fa.flips_per_step {
+                let tensor = rng.below(params.len());
+                let data = params[tensor].value.data_mut();
+                let element = rng.below(data.len());
+                let bit = fa.bit_lo + rng.below((fa.bit_hi - fa.bit_lo + 1) as usize) as u32;
+                data[element] = bitflip_f32(data[element], bit);
+                self.flips.push((tensor, element, bit));
+            }
+        }
+        let logits = self.net.forward(&x, Mode::Train);
+        let out = self.loss.evaluate(&logits, &target.as_target());
+        let grad_input = self.net.backward(&out.grad);
+        // Gradients were computed under the fault; the update must land on
+        // the clean weights.
+        if !self.flips.is_empty() {
+            let mut params = self.net.params_mut();
+            for (tensor, element, bit) in self.flips.drain(..) {
+                let data = params[tensor].value.data_mut();
+                data[element] = bitflip_f32(data[element], bit);
+            }
+        }
+        for t in [x, logits, out.grad, grad_input] {
+            Scratch::shared().recycle(t);
+        }
+        out.loss
+    }
+
+    fn discard(&mut self) {
+        self.state.restore(self.net);
+    }
+}
+
+/// Trains `net` on `(images, targets)` with SGD + momentum.
+///
+/// Mini-batches are reshuffled every epoch; the learning rate decays by
+/// `cfg.lr_decay` per epoch. Returns per-epoch losses and wall-clock time.
+///
+/// # Panics
+///
+/// Panics if `images` is not NCHW, if the target count does not match the
+/// image count, if `cfg.batch_size == 0`, and — in every build profile — if
+/// a batch produces a non-finite loss or gradient norm
+/// ([`NonFinitePolicy::Panic`]).
+pub fn fit(
+    net: &mut Network,
+    loss: &dyn Loss,
+    images: &Tensor,
+    targets: &TargetSource,
+    cfg: &FitConfig,
+) -> FitReport {
+    fit_local(net, loss, images, targets, cfg, None)
+}
+
+/// Fault-aware training (Vinck et al. 2024): [`fit`] plus stochastic
+/// weight bit-flips, injected before each step's forward pass and reverted
+/// (XOR is involutive, so reversal is bit-exact) before the optimiser
+/// updates the weights. Gradients are therefore computed *under* the
+/// fault but applied to the clean weights — the scheme that teaches the
+/// network to tolerate transient SEUs at inference time.
+///
+/// Unlike [`fit`], a non-finite loss or gradient does **not** panic here:
+/// an exponent-bit flip legitimately drives the loss to Inf/NaN, so the
+/// step is dropped ([`NonFinitePolicy::Drop`]) and counted in
+/// [`FitReport::skipped_batches`]. A dropped step leaves no trace: the
+/// flips are reverted and the BatchNorm running statistics restored.
+///
+/// # Panics
+///
+/// As [`fit`], and additionally if `fa` names an invalid bit range or the
+/// network has no parameters to flip.
+pub fn fit_fault_aware(
+    net: &mut Network,
+    loss: &dyn Loss,
+    images: &Tensor,
+    targets: &TargetSource,
+    cfg: &FitConfig,
+    fa: &FaultAwareConfig,
+) -> FitReport {
+    assert!(fa.flips_per_step > 0, "fault-aware training needs flips");
+    assert!(
+        fa.bit_lo <= fa.bit_hi && fa.bit_hi < 32,
+        "invalid bit range {}..={}",
+        fa.bit_lo,
+        fa.bit_hi
+    );
+    assert!(
+        !net.params_mut().is_empty(),
+        "fault-aware training needs trainable parameters"
+    );
+    fit_local(net, loss, images, targets, cfg, Some(fa))
+}
+
+fn fit_local(
+    net: &mut Network,
+    loss: &dyn Loss,
+    images: &Tensor,
+    targets: &TargetSource,
+    cfg: &FitConfig,
+    fault: Option<&FaultAwareConfig>,
+) -> FitReport {
+    assert_eq!(images.shape().rank(), 4, "images must be NCHW");
+    let n = images.shape().dim(0);
+    assert_eq!(n, targets.len(), "target count must match image count");
+    let _fit_span = span!("fit", epochs = cfg.epochs, samples = n, loss = loss.name());
+    let mut source = Local {
+        net,
+        loss,
+        images,
+        targets,
+        batches: Batches::new(
+            n,
+            cfg.batch_size,
+            Rng::seed_from(cfg.shuffle_seed ^ 0xF17_5EED),
+        ),
+        fault: fault.map(|fa| (*fa, Rng::seed_from(fa.seed ^ 0xB17F_11B5))),
+        flips: Vec::new(),
+        state: StateSnapshot::default(),
+    };
+    let policy = fault.map_or(NonFinitePolicy::Panic, |_| NonFinitePolicy::Drop);
+    train(&mut source, cfg, policy)
 }
 
 /// Gradients exported from one forward/backward pass — the unit a
@@ -616,27 +670,6 @@ pub fn export_batch_gradients(
     }
 }
 
-/// Loads externally produced gradients into the network's parameter slots,
-/// so a subsequent [`Optimizer::step`] applies them — the receive side of
-/// [`export_batch_gradients`].
-///
-/// # Panics
-///
-/// Panics if the gradient count or any gradient shape disagrees with the
-/// network's parameters.
-pub fn load_gradients(net: &mut Network, grads: &[Tensor]) {
-    let mut params = net.params_mut();
-    assert_eq!(
-        params.len(),
-        grads.len(),
-        "gradient/parameter count mismatch"
-    );
-    for (p, g) in params.iter_mut().zip(grads) {
-        assert_eq!(p.grad.shape(), g.shape(), "gradient shape mismatch");
-        p.grad.data_mut().copy_from_slice(g.data());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,6 +691,34 @@ mod tests {
             y.push(class);
         }
         (x, y)
+    }
+
+    /// A loss that is always NaN: forces the non-finite path every step.
+    struct NanLoss;
+    impl Loss for NanLoss {
+        fn name(&self) -> &'static str {
+            "NanLoss"
+        }
+        fn evaluate(&self, logits: &Tensor, _target: &Target) -> crate::loss::LossOutput {
+            crate::loss::LossOutput {
+                loss: f32::NAN,
+                grad: Tensor::zeros(&[logits.shape().dim(0), logits.shape().dim(1)]),
+            }
+        }
+    }
+
+    fn param_bits(net: &mut Network) -> Vec<Vec<u32>> {
+        net.params_mut()
+            .iter()
+            .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    fn state_bits(net: &mut Network) -> Vec<Vec<u32>> {
+        net.state_mut()
+            .iter()
+            .map(|s| s.iter().map(|v| v.to_bits()).collect())
+            .collect()
     }
 
     #[test]
@@ -821,64 +882,8 @@ mod tests {
     }
 
     #[test]
-    fn reused_optimiser_reproduces_identical_loss_curves() {
-        // Regression test: fit_with used to leave the caller's optimiser at
-        // the decayed learning rate, so a second run with the same optimiser
-        // silently trained at a different schedule.
-        let (x, y) = blob_data(32, 7);
-        let cfg = ModelConfig {
-            in_shape: (1, 4, 4),
-            classes: 2,
-            width: 2,
-            seed: 8,
-        };
-        let fit_cfg = FitConfig {
-            epochs: 3,
-            batch_size: 8,
-            lr_decay: 0.5,
-            ..FitConfig::default()
-        };
-        let mut opt = crate::optim::Sgd::new(0.05, 0.9, 1e-4);
-        let run = |opt: &mut crate::optim::Sgd| {
-            let mut net = ModelKind::ConvNet.build(&cfg);
-            fit_with(
-                &mut net,
-                &CrossEntropy,
-                &x,
-                &TargetSource::Hard(y.clone()),
-                &fit_cfg,
-                opt,
-            )
-            .epoch_losses
-        };
-        let first = run(&mut opt);
-        assert_eq!(
-            opt.learning_rate(),
-            0.05,
-            "entry learning rate must be restored"
-        );
-        let second = run(&mut opt);
-        assert_eq!(
-            first, second,
-            "a reused optimiser must reproduce the same curve"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "non-finite loss")]
     fn non_finite_loss_fails_loudly_in_every_build() {
-        struct NanLoss;
-        impl Loss for NanLoss {
-            fn name(&self) -> &'static str {
-                "NanLoss"
-            }
-            fn evaluate(&self, logits: &Tensor, _target: &Target) -> crate::loss::LossOutput {
-                crate::loss::LossOutput {
-                    loss: f32::NAN,
-                    grad: Tensor::zeros(&[logits.shape().dim(0), logits.shape().dim(1)]),
-                }
-            }
-        }
         let (x, y) = blob_data(8, 9);
         let cfg = ModelConfig {
             in_shape: (1, 4, 4),
@@ -899,10 +904,9 @@ mod tests {
     #[test]
     fn shared_arena_runs_are_bit_identical() {
         // Buffer reuse must be invisible to numerics: two identical runs
-        // sharing ONE scratch arena (so the second run trains entirely out
-        // of recycled buffers) must produce byte-identical loss curves and
-        // gradient norms.
-        use std::sync::Arc;
+        // on the shared scratch arena (so the second run trains entirely
+        // out of recycled buffers) must produce byte-identical loss curves
+        // and gradient norms.
         let (x, y) = blob_data(32, 13);
         let cfg = ModelConfig {
             in_shape: (1, 4, 4),
@@ -910,11 +914,9 @@ mod tests {
             width: 2,
             seed: 14,
         };
-        let arena: tdfm_tensor::ScratchHandle = Arc::new(Scratch::new());
         let run = || {
             let mut net = ModelKind::ConvNet.build(&cfg);
-            let mut opt = crate::optim::Sgd::new(0.05, 0.9, 1e-4);
-            fit_with_arena(
+            fit(
                 &mut net,
                 &CrossEntropy,
                 &x,
@@ -924,11 +926,10 @@ mod tests {
                     batch_size: 8,
                     ..FitConfig::default()
                 },
-                &mut opt,
-                &arena,
             )
         };
         let first = run();
+        let hits = Scratch::shared().stats().hits;
         let second = run();
         let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|f| f.to_bits()).collect() };
         assert_eq!(bits(&first.epoch_losses), bits(&second.epoch_losses));
@@ -937,7 +938,10 @@ mod tests {
             bits(&second.epoch_grad_norms)
         );
         // The second run actually exercised recycled buffers.
-        assert!(arena.stats().hits > 0, "arena never served a reuse");
+        assert!(
+            Scratch::shared().stats().hits > hits,
+            "arena never served a reuse"
+        );
     }
 
     #[test]
@@ -1029,11 +1033,7 @@ mod tests {
             seed: 23,
         };
         let mut net = ModelKind::ConvNet.build(&cfg);
-        let before: Vec<Vec<u32>> = net
-            .params_mut()
-            .iter()
-            .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
-            .collect();
+        let before = param_bits(&mut net);
         let _ = fit_fault_aware(
             &mut net,
             &ZeroLoss,
@@ -1053,11 +1053,7 @@ mod tests {
                 seed: 3,
             },
         );
-        let after: Vec<Vec<u32>> = net
-            .params_mut()
-            .iter()
-            .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
-            .collect();
+        let after = param_bits(&mut net);
         assert_eq!(before, after, "reverted flips must restore exact bits");
     }
 
@@ -1095,18 +1091,6 @@ mod tests {
         // Force the skip path deterministically with a loss that is always
         // NaN: every batch must be dropped, reverted and counted — the
         // plain trainer panics in this exact situation (test above).
-        struct NanLoss;
-        impl Loss for NanLoss {
-            fn name(&self) -> &'static str {
-                "NanLoss"
-            }
-            fn evaluate(&self, logits: &Tensor, _target: &Target) -> crate::loss::LossOutput {
-                crate::loss::LossOutput {
-                    loss: f32::NAN,
-                    grad: Tensor::zeros(&[logits.shape().dim(0), logits.shape().dim(1)]),
-                }
-            }
-        }
         let (x, y) = blob_data(16, 26);
         let cfg = ModelConfig {
             in_shape: (1, 4, 4),
@@ -1115,11 +1099,7 @@ mod tests {
             seed: 27,
         };
         let mut net = ModelKind::ConvNet.build(&cfg);
-        let before: Vec<Vec<u32>> = net
-            .params_mut()
-            .iter()
-            .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
-            .collect();
+        let before = param_bits(&mut net);
         let report = fit_fault_aware(
             &mut net,
             &NanLoss,
@@ -1134,12 +1114,45 @@ mod tests {
         );
         assert_eq!(report.skipped_batches, 4, "2 epochs x 2 batches");
         assert_eq!(report.epoch_losses, vec![0.0, 0.0]);
-        let after: Vec<Vec<u32>> = net
-            .params_mut()
-            .iter()
-            .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
-            .collect();
+        let after = param_bits(&mut net);
         assert_eq!(before, after, "skipped batches must leave weights clean");
+    }
+
+    #[test]
+    fn dropped_fault_aware_steps_leave_batchnorm_state_untouched() {
+        // The Train-mode forward writes every BatchNorm running mean/var
+        // before the loss is screened; a dropped step must put them back,
+        // or a fault that never reached the weights still leaks into the
+        // model through its normalisation statistics.
+        let (x, y) = blob_data(16, 34);
+        for kind in [ModelKind::ResNet18, ModelKind::MobileNet] {
+            let mut net = kind.build(&ModelConfig {
+                in_shape: (1, 4, 4),
+                classes: 2,
+                width: 2,
+                seed: 35,
+            });
+            assert!(!net.state_mut().is_empty(), "{kind:?} has BatchNorm state");
+            let before = (param_bits(&mut net), state_bits(&mut net));
+            let report = fit_fault_aware(
+                &mut net,
+                &NanLoss,
+                &x,
+                &TargetSource::Hard(y.clone()),
+                &FitConfig {
+                    epochs: 1,
+                    batch_size: 8,
+                    ..FitConfig::default()
+                },
+                &FaultAwareConfig::default(),
+            );
+            assert_eq!(report.skipped_batches, 2, "{kind:?}");
+            assert_eq!(
+                before,
+                (param_bits(&mut net), state_bits(&mut net)),
+                "{kind:?}: a dropped step changed the model"
+            );
+        }
     }
 
     /// Finite loss, non-finite gradient — the combination a fault-blown
@@ -1172,11 +1185,7 @@ mod tests {
             seed: 31,
         };
         let mut net = ModelKind::ConvNet.build(&cfg);
-        let before: Vec<Vec<u32>> = net
-            .params_mut()
-            .iter()
-            .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
-            .collect();
+        let before = param_bits(&mut net);
         let report = fit_fault_aware(
             &mut net,
             &InfGradLoss,
@@ -1192,11 +1201,7 @@ mod tests {
             &FaultAwareConfig::default(),
         );
         assert_eq!(report.skipped_batches, 4, "2 epochs x 2 batches");
-        let after: Vec<Vec<u32>> = net
-            .params_mut()
-            .iter()
-            .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
-            .collect();
+        let after = param_bits(&mut net);
         assert_eq!(before, after, "dropped gradients must not touch weights");
     }
 
@@ -1248,44 +1253,6 @@ mod tests {
                 ..FaultAwareConfig::default()
             },
         );
-    }
-
-    #[test]
-    fn exported_gradients_round_trip_through_load() {
-        // A step taken from exported-then-loaded gradients must equal the
-        // in-place backward + step bit-for-bit — the invariant that lets
-        // the distributed trainer reuse the single-worker optimiser.
-        let (x, y) = blob_data(8, 40);
-        let cfg = ModelConfig {
-            in_shape: (1, 4, 4),
-            classes: 2,
-            width: 2,
-            seed: 41,
-        };
-        let mut exported_net = ModelKind::ConvNet.build(&cfg);
-        let mut direct_net = ModelKind::ConvNet.build(&cfg);
-
-        let export =
-            export_batch_gradients(&mut exported_net, &CrossEntropy, &x, &Target::Hard(&y));
-        assert!(export.is_finite());
-        assert!(export.grad_norm > 0.0);
-        load_gradients(&mut exported_net, &export.grads);
-        let mut opt = crate::optim::Sgd::new(0.05, 0.0, 0.0);
-        opt.step(&mut exported_net.params_mut());
-
-        let logits = direct_net.forward(&x, Mode::Train);
-        let out = CrossEntropy.evaluate(&logits, &Target::Hard(&y));
-        let _ = direct_net.backward(&out.grad);
-        let mut opt2 = crate::optim::Sgd::new(0.05, 0.0, 0.0);
-        opt2.step(&mut direct_net.params_mut());
-
-        let weights = |net: &mut Network| -> Vec<Vec<u32>> {
-            net.params_mut()
-                .iter()
-                .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
-                .collect()
-        };
-        assert_eq!(weights(&mut exported_net), weights(&mut direct_net));
     }
 
     #[test]

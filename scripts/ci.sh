@@ -57,6 +57,15 @@ echo "== workspace build + tests (all crates) =="
 cargo build --release --workspace
 cargo test -q --workspace
 
+echo "== benchmark tests (perfbench) =="
+# perfbench/ is a Cargo package of its own (empty [workspace]), so the
+# workspace runs above never build it. Its pin test
+# (`every_unit_matches_its_pin_at_every_simd_level`) is the only check of
+# the trained-weight digests of `fit`, fault-aware training and
+# `fit_sharded` with all four aggregators, at every available SIMD level.
+CARGO_TARGET_DIR="$PWD/target/perfbench" cargo test --offline --locked -q \
+    --manifest-path perfbench/Cargo.toml
+
 echo "== full test suite with the SIMD kernels disabled (TDFM_SIMD=off) =="
 # The scalar fallback is a first-class code path, not dead weight: every
 # test must pass with the vector kernels forced off. The binaries are
