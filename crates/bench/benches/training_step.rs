@@ -18,12 +18,13 @@
 use tdfm_bench::compare::compare_suites;
 use tdfm_bench::harness::{bench, group, BenchSuite, ScalingCurve, ScalingPoint};
 use tdfm_bench::write_json;
+use tdfm_core::distributed::{fit_sharded, AggregatorKind, Mean, WorkerGrads};
 use tdfm_core::technique::{TechniqueKind, TrainContext};
 use tdfm_data::{DatasetKind, Scale};
 use tdfm_inject::split_clean;
-use tdfm_nn::loss::CrossEntropy;
+use tdfm_nn::loss::{CrossEntropy, Target};
 use tdfm_nn::models::ModelKind;
-use tdfm_nn::trainer::{fit, FitConfig, TargetSource};
+use tdfm_nn::trainer::{export_batch_gradients, fit, FitConfig, TargetSource};
 use tdfm_tensor::{ops, simd, Tensor};
 
 /// Options parsed from the bench binary's own CLI tail (after cargo's
@@ -150,6 +151,57 @@ fn bench_scaling(suite: &mut BenchSuite) -> Vec<ScalingCurve> {
     curves
 }
 
+/// The sharded-training cells at the benchmark's smoke shapes: each
+/// aggregator over eight exported ConvNet gradient sets (one per shard,
+/// batch 8), then one whole `fit_sharded` epoch over 8 shards of 16
+/// samples with the `Mean` aggregator.
+fn bench_sharded(suite: &mut BenchSuite) {
+    const SHARDS: usize = 8;
+    const SHARD_SAMPLES: usize = 16;
+    const BATCH: usize = 8;
+    let data = DatasetKind::Cifar10.generate(Scale::Smoke, 0);
+    let slice: Vec<usize> = (0..SHARDS * SHARD_SAMPLES).collect();
+    let shards = data.train.select(&slice).shards(SHARDS);
+    let ctx = TrainContext::new(Scale::Smoke, 0);
+    let config = ctx.model_config(&shards[0]);
+    let mut net = ModelKind::ConvNet.build(&config);
+    let exports: Vec<_> = shards
+        .iter()
+        .map(|shard| {
+            let images = shard.images().slice_rows(0, BATCH);
+            let labels = Target::Hard(&shard.labels()[..BATCH]);
+            export_batch_gradients(&mut net, &CrossEntropy, &images, &labels)
+        })
+        .collect();
+    let workers: Vec<WorkerGrads<'_>> = exports
+        .iter()
+        .enumerate()
+        .map(|(worker, e)| WorkerGrads {
+            worker,
+            grads: &e.grads,
+        })
+        .collect();
+    group("aggregate");
+    for kind in AggregatorKind::standard_set() {
+        let name = kind.name();
+        let family = name.split('(').next().unwrap_or(&name);
+        let mut aggregator = kind.build();
+        suite.push(&bench(&format!("aggregate/{family}"), || {
+            aggregator.aggregate(&workers)
+        }));
+    }
+
+    group("sharded_fit");
+    let cfg = FitConfig {
+        epochs: 1,
+        batch_size: BATCH,
+        ..FitConfig::default()
+    };
+    suite.push(&bench("sharded_fit/ConvNet", || {
+        fit_sharded(ModelKind::ConvNet, &config, &shards, &cfg, &mut Mean)
+    }));
+}
+
 fn main() {
     let opts = parse_args();
     let mut suite = BenchSuite::new("trainer");
@@ -195,6 +247,7 @@ fn main() {
         suite.push(&report);
     }
 
+    bench_sharded(&mut suite);
     bench_kernels(&mut suite);
     let curves = bench_scaling(&mut suite);
     if let Some(path) = &opts.scaling_out {

@@ -13,20 +13,32 @@
 //! can do; [`crate::detect::localize_faulty_shards`] then *fingers* the
 //! shard FedDebug-style from per-shard held-out disagreement.
 //!
+//! Every replica starts from one build of the model: worker 0's network is
+//! built once and the others receive [`Network::replica`] copies of it.
+//!
 //! # Determinism
 //!
 //! Every aggregator reduces in a fixed order regardless of worker
-//! scheduling: per coordinate, the per-worker values are sorted with
-//! [`f32::total_cmp`] and summed in ascending order. This makes every
+//! scheduling: per coordinate, the per-worker values are sorted in
+//! [`f32::total_cmp`] order and summed in ascending order. This makes every
 //! aggregator permutation-invariant over worker order, makes
 //! `TrimmedMean { f: 0 }` bit-identical to `Mean`, and — because workers
 //! are collected indexed by shard before reduction — makes results
 //! byte-identical across `TDFM_THREADS` like the rest of the repo.
+//!
+//! The sort runs blockwise rather than per coordinate: 64 coordinates of
+//! every worker are loaded as order-preserving integer keys into one row
+//! each, and an odd-even transposition network of lane-wise min/max sorts
+//! all 64 columns at once. The key map is a bijection that preserves
+//! `total_cmp` order, so each coordinate's sorted values — and every
+//! reducer's result — are bit for bit those of a per-coordinate
+//! `sort_unstable_by(f32::total_cmp)`.
 
 use crate::experiment::run_indexed;
 use crate::metrics::{accuracy, accuracy_delta, ConfidenceInterval};
 use crate::technique::EVAL_BATCH;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tdfm_data::{DatasetKind, LabeledDataset, Scale};
@@ -83,10 +95,12 @@ pub struct Aggregated {
 /// # Contract
 ///
 /// Implementations must be **permutation-invariant over worker order** and
-/// reduce in a fixed order (sort per-coordinate values with
-/// [`f32::total_cmp`], sum ascending — see [`invariant_mean`]): the trainer
-/// collects contributions indexed by shard, but byte-identical results
-/// across thread counts require the reduction itself to be order-free.
+/// reduce in a fixed order (sort each coordinate's values in
+/// [`f32::total_cmp`] order, sum ascending — the shipped aggregators do
+/// both through [`sorted_reduce`]'s sorting network and
+/// [`invariant_mean`]): the trainer collects contributions indexed by
+/// shard, but byte-identical results across thread counts require the
+/// reduction itself to be order-free.
 /// Aggregators may keep per-worker state across rounds (CTMA's momentum);
 /// state must be keyed by [`WorkerGrads::worker`], never by slice position.
 pub trait Aggregator: Send {
@@ -110,33 +124,117 @@ pub trait Aggregator: Send {
     }
 }
 
-/// Sorts each coordinate's per-worker values and folds them in ascending
-/// order — the fixed reduction order every aggregator shares. `reduce` sees
-/// the sorted values and returns the combined coordinate.
-fn sorted_reduce(sets: &[&[Tensor]], reduce: impl Fn(&[f32]) -> f32) -> Vec<Tensor> {
-    let n = sets.len();
-    assert!(n > 0, "cannot aggregate zero workers");
-    let mut buf = vec![0.0f32; n];
+/// Coordinates per block of the sorting network: wide enough to fill the
+/// vector lanes, small enough that one reduction's scratch (`n` rows of
+/// keys) stays a few KiB whatever the tensor sizes.
+const BLOCK: usize = 64;
+
+/// Maps float bits to an `i32` whose signed order is [`f32::total_cmp`]'s
+/// order — the bit trick `total_cmp` itself uses. The map is a bijection
+/// and its own inverse, so it also maps keys back to float bits.
+fn total_key(bits: i32) -> i32 {
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// One block of sorted coordinates: rank row `r` holds, lane by lane, the
+/// `r`-th smallest worker value of each coordinate under
+/// [`f32::total_cmp`].
+struct Ranks<'a> {
+    keys: &'a [i32],
+    lanes: usize,
+}
+
+impl Ranks<'_> {
+    /// Number of rank rows (the worker count).
+    fn len(&self) -> usize {
+        self.keys.len() / BLOCK
+    }
+
+    /// The values of rank `r`, one per coordinate of the block.
+    fn row(&self, r: usize) -> impl Iterator<Item = f32> + '_ {
+        self.keys[r * BLOCK..r * BLOCK + self.lanes]
+            .iter()
+            .map(|&k| f32::from_bits(total_key(k) as u32))
+    }
+}
+
+/// Odd-even transposition network over worker-major key rows: `n` passes
+/// of lane-wise min/max compare-exchange between adjacent rows leave every
+/// lane sorted ascending. Branch-free and data-independent, so the compiler
+/// vectorises the inner loop.
+fn sort_lanes(keys: &mut [i32]) {
+    let n = keys.len() / BLOCK;
+    for pass in 0..n {
+        for lo in (pass % 2..n - 1).step_by(2) {
+            let (a, b) = keys[lo * BLOCK..(lo + 2) * BLOCK].split_at_mut(BLOCK);
+            for (x, y) in a.iter_mut().zip(b) {
+                let (small, large) = ((*x).min(*y), (*x).max(*y));
+                *x = small;
+                *y = large;
+            }
+        }
+    }
+}
+
+/// Sorts each coordinate's per-worker values and hands them to `reduce` as
+/// rank rows — the fixed reduction order every aggregator shares.
+///
+/// Works per tensor in blocks of [`BLOCK`] coordinates: each worker's block
+/// is loaded as [`total_key`]s into one row, the rows are sorted lane-wise
+/// by [`sort_lanes`], and `reduce` writes the block's combined coordinates
+/// from the resulting [`Ranks`]. Because the key map preserves
+/// `total_cmp` order bijectively, each coordinate's rank sequence is bit
+/// for bit what sorting its values with `total_cmp` gives.
+fn sorted_reduce(sets: &[&[Tensor]], reduce: impl Fn(&Ranks<'_>, &mut [f32])) -> Vec<Tensor> {
+    assert!(!sets.is_empty(), "cannot aggregate zero workers");
+    let mut keys = vec![0i32; sets.len() * BLOCK];
     (0..sets[0].len())
         .map(|p| {
             let mut out = Tensor::zeros(sets[0][p].shape().dims());
-            for (c, slot) in out.data_mut().iter_mut().enumerate() {
-                for (v, set) in buf.iter_mut().zip(sets) {
-                    *v = set[p].data()[c];
+            for (b, block) in out.data_mut().chunks_mut(BLOCK).enumerate() {
+                let start = b * BLOCK;
+                for (row, set) in keys.chunks_exact_mut(BLOCK).zip(sets) {
+                    let values = &set[p].data()[start..start + block.len()];
+                    for (k, &v) in row.iter_mut().zip(values) {
+                        *k = total_key(v.to_bits() as i32);
+                    }
                 }
-                buf.sort_unstable_by(|a, b| a.total_cmp(b));
-                *slot = reduce(&buf);
+                // Lanes past a short final block hold stale keys; they are
+                // sorted along but never read.
+                sort_lanes(&mut keys);
+                let ranks = Ranks {
+                    keys: &keys,
+                    lanes: block.len(),
+                };
+                reduce(&ranks, block);
             }
             out
         })
         .collect()
 }
 
-/// Sums already-sorted values in ascending order and divides — the
-/// invariant mean both `Mean` and `TrimmedMean { f: 0 }` bottom out in,
-/// which is what makes them bit-identical.
-fn invariant_mean(sorted: &[f32]) -> f32 {
-    sorted.iter().fold(0.0f32, |acc, &v| acc + v) / sorted.len() as f32
+/// Sums the rank rows `kept` lane-wise in ascending order from `0.0` and
+/// divides — the invariant mean `Mean`, `TrimmedMean` and CTMA bottom out
+/// in, which is what makes `TrimmedMean { f: 0 }` and `Mean` bit-identical.
+fn invariant_mean(ranks: &Ranks<'_>, kept: Range<usize>, out: &mut [f32]) {
+    let len = kept.len() as f32;
+    out.fill(0.0);
+    for r in kept {
+        for (o, v) in out.iter_mut().zip(ranks.row(r)) {
+            *o += v;
+        }
+    }
+    for o in out {
+        *o /= len;
+    }
+}
+
+/// Coordinate-wise mean after dropping the `t` lowest and `t` highest
+/// values of each coordinate.
+fn trimmed_mean(sets: &[&[Tensor]], t: usize) -> Vec<Tensor> {
+    sorted_reduce(sets, |ranks, out| {
+        invariant_mean(ranks, t..ranks.len() - t, out)
+    })
 }
 
 fn grad_sets<'a>(workers: &'a [WorkerGrads<'_>]) -> Vec<&'a [Tensor]> {
@@ -154,7 +252,7 @@ impl Aggregator for Mean {
 
     fn aggregate(&mut self, workers: &[WorkerGrads<'_>]) -> Aggregated {
         Aggregated {
-            grads: sorted_reduce(&grad_sets(workers), invariant_mean),
+            grads: trimmed_mean(&grad_sets(workers), 0),
             trimmed: 0,
         }
     }
@@ -178,9 +276,7 @@ impl Aggregator for TrimmedMean {
         let n = workers.len();
         let t = self.f.min((n - 1) / 2);
         Aggregated {
-            grads: sorted_reduce(&grad_sets(workers), |sorted| {
-                invariant_mean(&sorted[t..sorted.len() - t])
-            }),
+            grads: trimmed_mean(&grad_sets(workers), t),
             trimmed: 2 * t,
         }
     }
@@ -198,12 +294,16 @@ impl Aggregator for Median {
 
     fn aggregate(&mut self, workers: &[WorkerGrads<'_>]) -> Aggregated {
         let n = workers.len();
-        let grads = sorted_reduce(&grad_sets(workers), |sorted| {
-            let m = sorted.len() / 2;
-            if sorted.len() % 2 == 1 {
-                sorted[m]
+        let grads = sorted_reduce(&grad_sets(workers), |ranks, out| {
+            let m = ranks.len() / 2;
+            if ranks.len() % 2 == 1 {
+                for (o, v) in out.iter_mut().zip(ranks.row(m)) {
+                    *o = v;
+                }
             } else {
-                (sorted[m - 1] + sorted[m]) / 2.0
+                for ((o, lo), hi) in out.iter_mut().zip(ranks.row(m - 1)).zip(ranks.row(m)) {
+                    *o = (lo + hi) / 2.0;
+                }
             }
         });
         Aggregated {
@@ -248,18 +348,14 @@ impl Ctma {
             momentum: Vec::new(),
         }
     }
-}
 
-impl Aggregator for Ctma {
-    fn name(&self) -> String {
-        format!("Ctma(f={})", self.f)
-    }
-
-    fn replaces_server_momentum(&self) -> bool {
-        true
-    }
-
-    fn aggregate(&mut self, workers: &[WorkerGrads<'_>]) -> Aggregated {
+    /// One aggregation round, with the coordinate-wise trimmed mean passed
+    /// in so tests can run the round over a reference reduction.
+    fn round(
+        &mut self,
+        workers: &[WorkerGrads<'_>],
+        trimmed_mean: fn(&[&[Tensor]], usize) -> Vec<Tensor>,
+    ) -> Aggregated {
         let n = workers.len();
         // Update each present worker's momentum, keyed by shard index so
         // state survives rounds where some workers were screened out.
@@ -289,9 +385,7 @@ impl Aggregator for Ctma {
             })
             .collect();
         let t = self.f.min((n - 1) / 2);
-        let center = sorted_reduce(&momenta, |sorted| {
-            invariant_mean(&sorted[t..sorted.len() - t])
-        });
+        let center = trimmed_mean(&momenta, t);
         // Squared distances to the center, accumulated in f64 coordinate
         // order — the same fixed sequence for every worker permutation.
         let mut ranked: Vec<(f64, usize, usize)> = workers
@@ -319,9 +413,23 @@ impl Aggregator for Ctma {
         let keep = n - self.f.min(n - 1);
         let selected: Vec<&[Tensor]> = ranked[..keep].iter().map(|&(_, _, s)| momenta[s]).collect();
         Aggregated {
-            grads: sorted_reduce(&selected, invariant_mean),
+            grads: trimmed_mean(&selected, 0),
             trimmed: n - keep,
         }
+    }
+}
+
+impl Aggregator for Ctma {
+    fn name(&self) -> String {
+        format!("Ctma(f={})", self.f)
+    }
+
+    fn replaces_server_momentum(&self) -> bool {
+        true
+    }
+
+    fn aggregate(&mut self, workers: &[WorkerGrads<'_>]) -> Aggregated {
+        self.round(workers, trimmed_mean)
     }
 }
 
@@ -577,12 +685,17 @@ fn fit_replicas(
     if aggregator.replaces_server_momentum() {
         server.momentum = 0.0;
     }
-    let workers = shards
-        .iter()
+    // Every replica starts from the same initialisation: build it once and
+    // copy it, instead of paying for the weight draws once per worker.
+    let lead = model.build(config);
+    let copies: Vec<Network> = (1..shards.len()).map(|_| lead.replica()).collect();
+    let workers = std::iter::once(lead)
+        .chain(copies)
+        .zip(shards)
         .enumerate()
-        .map(|(w, shard)| {
+        .map(|(w, (net, shard))| {
             Mutex::new(Worker {
-                net: model.build(config),
+                net,
                 batches: Batches::new(
                     shard.len(),
                     cfg.batch_size,
@@ -1034,6 +1147,7 @@ impl ShardFaultRunner {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use tdfm_nn::trainer::{fit, TargetSource};
     use tdfm_tensor::parallel::with_inner_threads;
 
     /// Synthetic per-worker gradients: two tensors per worker, values drawn
@@ -1063,6 +1177,146 @@ mod tests {
             .iter()
             .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
             .collect()
+    }
+
+    /// The per-coordinate reduction the sorting network replaced: gather
+    /// each coordinate's worker values, sort them with `total_cmp`, fold.
+    fn reference_reduce(sets: &[&[Tensor]], reduce: impl Fn(&[f32]) -> f32) -> Vec<Tensor> {
+        let mut buf = vec![0.0f32; sets.len()];
+        (0..sets[0].len())
+            .map(|p| {
+                let mut out = Tensor::zeros(sets[0][p].shape().dims());
+                for (c, slot) in out.data_mut().iter_mut().enumerate() {
+                    for (v, set) in buf.iter_mut().zip(sets) {
+                        *v = set[p].data()[c];
+                    }
+                    buf.sort_unstable_by(|a, b| a.total_cmp(b));
+                    *slot = reduce(&buf);
+                }
+                out
+            })
+            .collect()
+    }
+
+    fn reference_trimmed_mean(sets: &[&[Tensor]], t: usize) -> Vec<Tensor> {
+        reference_reduce(sets, |sorted| {
+            let kept = &sorted[t..sorted.len() - t];
+            kept.iter().fold(0.0f32, |acc, &v| acc + v) / kept.len() as f32
+        })
+    }
+
+    fn reference_median(sets: &[&[Tensor]]) -> Vec<Tensor> {
+        reference_reduce(sets, |sorted| {
+            let m = sorted.len() / 2;
+            if sorted.len() % 2 == 1 {
+                sorted[m]
+            } else {
+                (sorted[m - 1] + sorted[m]) / 2.0
+            }
+        })
+    }
+
+    /// Values that stress the ordering: signed zeros, repeats, subnormals,
+    /// ±MAX and infinities (the generator also negates them).
+    const STRESS: [f32; 8] = [
+        0.0,
+        1.0,
+        f32::MAX,
+        1e-40,
+        f32::MIN_POSITIVE,
+        f32::INFINITY,
+        0.5,
+        // The last entry only joins when NaNs are asked for.
+        f32::NAN,
+    ];
+
+    const STRESS_LENS: [usize; 5] = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2051];
+
+    /// Per-worker gradients over tensors of [`STRESS_LENS`] elements:
+    /// mixed-sign normals interleaved with [`STRESS`] values of both signs,
+    /// NaNs included only when `nans` is set.
+    fn stress_grads(workers: usize, seed: u64, nans: bool) -> Vec<Vec<Tensor>> {
+        let palette = &STRESS[..STRESS.len() - usize::from(!nans)];
+        let mut rng = Rng::seed_from(seed);
+        (0..workers)
+            .map(|_| {
+                STRESS_LENS
+                    .iter()
+                    .map(|&len| {
+                        let values = (0..len).map(|_| match rng.below(3) {
+                            0 => rng.normal(),
+                            1 => palette[rng.below(palette.len())],
+                            _ => -palette[rng.below(palette.len())],
+                        });
+                        Tensor::from_vec(values.collect(), &[len])
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sorting_network_matches_the_per_coordinate_sort_bit_for_bit() {
+        for n in 1..=9 {
+            // Rank rows are pure data movement, so they must match the
+            // total_cmp sort even through NaNs of either sign.
+            let grads = stress_grads(n, 40 + n as u64, true);
+            let workers = as_worker_grads(&grads);
+            let sets = grad_sets(&workers);
+            for r in 0..n {
+                let rank = sorted_reduce(&sets, |ranks, out| {
+                    for (o, v) in out.iter_mut().zip(ranks.row(r)) {
+                        *o = v;
+                    }
+                });
+                let reference = reference_reduce(&sets, |sorted| sorted[r]);
+                assert_eq!(bits(&rank), bits(&reference), "rank {r} of {n}");
+            }
+            // Reducers do arithmetic, and Rust leaves the sign and payload
+            // of a NaN result unspecified; non-finite gradients never reach
+            // an aggregator in `fit_sharded`, so NaN inputs stay out here.
+            let grads = stress_grads(n, 50 + n as u64, false);
+            let workers = as_worker_grads(&grads);
+            let sets = grad_sets(&workers);
+            assert_eq!(
+                bits(&Mean.aggregate(&workers).grads),
+                bits(&reference_trimmed_mean(&sets, 0)),
+                "Mean over {n} workers"
+            );
+            for f in 0..=3 {
+                let t = f.min((n - 1) / 2);
+                assert_eq!(
+                    bits(&TrimmedMean { f }.aggregate(&workers).grads),
+                    bits(&reference_trimmed_mean(&sets, t)),
+                    "TrimmedMean(f={f}) over {n} workers"
+                );
+            }
+            assert_eq!(
+                bits(&Median.aggregate(&workers).grads),
+                bits(&reference_median(&sets)),
+                "Median over {n} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn ctma_over_the_network_matches_ctma_over_the_per_coordinate_sort() {
+        for n in 2..=9 {
+            let mut fast = Ctma::new(1);
+            let mut reference = Ctma::new(1);
+            for round in 0..3u64 {
+                let grads = stress_grads(n, 80 + 10 * n as u64 + round, false);
+                let mut workers = as_worker_grads(&grads);
+                if round == 1 {
+                    // Screened out this round; its momentum must carry over.
+                    workers.remove(n / 2);
+                }
+                let a = fast.aggregate(&workers);
+                let b = reference.round(&workers, reference_trimmed_mean);
+                assert_eq!(bits(&a.grads), bits(&b.grads), "round {round}, {n} workers");
+                assert_eq!(a.trimmed, b.trimmed);
+            }
+        }
     }
 
     #[test]
@@ -1211,6 +1465,76 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_mean_returns_the_export_with_negative_zero_made_positive() {
+        let (shards, _) = tiny_shards(1, 30);
+        let config = tiny_model_config(&shards, 31);
+        let mut net = ModelKind::ConvNet.build(&config);
+        let images = shards[0].images().slice_rows(0, 8);
+        let labels = &shards[0].labels()[..8];
+        let mut export =
+            export_batch_gradients(&mut net, &CrossEntropy, &images, &Target::Hard(labels));
+        // Layers accumulate onto a gradient zeroed to +0.0, and +0.0 + g is
+        // never -0.0, so an export carries no -0.0 of its own. Plant some
+        // to pin down what the fold from 0.0 does with them.
+        let is_negative_zero = |v: f32| v.to_bits() == (-0.0f32).to_bits();
+        assert!(!export
+            .grads
+            .iter()
+            .flat_map(|g| g.data())
+            .any(|&v| is_negative_zero(v)));
+        for g in &mut export.grads {
+            g.data_mut()[0] = -0.0;
+        }
+        let mean = Mean.aggregate(&[WorkerGrads {
+            worker: 0,
+            grads: &export.grads,
+        }]);
+        for (got, exported) in mean.grads.iter().zip(&export.grads) {
+            for (&g, &e) in got.data().iter().zip(exported.data()) {
+                let expected = if is_negative_zero(e) { 0.0 } else { e };
+                assert_eq!(g.to_bits(), expected.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn one_shard_mean_trains_like_fit_once_the_batch_orders_agree() {
+        // `fit` shuffles with `shuffle_seed ^ 0xF17_5EED`; `fit_sharded`
+        // derives each worker's order from `shuffle_seed ^ 0x5_4A2D`. Give
+        // the single worker `fit`'s order and the two runs must agree bit
+        // for bit: the export/aggregate round trip changes nothing else.
+        let (shards, _) = tiny_shards(1, 32);
+        let config = tiny_model_config(&shards, 33);
+        let cfg = quick_cfg(33);
+        let mut local = ModelKind::ConvNet.build(&config);
+        let labels = TargetSource::Hard(shards[0].labels().to_vec());
+        let fitted = fit(&mut local, &CrossEntropy, shards[0].images(), &labels, &cfg);
+        let mut agg = Mean;
+        let mut source = Sharded {
+            shards: &shards,
+            workers: vec![Mutex::new(Worker {
+                net: ModelKind::ConvNet.build(&config),
+                batches: Batches::new(
+                    shards[0].len(),
+                    cfg.batch_size,
+                    Rng::seed_from(cfg.shuffle_seed ^ 0xF17_5EED),
+                ),
+                state: StateSnapshot::default(),
+                wall: Duration::ZERO,
+            })],
+            aggregator: &mut agg,
+            epoch: 0,
+            report: ShardedFitReport::default(),
+        };
+        let sharded = train(&mut source, &cfg, NonFinitePolicy::Drop);
+        assert_eq!(fitted.epoch_losses, sharded.epoch_losses);
+        assert!(param_bits(&mut local) == param_bits(source.net()));
+        // With its own batch order the sharded run trains differently.
+        let (mut own, _) = fit_sharded(ModelKind::ConvNet, &config, &shards, &cfg, &mut Mean);
+        assert!(param_bits(&mut local) != param_bits(&mut own));
+    }
+
+    #[test]
     fn sharded_training_is_byte_identical_across_thread_budgets() {
         let (shards, _) = tiny_shards(4, 22);
         let config = tiny_model_config(&shards, 23);
@@ -1290,6 +1614,33 @@ mod tests {
         assert_eq!(report.skipped_rounds, 6 * 4, "16-sample shards, batch 4");
         assert_eq!(report.dropped_contributions, 6 * 4 * 4);
         assert!(param_bits(&mut net) == initial, "weights moved");
+    }
+
+    #[test]
+    fn every_replica_starts_as_the_models_fresh_build() {
+        // With every round skipped no replica is ever stepped or synced,
+        // so each one still holds the initialisation it was given.
+        let (shards, _) = tiny_shards(4, 34);
+        let shards: Vec<LabeledDataset> = shards
+            .iter()
+            .map(|s| {
+                let mut images = s.images().clone();
+                images.data_mut().fill(f32::NAN);
+                LabeledDataset::new(images, s.labels().to_vec(), s.classes())
+            })
+            .collect();
+        let config = tiny_model_config(&shards, 35);
+        let initial = param_bits(&mut ModelKind::ConvNet.build(&config));
+        let (mut replicas, _) = fit_replicas(
+            ModelKind::ConvNet,
+            &config,
+            &shards,
+            &quick_cfg(35),
+            &mut Mean,
+        );
+        for (w, replica) in replicas.iter_mut().enumerate() {
+            assert!(param_bits(replica) == initial, "replica {w}");
+        }
     }
 
     #[test]

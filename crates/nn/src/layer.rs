@@ -46,8 +46,10 @@ impl Param {
 ///
 /// Layers own their parameters and the activation caches backpropagation
 /// needs; `forward` must be called before the matching `backward`. All
-/// layers are `Send` so ensemble members can train on worker threads.
-pub trait Layer: Send {
+/// layers are `Send` so ensemble members can train on worker threads, and
+/// `Clone` (through [`CloneLayer`]) so a built network can be copied
+/// instead of rebuilt — see [`crate::Network::replica`].
+pub trait Layer: Send + CloneLayer {
     /// Computes the layer output, caching whatever `backward` will need.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
 
@@ -84,6 +86,27 @@ pub trait Layer: Send {
     /// Total scalar parameter count (for Table III style summaries).
     fn param_count(&mut self) -> usize {
         self.params_mut().iter().map(|p| p.numel()).sum()
+    }
+}
+
+/// Object-safe cloning for boxed layers. Implemented for every
+/// `Layer + Clone` type by the blanket impl below, so a layer only derives
+/// `Clone`; it never implements this trait itself.
+pub trait CloneLayer {
+    /// A boxed copy of the layer: parameters, state, caches and RNG
+    /// streams alike.
+    fn clone_layer(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> CloneLayer for T {
+    fn clone_layer(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        (**self).clone_layer()
     }
 }
 

@@ -12,7 +12,7 @@ use tdfm_tensor::{simd, Scratch, ScratchHandle, Tensor};
 /// all-ones/all-zeros words so the backward pass is one bitwise AND. The
 /// mask and the output buffer are reused across batches, so steady-state
 /// forward/backward passes allocate nothing.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReLU {
     mask: Vec<u32>,
     scratch: ScratchHandle,

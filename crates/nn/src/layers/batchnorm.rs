@@ -12,7 +12,7 @@ use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 /// to train stably at the study's depths. Per-channel work buffers are
 /// reused across batches and the activation tensors come from the scratch
 /// arena, so steady-state passes allocate nothing.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     gamma: Param,
     beta: Param,

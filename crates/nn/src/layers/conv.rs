@@ -13,7 +13,7 @@ use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 /// The input activation is cached only under [`Mode::Train`]; evaluation
 /// passes drop any previous cache so inference never retains (or trains
 /// against) stale activations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Param,
     bias: Param,

@@ -15,7 +15,7 @@ use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 /// The input activation is cached only under [`Mode::Train`]; evaluation
 /// passes drop any previous cache so inference never retains (or trains
 /// against) stale activations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     weight: Param,
     bias: Param,

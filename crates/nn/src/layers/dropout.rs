@@ -10,7 +10,7 @@ use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 ///
 /// DeconvNet (Table III) uses `p = 0.5` before its dense layers. The mask
 /// and output buffers are reused across batches.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
     rng: Rng,

@@ -6,7 +6,7 @@ use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 /// Flattens `[N, ...]` to `[N, prod(...)]`, remembering the original shape
 /// for the backward pass. Both directions copy through the scratch arena,
 /// so steady-state passes allocate nothing.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Flatten {
     input_dims: Vec<usize>,
     scratch: ScratchHandle,

@@ -13,7 +13,7 @@ use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 /// Unlike the value caches of dense/conv layers, the cache is kept in every
 /// mode: it holds routing indices, not activations, and the backward pass
 /// cannot run without it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MaxPool2d {
     k: usize,
     s: usize,
@@ -63,7 +63,7 @@ impl Layer for MaxPool2d {
 }
 
 /// Average pooling over square windows.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AvgPool2d {
     k: usize,
     s: usize,
@@ -110,7 +110,7 @@ impl Layer for AvgPool2d {
 }
 
 /// Global average pooling: `[N,C,H,W] -> [N,C]` (ResNet / MobileNet heads).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GlobalAvgPool {
     input_dims: Vec<usize>,
     scratch: ScratchHandle,

@@ -11,6 +11,7 @@ use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 /// does not. The paper attributes part of ensemble diversity to exactly
 /// this structural difference between ResNet and the plain-stack families
 /// (Section IV-B).
+#[derive(Clone)]
 pub struct ResidualBlock {
     main: Sequential,
     skip: Option<Sequential>,

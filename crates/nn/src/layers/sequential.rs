@@ -12,6 +12,7 @@ use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 /// arena as soon as the next layer has consumed them — layers cache copies,
 /// never references, so the buffers are dead the moment the next call
 /// returns. This keeps whole-network passes allocation-free once warm.
+#[derive(Clone)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     scratch: ScratchHandle,

@@ -53,5 +53,5 @@ pub mod optim;
 pub mod serialize;
 pub mod trainer;
 
-pub use layer::{Layer, Mode, Param};
+pub use layer::{CloneLayer, Layer, Mode, Param};
 pub use network::{ActivationHook, Network};

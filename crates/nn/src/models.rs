@@ -566,6 +566,54 @@ mod tests {
         assert_ne!(wa.data(), wb.data());
     }
 
+    fn bits(net: &mut Network) -> (Vec<u32>, Vec<u32>) {
+        let params = net
+            .params_mut()
+            .into_iter()
+            .flat_map(|p| p.value.data().to_vec());
+        let params = params.map(f32::to_bits).collect();
+        let state = net.state_mut().into_iter().flat_map(|s| s.to_vec());
+        (params, state.map(f32::to_bits).collect())
+    }
+
+    #[test]
+    fn replica_is_indistinguishable_from_a_fresh_build() {
+        use crate::loss::CrossEntropy;
+        use crate::trainer::{fit, FitConfig, TargetSource};
+        let cfg = small_cfg();
+        let mut rng = tdfm_tensor::rng::Rng::seed_from(3);
+        let x = Tensor::randn(&[8, 3, 8, 8], 1.0, &mut rng);
+        let y = TargetSource::Hard((0..8).map(|i| i % 5).collect());
+        let fit_cfg = FitConfig {
+            epochs: 1,
+            batch_size: 4,
+            ..FitConfig::default()
+        };
+        for kind in ModelKind::ALL {
+            let mut source = kind.build(&cfg);
+            let mut fresh = kind.build(&cfg);
+            let mut replica = source.replica();
+            let built = bits(&mut fresh);
+            assert!(
+                bits(&mut replica) == built,
+                "{kind}: replica differs at init"
+            );
+            // One epoch through every layer's training path (DeconvNet's
+            // dropout stream, BatchNorm running statistics) must move the
+            // copy exactly as it moves a fresh build, and leave the
+            // network it was copied from untouched.
+            fit(&mut fresh, &CrossEntropy, &x, &y, &fit_cfg);
+            fit(&mut replica, &CrossEntropy, &x, &y, &fit_cfg);
+            let trained = bits(&mut fresh);
+            assert!(trained != built, "{kind}: the fit did not train");
+            assert!(
+                bits(&mut replica) == trained,
+                "{kind}: replica trained differently"
+            );
+            assert!(bits(&mut source) == built, "{kind}: replica shares state");
+        }
+    }
+
     #[test]
     fn registry_matches_table_iii_names() {
         let names: Vec<&str> = ModelKind::ALL.iter().map(|k| k.info().name).collect();

@@ -42,6 +42,31 @@ impl Network {
         }
     }
 
+    /// A copy of this network: parameters, BatchNorm state, dropout RNG
+    /// streams and layer caches, bound to the same scratch arenas. Taken
+    /// from a fresh build, it is bit-for-bit the network a second build
+    /// with the same config would produce, without paying for the
+    /// initialisation again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an activation hook is installed: a hook cannot be copied,
+    /// and a replica that silently lost it would run fault-free.
+    pub fn replica(&self) -> Network {
+        assert!(
+            self.activation_hook.is_none(),
+            "cannot replicate network {} while an activation hook is installed; \
+             clear the hook first",
+            self.name
+        );
+        Network {
+            name: self.name.clone(),
+            classes: self.classes,
+            body: self.body.clone(),
+            activation_hook: None,
+        }
+    }
+
     /// Human-readable architecture name (e.g. `"ResNet50"`).
     pub fn name(&self) -> &str {
         &self.name
@@ -251,6 +276,14 @@ mod tests {
         assert!(hooked.data().iter().all(|&v| v == 0.0));
         net.clear_activation_hook();
         assert_eq!(net.logits(&x, 3).data(), clean.data());
+    }
+
+    #[test]
+    #[should_panic(expected = "while an activation hook is installed")]
+    fn replica_refuses_a_hooked_network() {
+        let mut net = tiny_net(&mut Rng::seed_from(6));
+        net.set_activation_hook(Box::new(|_, _, _: &mut Tensor| {}));
+        let _ = net.replica();
     }
 
     #[test]
