@@ -14,6 +14,10 @@
 //! non-zero when the geomean of the `current/baseline` `min_seconds`
 //! ratios regresses by more than `threshold` (a fraction; default 0.10).
 //! In compare mode the baseline file is **not** rewritten.
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_bench::compare::compare_suites;
 use tdfm_bench::harness::{bench, group, BenchSuite, ScalingCurve, ScalingPoint};

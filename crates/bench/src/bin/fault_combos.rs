@@ -1,6 +1,10 @@
 //! Regenerates the Section IV-C combined-fault experiments: injecting two
 //! fault types together and checking the AD is statistically similar to
 //! the dominant individual fault type.
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_bench::{ad_cell, banner, results_to_json, write_json, write_manifest};
 use tdfm_core::{ExperimentConfig, ExperimentResult, Runner, TechniqueKind};

@@ -5,6 +5,10 @@
 //! back in submission order, so the printed output matches a sequential
 //! run. Each panel is printed as the numeric series plus an ASCII bar
 //! chart of the 30% column.
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_bench::{ad_cell, banner, render_bars, results_to_json, write_json, write_manifest};
 use tdfm_core::{ExperimentConfig, ExperimentResult, Runner, TechniqueKind};

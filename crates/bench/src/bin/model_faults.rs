@@ -8,6 +8,10 @@
 //! delta against the model's own fault-free predictions. Weight flips are
 //! applied and reverted bit-exactly via the XOR involution; activation
 //! flips ride the `Network` forward hook.
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_bench::{
     ad_cell, banner, model_fault_results_to_json, pct, write_json, write_model_fault_manifest,

@@ -3,6 +3,10 @@
 //!
 //! Paper numbers: golden 90%, faulty 55%; technique ADs of 5% (LS),
 //! 29% (LC), 15% (RL), 13% (KD), 5% (Ens).
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_bench::{ad_cell, banner, pct, results_to_json, write_json, write_manifest};
 use tdfm_core::{ExperimentConfig, Runner, TechniqueKind};

@@ -4,6 +4,10 @@
 //! Paper expectations: inference 1x for everything except ensembles (5x);
 //! training lowest for LS (~1x), ~1.5x for KD, higher for LC, highest for
 //! ensembles (~5x).
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_bench::{banner, write_json};
 use tdfm_core::overhead::measure_overheads;

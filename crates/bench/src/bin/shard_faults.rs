@@ -6,6 +6,10 @@
 //! with one shard mislabelled at the paper's three fault rates; the table
 //! reports the accuracy delta against the aggregator's own clean run plus
 //! how often the FedDebug-style localizer ranked the injected shard first.
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_bench::{
     ad_cell, banner, pct, shard_fault_results_to_json, write_json, write_shard_fault_manifest,

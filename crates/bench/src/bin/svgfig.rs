@@ -3,6 +3,10 @@
 //!
 //! Run after `fig3`/`fig4`: the JSON is grouped into panels by
 //! (dataset, model, fault kind), one SVG per panel.
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use std::collections::BTreeMap;
 use tdfm_bench::svg::{panel_from_results, render_panel, PanelSpec};

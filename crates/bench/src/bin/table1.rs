@@ -1,4 +1,8 @@
 //! Regenerates Table I: the survey's technique-selection matrix.
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_survey::{catalog, render_table_i, select_representatives};
 

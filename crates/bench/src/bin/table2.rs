@@ -1,5 +1,9 @@
 //! Regenerates Table II: the dataset registry (paper statistics plus the
 //! synthetic analogue sizes at the current scale).
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_bench::banner;
 use tdfm_data::{DatasetKind, Scale};

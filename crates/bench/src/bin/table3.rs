@@ -1,5 +1,9 @@
 //! Regenerates Table III: the architecture registry, with live parameter
 //! counts at the current scale's width.
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_bench::banner;
 use tdfm_data::Scale;

@@ -7,6 +7,10 @@
 //!
 //! Paper layout: rows = (model, dataset), columns = Base, LS, LC, RL, KD,
 //! Ens; datasets 1 = CIFAR-10, 2 = GTSRB, 3 = Pneumonia.
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm_bench::{banner, pct, results_to_json, write_json, write_manifest};
 use tdfm_core::{ExperimentConfig, Runner, TechniqueKind};

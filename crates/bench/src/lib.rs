@@ -32,6 +32,10 @@ use tdfm_data::Scale;
 
 /// Where experiment binaries drop their JSON results.
 pub fn results_dir() -> PathBuf {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "documented config site: TDFM_RESULTS"
+    )]
     let dir = std::env::var("TDFM_RESULTS").unwrap_or_else(|_| "results".to_string());
     PathBuf::from(dir)
 }

@@ -31,6 +31,10 @@ json_unit_enum!(Scale {
 impl Scale {
     /// Reads the scale from the `TDFM_SCALE` environment variable
     /// (`tiny|smoke|default|full`), falling back to [`Scale::Smoke`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "documented config site: TDFM_SCALE (README \"Parallelism\")"
+    )]
     pub fn from_env() -> Self {
         match std::env::var("TDFM_SCALE").as_deref() {
             Ok("tiny") => Scale::Tiny,

@@ -260,7 +260,7 @@ fn collect_fns(
                 });
             }
         }
-        ItemKind::Mod { items, .. } => {
+        ItemKind::Mod { items } => {
             for it in items {
                 collect_fns(tokens, it, file, None, out);
             }

@@ -1,81 +1,19 @@
-//! Intra-procedural "value reaches call" dataflow helpers.
+//! Name-based dataflow helpers for the rules built on the parser.
 //!
 //! These are deliberately *name-based*, not SSA: a binding introduced by
-//! `let h = ...` is tracked by every later mention of `h` inside the same
-//! fn body. That is exactly the right precision for the concurrency rules
-//! built on top —
+//! `let m = ...` is tracked by name inside the same fn body. That is the
+//! right precision for the rules built on top —
 //!
-//! * `unjoined-spawn` asks "does `h` reach a `.join()` call, escape the
-//!   fn, or die silently?",
-//! * `lock-held-across-call` asks "which calls happen between taking a
-//!   guard and dropping it?",
-//! * `hashmap-iter-order` / `unordered-float-reduce` ask "is this name
-//!   hash-typed by construction?" —
+//! * `lock-held-across-call` asks "is this call a method on the guard?",
+//! * `unordered-float-reduce` asks "is this name hash-typed by
+//!   construction?" —
 //!
-//! and all of them err on the quiet side: an ambiguous use classifies as
-//! an escape (the value went somewhere that may handle it), never as a
-//! fresh finding.
+//! and both err on the quiet side: an ambiguous case is never a finding.
 
 use std::collections::BTreeSet;
 
 use crate::lexer::{TokKind, Token};
-use crate::parser::{Expr, ExprKind, FnItem, Span};
-
-/// Token indices of every identifier spelled `name` inside `span`,
-/// excluding `exclude` (typically the binding's own name token).
-pub fn ident_uses(
-    tokens: &[Token<'_>],
-    span: Span,
-    name: &str,
-    exclude: Option<usize>,
-) -> Vec<usize> {
-    (span.lo..span.hi.min(tokens.len()))
-        .filter(|&i| {
-            tokens[i].kind == TokKind::Ident && tokens[i].text == name && Some(i) != exclude
-        })
-        .collect()
-}
-
-/// The chain of nodes whose spans contain `tok`, outermost first. The
-/// token may sit in a node's own "gap" (e.g. an operator), in which case
-/// the innermost element is the node owning that gap.
-pub fn node_stack_at(root: &Expr, tok: usize) -> Vec<&Expr> {
-    let mut stack = Vec::new();
-    let mut cur = root;
-    loop {
-        if !cur.span.contains(tok) {
-            break;
-        }
-        stack.push(cur);
-        match cur.children.iter().find(|c| c.span.contains(tok)) {
-            Some(child) => cur = child,
-            None => break,
-        }
-    }
-    stack
-}
-
-/// Does `name` reach one of `methods` as a receiver inside `body`? True
-/// for `h.join()`, `h.as_mut().join()`, `handles[i].join()` when `name`
-/// is the chain's first identifier.
-pub fn reaches_method(body: &Expr, tokens: &[Token<'_>], name: &str, methods: &[&str]) -> bool {
-    let mut hit = false;
-    body.walk(&mut |e| {
-        if hit {
-            return;
-        }
-        if let ExprKind::MethodCall { method, .. } = &e.kind {
-            if methods.contains(&method.as_str()) {
-                if let Some(recv) = e.children.first() {
-                    if first_ident(tokens, recv.span) == Some(name) {
-                        hit = true;
-                    }
-                }
-            }
-        }
-    });
-    hit
-}
+use crate::parser::{ExprKind, FnItem, Span};
 
 /// First significant identifier inside `span`.
 pub fn first_ident<'a>(tokens: &[Token<'a>], span: Span) -> Option<&'a str> {
@@ -83,78 +21,6 @@ pub fn first_ident<'a>(tokens: &[Token<'a>], span: Span) -> Option<&'a str> {
         .iter()
         .find(|t| t.kind == TokKind::Ident)
         .map(|t| t.text)
-}
-
-/// Does any use of `name` (outside `binding`) escape the fn — i.e. flow
-/// somewhere that may keep or consume the value? Escapes: macro
-/// arguments (opaque), call/method arguments (except `drop(name)`),
-/// struct literals / groups / indexing, rebinding via another `let`, and
-/// bare tail/`return` mentions. Receiver-position uses (`name.m()`) are
-/// *not* escapes — track those with [`reaches_method`].
-pub fn escapes(body: &Expr, tokens: &[Token<'_>], name: &str, binding: &Expr) -> bool {
-    let uses = ident_uses(tokens, body.span, name, None);
-    uses.iter().any(|&u| {
-        if binding.span.contains(u) {
-            return false; // the binding statement itself (pattern + init)
-        }
-        classify_use(body, tokens, u) == UseKind::Escape
-    })
-}
-
-/// How a single identifier use participates in the surrounding structure.
-#[derive(Debug, PartialEq, Eq)]
-pub enum UseKind {
-    /// Receiver of a method call (`name.m(..)`).
-    Receiver,
-    /// Argument of `drop(..)` — explicitly discarded.
-    Dropped,
-    /// Flows into a macro, call argument, struct literal, another `let`,
-    /// or stands bare in tail/`return` position.
-    Escape,
-}
-
-/// Classifies the use at token `u`, innermost decisive node wins.
-pub fn classify_use(body: &Expr, tokens: &[Token<'_>], u: usize) -> UseKind {
-    let stack = node_stack_at(body, u);
-    for node in stack.iter().rev() {
-        match &node.kind {
-            ExprKind::Macro { .. } => return UseKind::Escape,
-            ExprKind::Call { callee } => {
-                if callee.contains(u) {
-                    continue; // the use *is* the callee path, not an arg
-                }
-                let is_drop = crate::callgraph::last_segment(tokens, *callee)
-                    .map(|(n, _)| n == "drop")
-                    .unwrap_or(false);
-                return if is_drop {
-                    UseKind::Dropped
-                } else {
-                    UseKind::Escape
-                };
-            }
-            ExprKind::MethodCall { .. } => {
-                if node
-                    .children
-                    .first()
-                    .is_some_and(|recv| recv.span.contains(u))
-                {
-                    return UseKind::Receiver;
-                }
-                return UseKind::Escape; // argument position
-            }
-            ExprKind::Let { .. } => return UseKind::Escape, // rebinding
-            ExprKind::Leaf => {
-                if !node.children.is_empty() {
-                    return UseKind::Escape; // struct literal/group/index
-                }
-                continue;
-            }
-            // Transparent containers: look outward.
-            _ => continue,
-        }
-    }
-    // No decisive node: a bare mention — tail expression or `return`.
-    UseKind::Escape
 }
 
 /// Names bound to `HashMap`/`HashSet` values in this fn, inferred from
@@ -225,78 +91,19 @@ mod tests {
     use crate::lexer::lex;
     use crate::parser::parse_file;
 
-    /// Runs `check` with the body of the sole fn in `src`.
-    fn with_body(src: &str, check: impl FnOnce(&[Token<'_>], &FnItem, &Expr)) {
+    /// Runs `check` with the sole fn in `src`.
+    fn with_fn(src: &str, check: impl FnOnce(&[Token<'_>], &FnItem)) {
         let toks = lex(src);
         let file = parse_file(&toks);
         let fns = file.fns();
-        let func = fns.first().expect("one fn");
-        let body = func.body.as_ref().expect("body");
-        check(&toks, func, body);
-    }
-
-    #[test]
-    fn join_on_the_binding_is_reached() {
-        with_body(
-            "fn f() { let h = std::thread::spawn(work); h.join().unwrap(); }",
-            |toks, _, body| {
-                assert!(reaches_method(body, toks, "h", &["join"]));
-                assert!(!reaches_method(body, toks, "g", &["join"]));
-            },
-        );
-    }
-
-    #[test]
-    fn call_argument_uses_escape_but_drop_does_not() {
-        with_body("fn f() { let h = mk(); keep(h); }", |toks, _, body| {
-            let binding = &body.children[0];
-            assert!(escapes(body, toks, "h", binding));
-        });
-        with_body("fn f() { let h = mk(); drop(h); }", |toks, _, body| {
-            let binding = &body.children[0];
-            assert!(!escapes(body, toks, "h", binding));
-            let u = *ident_uses(toks, body.span, "h", None).last().unwrap();
-            assert_eq!(classify_use(body, toks, u), UseKind::Dropped);
-        });
-    }
-
-    #[test]
-    fn vec_push_receiver_is_not_an_escape_but_push_arg_is() {
-        with_body(
-            "fn f() { let h = mk(); handles.push(h); }",
-            |toks, _, body| {
-                let binding = &body.children[0];
-                assert!(escapes(body, toks, "h", binding), "arg of push escapes");
-                assert!(!escapes(body, toks, "handles", binding));
-            },
-        );
-    }
-
-    #[test]
-    fn macro_and_tail_uses_escape() {
-        with_body("fn f() -> H { let h = mk(); h }", |toks, _, body| {
-            let binding = &body.children[0];
-            assert!(escapes(body, toks, "h", binding), "tail return escapes");
-        });
-        with_body("fn f() { let h = mk(); own!(h); }", |toks, _, body| {
-            let binding = &body.children[0];
-            assert!(escapes(body, toks, "h", binding), "macro arg escapes");
-        });
-    }
-
-    #[test]
-    fn unused_binding_does_not_escape() {
-        with_body("fn f() { let h = mk(); other(); }", |toks, _, body| {
-            let binding = &body.children[0];
-            assert!(!escapes(body, toks, "h", binding));
-        });
+        check(&toks, fns.first().expect("one fn"));
     }
 
     #[test]
     fn hash_typed_names_from_params_and_lets() {
-        with_body(
+        with_fn(
             "fn f(counts: &HashMap<u32, f32>, xs: &[f32]) { let seen = HashSet::new(); let v: Vec<u32> = Vec::new(); }",
-            |toks, func, _| {
+            |toks, func| {
                 let names = hash_typed_names(toks, func);
                 assert!(names.contains("counts"));
                 assert!(names.contains("seen"));
@@ -308,9 +115,9 @@ mod tests {
 
     #[test]
     fn generic_params_do_not_split_hash_inference() {
-        with_body(
+        with_fn(
             "fn f(pair: (u8, u8), m: HashMap<K, V>) { }",
-            |toks, func, _| {
+            |toks, func| {
                 let names = hash_typed_names(toks, func);
                 assert_eq!(
                     names.iter().cloned().collect::<Vec<_>>(),

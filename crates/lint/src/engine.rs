@@ -20,23 +20,9 @@ pub struct FileCtx<'a> {
     pub tokens: &'a [Token<'a>],
     /// The parsed (lossless) syntax tree over `tokens`.
     pub ast: &'a File,
-    /// Byte ranges covered by `#[cfg(test)]` items.
-    test_regions: &'a [(usize, usize)],
-    /// The whole file is test/bench/example code.
-    is_test_file: bool,
 }
 
 impl FileCtx<'_> {
-    /// Is the byte at `offset` inside test code (a test file, or a
-    /// `#[cfg(test)]` item of a library file)?
-    pub fn in_test_code(&self, offset: usize) -> bool {
-        self.is_test_file
-            || self
-                .test_regions
-                .iter()
-                .any(|&(s, e)| offset >= s && offset < e)
-    }
-
     /// Indices (into `self.tokens`) of non-trivia tokens — the stream the
     /// pattern matchers walk.
     pub fn significant(&self) -> Vec<usize> {
@@ -126,8 +112,6 @@ impl<'a> FileUnit<'a> {
             path: self.path,
             tokens: &self.tokens,
             ast: &self.ast,
-            test_regions: &self.test_regions,
-            is_test_file: self.is_test_file,
         }
     }
 
@@ -163,14 +147,17 @@ impl<'a> WorkspaceCtx<'a> {
     }
 }
 
-/// One parsed `// tdfm-lint: allow(rule, reason)` comment.
+/// One parsed `// tdfm-lint: allow(rule, reason)` comment (the reason is
+/// checked at parse time; a reasonless comment never becomes one).
 #[derive(Debug)]
 struct Suppression {
     rule: String,
-    reason: String,
     /// The source line the suppression applies to: its own line for a
     /// trailing comment, the next line for a standalone comment line.
     target_line: u32,
+    /// Where the comment itself sits, for the stale-suppression finding.
+    line: u32,
+    col: u32,
 }
 
 const SUPPRESSION_PREFIX: &str = "tdfm-lint:";
@@ -232,8 +219,9 @@ fn parse_suppressions(
         }
         out.push(Suppression {
             rule: rule.to_string(),
-            reason: reason.to_string(),
             target_line,
+            line: t.line,
+            col: t.col,
         });
     }
     out
@@ -348,8 +336,9 @@ pub struct LintReport {
 /// Lints a set of files as one workspace: per-file rule passes run on
 /// scope-selected files, each rule's workspace pass runs once over the
 /// call graph, and the suppression/test-code filters apply to every
-/// diagnostic based on the file it landed in. `files` are
-/// `(workspace-relative path, source)` pairs.
+/// diagnostic based on the file it landed in. A suppression that silences
+/// nothing is itself a `bad-suppression` finding, like an unfulfilled
+/// `#[expect]`. `files` are `(workspace-relative path, source)` pairs.
 pub fn lint_files(files: &[(String, String)], config: &Config) -> Vec<Diagnostic> {
     let units: Vec<FileUnit<'_>> = files
         .iter()
@@ -381,29 +370,46 @@ pub fn lint_files(files: &[(String, String)], config: &Config) -> Vec<Diagnostic
         raw.extend(found.into_iter().map(|d| (rule.applies_in_tests(), d)));
     }
 
-    let unit_of = |file: &str| units.iter().find(|u| u.path == file);
-    let mut diags: Vec<Diagnostic> = raw
-        .into_iter()
-        .filter_map(|(in_tests, d)| {
-            let Some(unit) = unit_of(&d.file) else {
-                return Some(d); // foreign path: keep verbatim
-            };
-            if !in_tests && unit.in_test_code(byte_of(&unit.tokens, d.line, d.col)) {
-                return None;
-            }
-            let suppressed = unit
-                .suppressions
-                .iter()
-                .any(|s| s.rule == d.rule && s.target_line == d.line && !s.reason.is_empty());
-            if suppressed {
-                None
-            } else {
-                Some(d)
-            }
-        })
+    // fulfilled[u][s]: suppression `s` of unit `u` silenced a finding.
+    let mut fulfilled: Vec<Vec<bool>> = units
+        .iter()
+        .map(|u| vec![false; u.suppressions.len()])
         .collect();
-    for unit in &units {
+    let mut diags: Vec<Diagnostic> = Vec::new();
+    for (in_tests, d) in raw {
+        let Some(u) = units.iter().position(|u| u.path == d.file) else {
+            diags.push(d); // foreign path: keep verbatim
+            continue;
+        };
+        let unit = &units[u];
+        if !in_tests && unit.in_test_code(byte_of(&unit.tokens, d.line, d.col)) {
+            continue;
+        }
+        match unit
+            .suppressions
+            .iter()
+            .position(|s| s.rule == d.rule && s.target_line == d.line)
+        {
+            Some(s) => fulfilled[u][s] = true,
+            None => diags.push(d),
+        }
+    }
+    for (unit, used) in units.iter().zip(&fulfilled) {
         diags.extend(unit.bad.iter().cloned());
+        for (s, _) in unit.suppressions.iter().zip(used).filter(|(_, &u)| !u) {
+            diags.push(Diagnostic {
+                file: unit.path.to_string(),
+                line: s.line,
+                col: s.col,
+                rule: "bad-suppression",
+                message: format!(
+                    "stale suppression: no `{}` finding on line {}",
+                    s.rule, s.target_line
+                ),
+                suggestion: "delete the comment, or move it onto the line it is meant for"
+                    .to_string(),
+            });
+        }
     }
     diags.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
@@ -518,37 +524,43 @@ mod tests {
         assert_eq!(nan[0].line, 2);
     }
 
+    /// A NaN-laundering `max` and the kernel path nan-laundering covers.
+    const RELU: &str = "let x: f32 = y.max(0.0);";
+    const KERNEL: &str = "crates/tensor/src/ops/x.rs";
+
     #[test]
     fn test_files_are_exempt_by_path() {
-        let src = "fn t() { v.unwrap(); }";
-        assert!(lint_str("crates/nn/tests/whatever.rs", src).is_empty());
-        assert!(!lint_str("crates/nn/src/whatever.rs", src).is_empty());
+        let src = format!("fn t() {{ {RELU} }}");
+        assert!(lint_str("crates/tensor/src/ops/tests/x.rs", &src).is_empty());
+        assert!(!lint_str(KERNEL, &src).is_empty());
     }
 
     #[test]
     fn trailing_suppression_with_reason_silences_its_line() {
-        let src =
-            "fn f() { v.unwrap(); // tdfm-lint: allow(lib-unwrap, invariant held by caller)\n}";
-        assert!(lint_str("crates/nn/src/x.rs", src).is_empty());
+        let src = format!(
+            "fn f() {{ {RELU} // tdfm-lint: allow(nan-laundering, NaN checked by caller)\n}}"
+        );
+        assert!(lint_str(KERNEL, &src).is_empty());
     }
 
     #[test]
     fn standalone_suppression_applies_to_next_line() {
-        let src =
-            "fn f() {\n    // tdfm-lint: allow(lib-unwrap, checked above)\n    v.unwrap();\n}";
-        assert!(lint_str("crates/nn/src/x.rs", src).is_empty());
+        let src = format!(
+            "fn f() {{\n    // tdfm-lint: allow(nan-laundering, NaN checked above)\n    {RELU}\n}}"
+        );
+        assert!(lint_str(KERNEL, &src).is_empty());
     }
 
     #[test]
     fn suppression_without_reason_is_itself_a_finding() {
-        let src = "fn f() { v.unwrap(); // tdfm-lint: allow(lib-unwrap)\n}";
-        let diags = lint_str("crates/nn/src/x.rs", src);
+        let src = format!("fn f() {{ {RELU} // tdfm-lint: allow(nan-laundering)\n}}");
+        let diags = lint_str(KERNEL, &src);
         assert!(
             diags.iter().any(|d| d.rule == "bad-suppression"),
             "{diags:?}"
         );
         assert!(
-            diags.iter().any(|d| d.rule == "lib-unwrap"),
+            diags.iter().any(|d| d.rule == "nan-laundering"),
             "reasonless suppression must not suppress"
         );
     }

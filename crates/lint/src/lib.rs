@@ -1,25 +1,26 @@
 #![forbid(unsafe_code)]
 //! # tdfm-lint
 //!
-//! A zero-dependency static analyzer that mechanically enforces the
-//! kernel/determinism invariants earlier PRs fixed by hand:
+//! A zero-dependency static analyzer for the kernel/determinism
+//! invariants clippy cannot express. Each rule pins a bug class that
+//! shipped, or catches a fixture clippy misses:
 //!
 //! | rule id | bug class it pins down |
 //! |---|---|
 //! | `nan-laundering` | `f32::max(NaN, 0.0) == 0.0` hiding poisoned activations (PR 3's ReLU/max-pool fix) |
 //! | `sparsity-skip` | the `a == 0.0` GEMM skip that turned `0 * NaN` into `0` (PR 3) |
-//! | `hot-path-alloc` | heap allocation in — or now *reachable from* — the packed kernels (PR 3's `Scratch` arena) |
-//! | `lib-unwrap` | panics that don't name their invariant (PR 1's non-finite-loss policy) |
+//! | `hot-path-alloc` | heap allocation in — or *reachable from* — the packed kernels (PR 3's `Scratch` arena) |
 //! | `nondeterministic-time` | wall-clock reads leaking into golden outputs (PR 1's `normalize_timings`) |
-//! | `env-read` | scattered env reads drifting from the cached read-once sites (PR 3's `TDFM_THREADS` fix) |
-//! | `unsafe-needs-safety-comment` | `unsafe` without a `// SAFETY:` justification |
-//! | `raw-eprintln` | raw stderr writes bypassing the structured sink (PR 4's trace capture) |
 //! | `partial-cmp-sort` | NaN-incoherent sort comparators (PR 6's suspect-ranking fix) |
-//! | `hashmap-iter-order` | hash iteration order leaking into emitted bytes |
-//! | `unjoined-spawn` | detached threads racing process exit (PR 6's shard join loop) |
 //! | `lock-held-across-call` | workspace calls made under a held mutex guard |
 //! | `unordered-float-reduce` | non-associative float sums in hash order |
-//! | `bad-suppression` | malformed/reasonless `// tdfm-lint: allow(...)` comments (not suppressible) |
+//! | `bad-suppression` | malformed, reasonless or stale `// tdfm-lint: allow(...)` comments (not suppressible) |
+//!
+//! Generic hygiene is clippy's: `unwrap_used`, `disallowed_methods`
+//! (`std::env::var`/`var_os`, `std::thread::spawn`), `print_stderr`,
+//! `iter_over_hash_type`, `undocumented_unsafe_blocks` and
+//! `missing_safety_doc`, configured in the root `Cargo.toml`
+//! (`[workspace.lints.clippy]`) and `clippy.toml`.
 //!
 //! ## Architecture
 //!
@@ -35,14 +36,15 @@
 //!    input — property-tested over the whole workspace in
 //!    `tests/parser_roundtrip.rs`.
 //! 3. **Semantics** — a workspace [`callgraph`] (name-based with impl
-//!    qualifiers and a std-prelude denylist) and intra-procedural
-//!    [`dataflow`] helpers ("does this binding reach `.join()`? does it
-//!    escape?"). Rules run per file (AST visitors) and once per
-//!    workspace ([`rules::Rule::check_workspace`]) for interprocedural
-//!    findings like an allocation two calls below a kernel.
+//!    qualifiers and a std-prelude denylist) and name-based [`dataflow`]
+//!    helpers ("is this binding hash-typed?"). Rules run per file (AST
+//!    visitors) and once per workspace ([`rules::Rule::check_workspace`])
+//!    for interprocedural findings like an allocation two calls below a
+//!    kernel.
 //!
 //! Path scoping comes from the committed `lint.toml` ([`config`]);
-//! one-off sites use inline suppressions with a mandatory reason:
+//! one-off sites use inline suppressions with a mandatory reason, and a
+//! suppression that silences nothing is reported:
 //!
 //! ```text
 //! let m = row.fold(f32::NEG_INFINITY, |m, &x| m.max(x)); // tdfm-lint: allow(nan-laundering, max-shift only; NaN still propagates through exp below)

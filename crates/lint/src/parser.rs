@@ -65,7 +65,6 @@ pub enum ItemKind {
     Fn(FnItem),
     /// Inline `mod name { ... }`; out-of-line `mod name;` is Verbatim.
     Mod {
-        name: String,
         items: Vec<Item>,
     },
     /// `impl ... { ... }` — only the contained items are modelled.
@@ -91,8 +90,6 @@ pub struct FnItem {
     pub params: Span,
     /// The body block (`ExprKind::Block`), absent for trait declarations.
     pub body: Option<Expr>,
-    /// Span of the whole item (attributes through closing brace).
-    pub span: Span,
 }
 
 /// One expression node. `children` are ordered, non-overlapping spans
@@ -113,14 +110,11 @@ pub enum ExprKind {
     /// as children.
     Leaf,
     /// `name!(...)` / `name![...]` / `name!{...}` — contents opaque.
-    Macro {
-        name: String,
-    },
+    Macro,
     /// `let <pat> = <init>;` — children are the init's nodes. `name` is
     /// set only for a simple `[mut] ident [: ty]` pattern.
     Let {
         name: Option<String>,
-        name_tok: Option<usize>,
     },
     /// `path(args)` — `callee` spans the path (turbofish included);
     /// children are the argument nodes (plus, for `expr(...)` calls on a
@@ -137,23 +131,16 @@ pub enum ExprKind {
     },
     /// `for <pat> in <iter> { ... }` — children: iter nodes then the body
     /// block (always the last child).
-    For {
-        pat: Span,
-        iter: Span,
-    },
+    For,
     /// `while <cond> { ... }` / `while let ... { ... }`.
-    While {
-        cond: Span,
-    },
+    While,
     Loop,
     /// `if <cond> { } else if ... else { }` — children: cond nodes and
     /// every arm block, in source order.
     If,
     /// `match <scrutinee> { pat => value, ... }` — children: scrutinee
     /// nodes then each arm's value nodes (patterns stay raw tokens).
-    Match {
-        scrutinee: Span,
-    },
+    Match,
     /// `|params| body` / `move || body` — children are the body's nodes.
     Closure,
     /// `{ ... }` — children are the statements' nodes.
@@ -174,14 +161,6 @@ impl Expr {
             c.walk(f);
         }
     }
-
-    /// The body block of a loop/closure-like node: its last Block child.
-    pub fn body_block(&self) -> Option<&Expr> {
-        self.children
-            .iter()
-            .rev()
-            .find(|c| matches!(c.kind, ExprKind::Block))
-    }
 }
 
 impl Item {
@@ -192,7 +171,7 @@ impl Item {
                     body.walk(f);
                 }
             }
-            ItemKind::Mod { items, .. } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
+            ItemKind::Mod { items } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
                 for it in items {
                     it.walk_exprs(f);
                 }
@@ -215,7 +194,7 @@ impl Item {
                     });
                 }
             }
-            ItemKind::Mod { items, .. } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
+            ItemKind::Mod { items } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
                 for it in items {
                     it.collect_fns(out);
                 }
@@ -291,7 +270,7 @@ fn emit_item(tokens: &[Token<'_>], item: &Item, out: &mut String) {
                 None => emit_tokens(tokens, item.span.lo, item.span.hi, out),
             };
         }
-        ItemKind::Mod { items, .. } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
+        ItemKind::Mod { items } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
             emit_span_with_items(tokens, item.span, items, out);
         }
         ItemKind::Verbatim => emit_tokens(tokens, item.span.lo, item.span.hi, out),
@@ -348,7 +327,7 @@ pub fn check_spans(tokens: &[Token<'_>], file: &File) -> Result<(), String> {
                     check_expr(body)?;
                 }
             }
-            ItemKind::Mod { items, .. } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
+            ItemKind::Mod { items } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
                 let mut pos = item.span.lo;
                 for it in items {
                     if it.span.lo < pos || it.span.hi > item.span.hi {
@@ -574,15 +553,13 @@ impl<'a, 't> Parser<'a, 't> {
         match self.text(kw) {
             "fn" => self.parse_fn(start, kw, hi),
             "mod" => {
-                let name_tok = self.sig_at(kw + 1, hi);
-                let name = name_tok.map_or(String::new(), |n| self.text(n).to_string());
-                let after = name_tok.map_or(kw + 1, |n| n + 1);
+                let after = self.sig_at(kw + 1, hi).map_or(kw + 1, |n| n + 1);
                 match self.sig_at(after, hi).map(|s| (s, self.text(s))) {
                     Some((open, "{")) => {
                         let close = self.skip_balanced(open, hi);
                         let items = self.parse_items(open + 1, close.saturating_sub(1));
                         Item {
-                            kind: ItemKind::Mod { name, items },
+                            kind: ItemKind::Mod { items },
                             span: Span::new(start, close),
                         }
                     }
@@ -705,7 +682,6 @@ impl<'a, 't> Parser<'a, 't> {
                 name_tok: name_tok.unwrap_or(kw),
                 params,
                 body,
-                span: Span::new(start, end),
             }),
             span: Span::new(start, end),
         }
@@ -827,7 +803,6 @@ impl<'a, 't> Parser<'a, 't> {
         }
         // Simple-binding name: `let [mut] ident` with `:`/`=`/`;` next.
         let mut name = None;
-        let mut name_tok = None;
         let mut n = self.sig_at(start + 1, hi);
         if let Some(s) = n {
             if self.text(s) == "mut" {
@@ -843,7 +818,6 @@ impl<'a, 't> Parser<'a, 't> {
                     .unwrap_or(true)
             {
                 name = Some(self.text(s).to_string());
-                name_tok = Some(s);
             }
         }
         let (children, after_init) = match eq {
@@ -861,7 +835,7 @@ impl<'a, 't> Parser<'a, 't> {
             _ => after_init.min(hi),
         };
         Expr {
-            kind: ExprKind::Let { name, name_tok },
+            kind: ExprKind::Let { name },
             span: Span::new(start, end),
             children,
         }
@@ -1087,8 +1061,6 @@ impl<'a, 't> Parser<'a, 't> {
                 )
             }
             Some((bang, "!")) => {
-                // The macro's short name is the last path segment.
-                let name = self.text(path.hi.saturating_sub(1)).to_string();
                 let end = match self.sig_at(bang + 1, hi) {
                     Some(open) if matches!(self.text(open), "(" | "[" | "{") => {
                         self.skip_balanced(open, hi)
@@ -1097,7 +1069,7 @@ impl<'a, 't> Parser<'a, 't> {
                 };
                 (
                     Expr {
-                        kind: ExprKind::Macro { name },
+                        kind: ExprKind::Macro,
                         span: Span::new(s, end),
                         children: Vec::new(),
                     },
@@ -1246,7 +1218,6 @@ impl<'a, 't> Parser<'a, 't> {
         let mut children = Vec::new();
         let mut scrutinee = Vec::new();
         self.parse_expr_run(s + 1, open, &mut scrutinee);
-        let scrutinee_span = Span::new(s + 1, open);
         children.extend(scrutinee);
         let close = self.skip_balanced(open, hi);
         let body_hi = close.saturating_sub(1);
@@ -1282,9 +1253,7 @@ impl<'a, 't> Parser<'a, 't> {
             }
         }
         Expr {
-            kind: ExprKind::Match {
-                scrutinee: scrutinee_span,
-            },
+            kind: ExprKind::Match,
             span: Span::new(s, close),
             children,
         }
@@ -1299,7 +1268,6 @@ impl<'a, 't> Parser<'a, 't> {
                 children: Vec::new(),
             };
         }
-        let pat = Span::new(s + 1, kw_in);
         let open = self.scan_depth0(kw_in + 1, hi, |t| t == "{");
         if open >= hi || self.text(open) != "{" {
             return Expr {
@@ -1308,13 +1276,12 @@ impl<'a, 't> Parser<'a, 't> {
                 children: Vec::new(),
             };
         }
-        let iter = Span::new(kw_in + 1, open);
         let mut children = Vec::new();
         self.parse_expr_run(kw_in + 1, open, &mut children);
         let close = self.skip_balanced(open, hi);
         children.push(self.parse_block(open, close));
         Expr {
-            kind: ExprKind::For { pat, iter },
+            kind: ExprKind::For,
             span: Span::new(s, close),
             children,
         }
@@ -1329,13 +1296,12 @@ impl<'a, 't> Parser<'a, 't> {
                 children: Vec::new(),
             };
         }
-        let cond = Span::new(s + 1, open);
         let mut children = Vec::new();
         self.parse_expr_run(s + 1, open, &mut children);
         let close = self.skip_balanced(open, hi);
         children.push(self.parse_block(open, close));
         Expr {
-            kind: ExprKind::While { cond },
+            kind: ExprKind::While,
             span: Span::new(s, close),
             children,
         }
@@ -1560,18 +1526,15 @@ fn top() {
     }
 
     #[test]
-    fn loops_carry_pattern_iter_and_body() {
+    fn loops_carry_iter_nodes_then_the_body() {
         let src = "fn f(m: &M) { for (k, v) in m.iter() { touch(k); } }";
-        let (toks, file) = parse(src);
+        let (_, file) = parse(src);
         let mut seen = false;
         file.walk_exprs(&mut |e| {
-            if let ExprKind::For { pat, iter } = &e.kind {
+            if matches!(e.kind, ExprKind::For) {
                 seen = true;
-                let pat_text: String = toks[pat.lo..pat.hi].iter().map(|t| t.text).collect();
-                assert!(pat_text.contains("(k, v)"), "{pat_text}");
-                let iter_text: String = toks[iter.lo..iter.hi].iter().map(|t| t.text).collect();
-                assert!(iter_text.contains("m.iter()"), "{iter_text}");
-                assert!(e.body_block().is_some());
+                assert!(matches!(e.children[0].kind, ExprKind::MethodCall { .. }));
+                assert!(matches!(e.children.last().unwrap().kind, ExprKind::Block));
             }
         });
         assert!(seen);
@@ -1638,14 +1601,15 @@ fn f(x: Option<u32>) -> u32 {
     fn macros_are_opaque() {
         let src = "fn f() { assert_eq!(vec![1, { 2 }], x); write!(out, \"{}\", v).ok(); }";
         let (_, file) = parse(src);
-        let mut macros = Vec::new();
-        file.walk_exprs(&mut |e| {
-            if let ExprKind::Macro { name } = &e.kind {
-                macros.push(name.clone());
-            }
+        let mut macros = 0;
+        let mut blocks = 0;
+        file.walk_exprs(&mut |e| match e.kind {
+            ExprKind::Macro => macros += 1,
+            ExprKind::Block => blocks += 1,
+            _ => {}
         });
-        assert!(macros.contains(&"assert_eq".to_string()), "{macros:?}");
-        assert!(macros.contains(&"write".to_string()), "{macros:?}");
+        assert_eq!(macros, 2, "`vec!` inside `assert_eq!` is not parsed");
+        assert_eq!(blocks, 1, "macro-argument blocks stay unparsed");
         roundtrip(src);
     }
 

@@ -7,8 +7,8 @@
 //! * **Per-file** ([`Rule::check`]): a [`FileCtx`] carrying the lossless
 //!   token stream *and* the parsed AST ([`crate::parser`]). Call-shaped
 //!   rules query AST nodes (method calls resolve through turbofish and
-//!   multi-line chains); genuinely lexical rules (comment adjacency,
-//!   comparison patterns) still walk tokens. Because macros and
+//!   multi-line chains); genuinely lexical rules (comparison
+//!   patterns, sort comparators) still walk tokens. Because macros and
 //!   `static`/`const` items are opaque to the parser, migrated rules
 //!   rescan those regions lexically ([`opaque_sig`]) so nothing that the
 //!   token-window engine caught is lost.
@@ -23,19 +23,13 @@ use crate::engine::{FileCtx, WorkspaceCtx};
 use crate::lexer::TokKind;
 use crate::parser::{ExprKind, Item, ItemKind, Span};
 
-mod env_read;
-mod hashmap_iter_order;
 mod hot_path_alloc;
-mod lib_unwrap;
 mod lock_held_across_call;
 mod nan_laundering;
 mod nondeterministic_time;
 mod partial_cmp_sort;
-mod raw_eprintln;
 mod sparsity_skip;
-mod unjoined_spawn;
 mod unordered_float_reduce;
-mod unsafe_safety;
 
 /// One lint rule: an id, a default path scope, and checks at file and
 /// workspace granularity.
@@ -69,14 +63,8 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(nan_laundering::NanLaundering),
         Box::new(sparsity_skip::SparsitySkip),
         Box::new(hot_path_alloc::HotPathAlloc),
-        Box::new(lib_unwrap::LibUnwrap),
         Box::new(nondeterministic_time::NondeterministicTime),
-        Box::new(env_read::EnvRead),
-        Box::new(unsafe_safety::UnsafeNeedsSafetyComment),
-        Box::new(raw_eprintln::RawEprintln),
         Box::new(partial_cmp_sort::PartialCmpSort),
-        Box::new(hashmap_iter_order::HashMapIterOrder),
-        Box::new(unjoined_spawn::UnjoinedSpawn),
         Box::new(lock_held_across_call::LockHeldAcrossCall),
         Box::new(unordered_float_reduce::UnorderedFloatReduce),
     ]
@@ -117,20 +105,20 @@ fn tok<'a>(ctx: &'a FileCtx<'_>, sig: &[usize], at: usize) -> Option<(&'a str, T
 /// (statics, consts, `macro_rules!` definitions). AST-migrated rules
 /// rescan exactly these indices with their old token-window matchers, so
 /// `x.max(0.0)` inside an `assert!` or a `static` initialiser is still
-/// caught. Rules whose pattern would misfire on imports (`env-read`,
-/// `nondeterministic-time` — a `use std::env::var;` is not a read) pass
-/// `include_verbatim = false`.
+/// caught. A rule whose pattern would misfire on imports
+/// (`nondeterministic-time` — a `use std::time::Instant;` is not a read)
+/// passes `include_verbatim = false`.
 fn opaque_sig(ctx: &FileCtx<'_>, include_verbatim: bool) -> Vec<usize> {
     let mut spans: Vec<Span> = Vec::new();
     ctx.ast.walk_exprs(&mut |e| {
-        if matches!(e.kind, ExprKind::Macro { .. }) {
+        if matches!(e.kind, ExprKind::Macro) {
             spans.push(e.span);
         }
     });
     fn verbatim_spans(item: &Item, out: &mut Vec<Span>) {
         match &item.kind {
             ItemKind::Verbatim => out.push(item.span),
-            ItemKind::Mod { items, .. } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
+            ItemKind::Mod { items } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
                 for it in items {
                     verbatim_spans(it, out);
                 }

@@ -79,7 +79,7 @@ pub fn report_sarif(diags: &[Diagnostic]) -> String {
         .collect();
     rules.push(rule_descriptor(
         "bad-suppression",
-        "malformed or reasonless `tdfm-lint: allow(...)` suppression comment",
+        "malformed, reasonless or stale `tdfm-lint: allow(...)` suppression comment",
     ));
     let driver = obj(vec![
         ("name", s("tdfm-lint")),

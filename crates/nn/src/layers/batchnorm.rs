@@ -174,9 +174,10 @@ impl Layer for BatchNorm2d {
         let g = self.gamma.value.data();
         let mut grad_input = self.scratch.tensor_uninit(grad_output.shape().dims());
         for s in 0..n {
-            // `ch` indexes four per-channel buffers at once, so a plain
-            // counted loop reads better than chained enumerates.
-            #[allow(clippy::needless_range_loop)]
+            #[allow(
+                clippy::needless_range_loop,
+                reason = "`ch` indexes four per-channel buffers at once; a counted loop reads better than chained enumerates"
+            )]
             for ch in 0..c {
                 let base = (s * c + ch) * hw;
                 let coeff = g[ch] * self.inv_std[ch];

@@ -128,6 +128,10 @@ pub fn configure(cfg: ObsConfig) -> std::io::Result<()> {
 
 /// Initialises from `TDFM_LOG` / `TDFM_TRACE` if nothing has configured
 /// the sink yet, and returns the current max level.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "documented read-once config site: TDFM_LOG and TDFM_TRACE (README \"Observability\")"
+)]
 fn init_from_env() -> u8 {
     let mut guard = STATE.lock().expect("sink state poisoned");
     if guard.is_none() {
@@ -137,8 +141,11 @@ fn init_from_env() -> u8 {
         let trace_path = std::env::var("TDFM_TRACE").ok().map(PathBuf::from);
         let trace = trace_path.and_then(|path| match File::create(&path) {
             Ok(f) => Some(f),
+            #[expect(
+                clippy::print_stderr,
+                reason = "the sink cannot route its own bootstrap failure through itself; stderr is the only channel left"
+            )]
             Err(e) => {
-                // tdfm-lint: allow(raw-eprintln, the sink cannot route its own bootstrap failure through itself; stderr is the only channel left)
                 eprintln!("tdfm-obs: cannot create TDFM_TRACE file {path:?}: {e}");
                 None
             }
@@ -226,7 +233,10 @@ pub fn emit(level: Level, event: &str, fields: &[(&str, Value)]) {
         }
         match &mut state.capture {
             Some(buf) => buf.push(line),
-            // tdfm-lint: allow(raw-eprintln, this IS the sink's stderr back end — the TDFM_LOG-filtered human channel every event! call lands in)
+            #[expect(
+                clippy::print_stderr,
+                reason = "this IS the sink's stderr back end: the TDFM_LOG-filtered human channel every event! call lands in"
+            )]
             None => eprintln!("{line}"),
         }
     }

@@ -19,6 +19,10 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// Resets the sink to "everything off" so later tests (and the rest of the
 /// process) see the quiet default.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test helper: a failed reset should fail the calling test"
+)]
 fn quiet() {
     configure(ObsConfig::default()).unwrap();
 }

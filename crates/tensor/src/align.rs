@@ -8,7 +8,7 @@
 //! performance property, never a safety requirement.
 //!
 //! [`Scratch`]: crate::scratch::Scratch
-#![allow(unsafe_code)]
+#![allow(unsafe_code, reason = "an aligned buffer owns a raw allocation")]
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 
@@ -88,7 +88,6 @@ impl AlignedVec {
 
     fn grow(&mut self, want: usize) {
         debug_assert!(want > self.cap);
-        // tdfm-lint: allow(hot-path-alloc, pool miss: the one allocation the scratch arena exists to amortise)
         // SAFETY: layout has non-zero size (want > cap >= 0 so want >= 1).
         let new_ptr = unsafe { alloc_zeroed(Self::layout(want)) } as *mut f32;
         assert!(!new_ptr.is_null(), "aligned allocation failed");

@@ -221,7 +221,10 @@ pub fn col2im(
 /// `b` is the (possibly implicit) column matrix; `scratch` supplies the
 /// panel buffer. Both paths accumulate in ascending-`p` order, so results
 /// are bit-identical whichever is chosen.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a GEMM takes its shape, both operands, the output, the accumulate flag and the panel scratch"
+)]
 fn group_gemm(
     a: &[f32],
     m: usize,

@@ -158,7 +158,7 @@ fn micro_tile<const MRC: usize>(
 ///
 /// Dispatches once per block to the runtime-selected SIMD level; all three
 /// bodies produce byte-identical output (see the module docs).
-#[allow(unsafe_code)] // dispatch into the target_feature bodies below
+#[allow(unsafe_code, reason = "dispatch into the target_feature bodies below")]
 pub(crate) fn gemm_packed_block(
     a: &[f32],
     rows: usize,
@@ -224,12 +224,17 @@ fn gemm_packed_block_scalar(
 /// performs the scalar element's `mul` + `add` sequence in the same
 /// ascending-`p` order — no FMA, no reassociation, so the bytes match.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[allow(
+    unsafe_code,
+    reason = "the AVX2/SSE2 kernels are target_feature fns over raw intrinsics"
+)]
 mod x86 {
     use super::{MR, NR};
     use std::arch::x86_64::*;
 
-    /// SAFETY: callers must ensure AVX2 is supported by the executing CPU.
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
     /// Slice bounds follow [`super::gemm_packed_block`]'s debug-asserted
     /// contract (`a.len() == rows*k`, `out.len() == rows*n`,
     /// `packed.len() >= packed_len(k, n)`).
@@ -270,7 +275,9 @@ mod x86 {
     /// One `MRC`×[`NR`] register tile, AVX2: the scalar tile's `[f32; NR]`
     /// accumulator row is one `__m256`.
     ///
-    /// SAFETY: callers must ensure AVX2 is supported; `a.len() >= MRC*k`,
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported; `a.len() >= MRC*k`,
     /// `panel.len() >= k*NR`, and `out` must cover the tile
     /// (`(MRC-1)*n + jw` elements).
     #[target_feature(enable = "avx2")]
@@ -323,7 +330,9 @@ mod x86 {
         }
     }
 
-    /// SAFETY: nothing beyond x86-64 (SSE2 is baseline). Slice
+    /// # Safety
+    ///
+    /// Requires nothing beyond x86-64 (SSE2 is baseline). Slice
     /// bounds follow [`super::gemm_packed_block`]'s contract.
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn gemm_packed_block_sse2(
@@ -362,7 +371,9 @@ mod x86 {
     /// One `MRC`×[`NR`] register tile, SSE2: the `[f32; NR]` accumulator
     /// row is a pair of `__m128`s (lanes 0..4 and 4..8).
     ///
-    /// SAFETY: callers must uphold the same bounds contract as [`micro_tile_avx2`];
+    /// # Safety
+    ///
+    /// Callers must uphold the same bounds contract as [`micro_tile_avx2`];
     /// SSE2 is baseline.
     #[target_feature(enable = "sse2")]
     unsafe fn micro_tile_sse2<const MRC: usize>(

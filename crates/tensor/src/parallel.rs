@@ -92,6 +92,10 @@ static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
 
 /// Reads `TDFM_THREADS` on first call and caches the result; `None` when
 /// unset, unparsable or zero.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "documented read-once config site: TDFM_THREADS (README \"Parallelism\")"
+)]
 fn threads_from_env() -> Option<usize> {
     *ENV_THREADS.get_or_init(|| parse_thread_env(std::env::var("TDFM_THREADS").ok().as_deref()))
 }
@@ -256,9 +260,10 @@ pub fn parallel_map_reduce<T: Send>(
 }
 
 #[cfg(test)]
-// The env-mutation tests need `unsafe` (set_var); the crate root denies
-// unsafe_code so this opt-in stays visible and test-scoped.
-#[allow(unsafe_code)]
+#[allow(
+    unsafe_code,
+    reason = "the env-mutation tests call `set_var`; the crate root denies unsafe_code, so this opt-in stays visible and test-scoped"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
@@ -360,6 +365,10 @@ mod tests {
         let _guard = GLOBAL_CONFIG.lock().unwrap();
         set_num_threads(0);
         let resolved = num_threads(); // forces the one-time env read
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "saves the variable so the test can restore it"
+        )]
         let original = std::env::var("TDFM_THREADS").ok();
         // SAFETY: serialised by GLOBAL_CONFIG; no other thread reads the
         // environment concurrently in this test binary.

@@ -34,7 +34,10 @@
 //! CPU supports); `off` / `scalar` force the scalar fallbacks. Unknown
 //! values conservatively mean `off`. Tests and benches can override
 //! in-process with [`force_simd`].
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "the vector kernels are target_feature fns over raw intrinsics"
+)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -64,11 +67,14 @@ impl SimdLevel {
 /// In-process override set by [`force_simd`]; 0 = none, else level + 1.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "documented read-once config site: TDFM_SIMD (README \"Parallelism\")"
+)]
 fn detected_level() -> SimdLevel {
     static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         let best = best_hardware_level();
-        // tdfm-lint: allow(env-read, documented read-once config site: TDFM_SIMD, see README "Parallelism")
         match std::env::var("TDFM_SIMD").as_deref() {
             Ok("auto") | Err(_) => best,
             Ok("avx2") => {
@@ -331,7 +337,9 @@ mod x86 {
 
     /// One unaligned 8-lane load from `s[i..i+8]`.
     ///
-    /// SAFETY: callers must uphold `i + 8 <= s.len()`.
+    /// # Safety
+    ///
+    /// Callers must uphold `i + 8 <= s.len()`.
     #[inline(always)]
     unsafe fn ld256(s: &[f32], i: usize) -> __m256 {
         debug_assert!(i + 8 <= s.len());
@@ -342,7 +350,9 @@ mod x86 {
 
     /// One unaligned 8-lane store to `s[i..i+8]`.
     ///
-    /// SAFETY: callers must uphold `i + 8 <= s.len()`.
+    /// # Safety
+    ///
+    /// Callers must uphold `i + 8 <= s.len()`.
     #[inline(always)]
     unsafe fn st256(s: &mut [f32], i: usize, v: __m256) {
         debug_assert!(i + 8 <= s.len());
@@ -352,7 +362,9 @@ mod x86 {
 
     /// One unaligned 4-lane load from `s[i..i+4]`.
     ///
-    /// SAFETY: callers must uphold `i + 4 <= s.len()`.
+    /// # Safety
+    ///
+    /// Callers must uphold `i + 4 <= s.len()`.
     #[inline(always)]
     unsafe fn ld128(s: &[f32], i: usize) -> __m128 {
         debug_assert!(i + 4 <= s.len());
@@ -362,7 +374,9 @@ mod x86 {
 
     /// One unaligned 4-lane store to `s[i..i+4]`.
     ///
-    /// SAFETY: callers must uphold `i + 4 <= s.len()`.
+    /// # Safety
+    ///
+    /// Callers must uphold `i + 4 <= s.len()`.
     #[inline(always)]
     unsafe fn st128(s: &mut [f32], i: usize, v: __m128) {
         debug_assert!(i + 4 <= s.len());
@@ -370,7 +384,9 @@ mod x86 {
         unsafe { _mm_storeu_ps(s.as_mut_ptr().add(i), v) }
     }
 
-    /// SAFETY: callers must ensure AVX2 is supported by the executing CPU.
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
         let n = x.len();
@@ -387,7 +403,9 @@ mod x86 {
         super::axpy_scalar(alpha, &x[i..], &mut y[i..]);
     }
 
-    /// SAFETY: nothing beyond x86-64 (SSE2 is baseline).
+    /// # Safety
+    ///
+    /// Requires nothing beyond x86-64 (SSE2 is baseline).
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn axpy_sse2(alpha: f32, x: &[f32], y: &mut [f32]) {
         let n = x.len();
@@ -404,7 +422,9 @@ mod x86 {
         super::axpy_scalar(alpha, &x[i..], &mut y[i..]);
     }
 
-    /// SAFETY: callers must ensure AVX2 is supported by the executing CPU.
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn scale_avx2(x: &mut [f32], alpha: f32) {
         let n = x.len();
@@ -418,7 +438,9 @@ mod x86 {
         super::scale_scalar(&mut x[i..], alpha);
     }
 
-    /// SAFETY: nothing beyond x86-64 (SSE2 is baseline).
+    /// # Safety
+    ///
+    /// Requires nothing beyond x86-64 (SSE2 is baseline).
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn scale_sse2(x: &mut [f32], alpha: f32) {
         let n = x.len();
@@ -432,7 +454,9 @@ mod x86 {
         super::scale_scalar(&mut x[i..], alpha);
     }
 
-    /// SAFETY: callers must ensure AVX2 is supported by the executing CPU.
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn add_scalar_avx2(x: &mut [f32], alpha: f32) {
         let n = x.len();
@@ -446,7 +470,9 @@ mod x86 {
         super::add_scalar_scalar(&mut x[i..], alpha);
     }
 
-    /// SAFETY: nothing beyond x86-64 (SSE2 is baseline).
+    /// # Safety
+    ///
+    /// Requires nothing beyond x86-64 (SSE2 is baseline).
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn add_scalar_sse2(x: &mut [f32], alpha: f32) {
         let n = x.len();
@@ -460,7 +486,9 @@ mod x86 {
         super::add_scalar_scalar(&mut x[i..], alpha);
     }
 
-    /// SAFETY: callers must ensure AVX2 is supported by the executing CPU.
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn add_assign_avx2(y: &mut [f32], x: &[f32]) {
         let n = x.len();
@@ -473,7 +501,9 @@ mod x86 {
         super::add_assign_scalar(&mut y[i..], &x[i..]);
     }
 
-    /// SAFETY: nothing beyond x86-64 (SSE2 is baseline).
+    /// # Safety
+    ///
+    /// Requires nothing beyond x86-64 (SSE2 is baseline).
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn add_assign_sse2(y: &mut [f32], x: &[f32]) {
         let n = x.len();
@@ -486,7 +516,9 @@ mod x86 {
         super::add_assign_scalar(&mut y[i..], &x[i..]);
     }
 
-    /// SAFETY: callers must ensure AVX2 is supported by the executing CPU.
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn momentum_update_avx2(
         v: &mut [f32],
@@ -511,7 +543,9 @@ mod x86 {
         super::momentum_update_scalar(&mut v[i..], &g[i..], &w[i..], m, wd);
     }
 
-    /// SAFETY: nothing beyond x86-64 (SSE2 is baseline).
+    /// # Safety
+    ///
+    /// Requires nothing beyond x86-64 (SSE2 is baseline).
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn momentum_update_sse2(
         v: &mut [f32],
@@ -535,7 +569,9 @@ mod x86 {
         super::momentum_update_scalar(&mut v[i..], &g[i..], &w[i..], m, wd);
     }
 
-    /// SAFETY: callers must ensure AVX2 is supported by the executing CPU.
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn relu_forward_avx2(x: &[f32], out: &mut [f32], mask: &mut [u32]) {
         let n = x.len();
@@ -561,7 +597,9 @@ mod x86 {
         super::relu_forward_scalar(&x[i..], &mut out[i..], &mut mask[i..]);
     }
 
-    /// SAFETY: nothing beyond x86-64 (SSE2 is baseline).
+    /// # Safety
+    ///
+    /// Requires nothing beyond x86-64 (SSE2 is baseline).
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn relu_forward_sse2(x: &[f32], out: &mut [f32], mask: &mut [u32]) {
         let n = x.len();
@@ -585,7 +623,9 @@ mod x86 {
         super::relu_forward_scalar(&x[i..], &mut out[i..], &mut mask[i..]);
     }
 
-    /// SAFETY: callers must ensure AVX2 is supported by the executing CPU.
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn relu_backward_avx2(g: &[f32], mask: &[u32], out: &mut [f32]) {
         let n = g.len();
@@ -602,7 +642,9 @@ mod x86 {
         super::relu_backward_scalar(&g[i..], &mask[i..], &mut out[i..]);
     }
 
-    /// SAFETY: nothing beyond x86-64 (SSE2 is baseline).
+    /// # Safety
+    ///
+    /// Requires nothing beyond x86-64 (SSE2 is baseline).
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn relu_backward_sse2(g: &[f32], mask: &[u32], out: &mut [f32]) {
         let n = g.len();

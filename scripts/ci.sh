@@ -9,7 +9,21 @@ echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) =="
+# Besides clippy's defaults this enforces the generic hygiene lints of
+# [workspace.lints.clippy] in Cargo.toml (settings in clippy.toml): no
+# bare unwrap outside tests, no environment reads or detached spawns
+# outside the documented sites, no raw stderr writes outside the CLI
+# front ends, no hash-order iteration, no unsafe without its SAFETY
+# comment or `# Safety` doc, and no allow/expect without a reason.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo clippy: benchmark (perfbench) =="
+# perfbench/ is a package of its own, so the workspace lints never reach
+# it. Its counting allocator (`unsafe impl GlobalAlloc`) is the one
+# unsafe code outside the workspace: deny undocumented unsafe there too.
+CARGO_TARGET_DIR="$PWD/target/perfbench" cargo clippy --offline --locked \
+    --manifest-path perfbench/Cargo.toml --all-targets \
+    -- -D warnings -D clippy::undocumented_unsafe_blocks
 
 # TDFM_SMOKE_DIR lets CI keep artefacts (lint report, trace, manifest) for
 # upload; by default they land in a throwaway directory.
@@ -23,20 +37,19 @@ fi
 
 echo "== tdfm lint self-test (fixtures, parser round-trip) =="
 # The analyzer's own suite first: pinned fixture diagnostics for every
-# rule and the byte-identical parser round-trip over the workspace. A
-# drifting rule fails here with a named fixture, not as a mystery finding
-# (or silence) in the sweep below.
+# rule (and for reasonless and stale suppressions) and the byte-identical
+# parser round-trip over the workspace. A drifting rule fails here with a
+# named fixture, not as a mystery finding (or silence) in the sweep below.
 cargo test -q -p tdfm-lint
 
 echo "== tdfm lint (project static analysis) =="
-# The repo's own analyzer (crates/lint): NaN laundering, sparsity skips,
-# kernel allocations (now interprocedural via the call graph), bare
-# unwraps, wall-clock and env reads, unsafe without SAFETY comments, and
-# the determinism/concurrency pack (hash iteration order, detached
-# spawns, locks held across calls, hash-order float reductions). Must be
-# clean before anything is built in release mode; the JSON report, the
-# SARIF document and the wall-time manifest are kept as CI artefacts
-# either way. The 10s time budget keeps the analyzer cheap enough to run
+# The repo's own analyzer (crates/lint) for the domain rules clippy has
+# no counterpart for: NaN laundering, sparsity skips, kernel allocations
+# (interprocedural via the call graph), wall-clock reads, partial_cmp
+# sorts, locks held across calls and hash-order float reductions. An
+# inline allow that silences nothing fails too. Must be clean before
+# anything is built in release mode; the JSON report, the SARIF document
+# and the wall-time manifest are kept as CI artefacts either way. The 10s time budget keeps the analyzer cheap enough to run
 # on every push; a blown budget fails this stage.
 if ! cargo run -q --bin tdfm -- lint --json \
         --sarif "$smoke_dir/lint.sarif" \

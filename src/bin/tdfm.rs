@@ -33,6 +33,10 @@
 //! --seed     N                             (default 0)
 //! --json                                   machine-readable output (run only)
 //! ```
+#![allow(
+    clippy::print_stderr,
+    reason = "a CLI front end reports to its user on stderr"
+)]
 
 use tdfm::core::detect::NoiseDetector;
 use tdfm::core::technique::TrainContext;

@@ -19,9 +19,10 @@
 //! * [`survey`] — Table I's candidate techniques and selection criteria.
 //! * [`json`] — the dependency-free JSON reader/writer every result file
 //!   goes through.
-//! * [`lint`] — the project's own static analyzer (`tdfm lint`): token-level
-//!   rules that enforce the NaN-propagation, zero-alloc and determinism
-//!   invariants the kernels rely on.
+//! * [`lint`] — the project's own static analyzer (`tdfm lint`): the
+//!   NaN-propagation, zero-alloc and determinism rules clippy has no
+//!   counterpart for (generic hygiene is clippy's, via
+//!   `[workspace.lints.clippy]`).
 //! * [`obs`] — zero-dependency structured tracing, metrics and run
 //!   manifests (`TDFM_LOG`, `TDFM_TRACE`, `tdfm report`).
 //! * [`core`] — the five TDFM techniques, the accuracy-delta metric, the
