@@ -2,8 +2,11 @@
 //! kernels every experiment spends its time in.
 
 use tdfm_bench::harness::{bench, group};
-use tdfm_tensor::ops::{conv2d_backward, conv2d_forward, matmul, softmax_rows, Conv2dSpec};
+use tdfm_tensor::ops::{
+    conv2d_backward_with, conv2d_forward_with, matmul, softmax_rows, Conv2dSpec,
+};
 use tdfm_tensor::rng::Rng;
+use tdfm_tensor::Scratch;
 use tdfm_tensor::Tensor;
 
 fn main() {
@@ -23,12 +26,12 @@ fn main() {
         let w = Tensor::randn(&[ch * 2, ch, 3, 3], 0.3, &mut rng);
         let bias = Tensor::zeros(&[ch * 2]);
         bench(&format!("conv2d/forward/{batch}x{ch}"), || {
-            conv2d_forward(&x, &w, Some(&bias), spec)
+            conv2d_forward_with(&x, &w, Some(&bias), spec, Scratch::shared())
         });
-        let y = conv2d_forward(&x, &w, Some(&bias), spec);
+        let y = conv2d_forward_with(&x, &w, Some(&bias), spec, Scratch::shared());
         let gy = Tensor::ones(y.shape().dims());
         bench(&format!("conv2d/backward/{batch}x{ch}"), || {
-            conv2d_backward(&x, &w, &gy, spec)
+            conv2d_backward_with(&x, &w, &gy, spec, Scratch::shared())
         });
     }
 
@@ -42,7 +45,7 @@ fn main() {
         groups: 8,
     };
     bench("depthwise_conv_forward", || {
-        conv2d_forward(&x, &w, None, spec)
+        conv2d_forward_with(&x, &w, None, spec, Scratch::shared())
     });
 
     let mut rng = Rng::seed_from(3);

@@ -34,8 +34,8 @@ use tdfm_obs::{Heatmap, LineChart, Series};
 /// Renders every figure a results document supports.
 ///
 /// Returns `(file name, svg document)` pairs in deterministic order. The
-/// document must be a JSON array of experiment results or of model-fault
-/// results.
+/// document must be a JSON array of experiment results, model-fault
+/// results, shard-fault results or scaling curves.
 ///
 /// # Errors
 ///
@@ -64,7 +64,7 @@ pub fn render_figures(text: &str) -> Result<Vec<(String, String)>, String> {
     }
     Err(
         "not a recognised results document (expected a non-empty JSON array of \
-         experiment results or model-fault results)"
+         experiment results, model-fault results, shard-fault results or scaling curves)"
             .to_string(),
     )
 }
@@ -644,8 +644,16 @@ mod tests {
 
     #[test]
     fn unrecognised_documents_are_rejected() {
-        assert!(render_figures("[]").is_err());
-        assert!(render_figures("{\"not\": \"an array\"}").is_err());
-        assert!(render_figures("definitely not json").is_err());
+        for text in ["[]", "{\"not\": \"an array\"}", "definitely not json"] {
+            let err = render_figures(text).unwrap_err();
+            for kind in [
+                "experiment results",
+                "model-fault results",
+                "shard-fault results",
+                "scaling curves",
+            ] {
+                assert!(err.contains(kind), "{err}");
+            }
+        }
     }
 }

@@ -19,11 +19,15 @@
 //! | `fault_combos` | Section IV-C (combined fault types)            |
 //! | `ablation`     | DESIGN.md §4 (ensemble diversity, KD, LC, LS)  |
 //! | `shard_faults` | DESIGN.md §2.10 (Byzantine-robust aggregation) |
+//!
+//! [`figures`] turns those result documents into SVG charts (`tdfm
+//! figures`). [`harness`] and [`compare`] back the `benches/` wall-clock
+//! micro-benchmarks and the `training_step --compare` gate; the A/B perf
+//! gate over the benchmark in `perfbench/` is `scripts/bench_ab.py`.
 
 pub mod compare;
 pub mod figures;
 pub mod harness;
-pub mod svg;
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

@@ -75,7 +75,7 @@ pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> u
     (padded - kernel) / stride + 1
 }
 
-/// Gradients produced by [`conv2d_backward`].
+/// Gradients produced by [`conv2d_backward_with`].
 #[derive(Debug, Clone)]
 pub struct ConvGrads {
     /// Gradient w.r.t. the input, shaped like the input.
@@ -319,22 +319,9 @@ fn check_dims(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> ConvDims {
 /// * `weight` — `[O, C/groups, KH, KW]`
 /// * `bias`   — optional `[O]`
 ///
-/// Returns `[N, O, OH, OW]`. Uses the process-shared scratch arena; see
-/// [`conv2d_forward_with`].
+/// Returns `[N, O, OH, OW]`.
 ///
-/// # Panics
-///
-/// Panics on any shape inconsistency (see [`Conv2dSpec`]).
-pub fn conv2d_forward(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: Conv2dSpec,
-) -> Tensor {
-    conv2d_forward_with(input, weight, bias, spec, Scratch::shared())
-}
-
-/// [`conv2d_forward`] drawing every temporary from `scratch`.
+/// Draws every temporary from `scratch`.
 ///
 /// # Panics
 ///
@@ -398,24 +385,11 @@ pub fn conv2d_forward_with(
 
 /// Convolution backward pass.
 ///
-/// Given the forward inputs and the gradient w.r.t. the output, computes the
-/// gradients w.r.t. input, weights and bias. Weight/bias gradients are
-/// accumulated per worker and reduced. Uses the process-shared scratch
-/// arena; see [`conv2d_backward_with`].
+/// Given the forward inputs and the gradient w.r.t. the output, computes
+/// the gradients w.r.t. input, weights and bias. Weight/bias gradients are
+/// accumulated per worker and reduced.
 ///
-/// # Panics
-///
-/// Panics on any shape inconsistency.
-pub fn conv2d_backward(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_output: &Tensor,
-    spec: Conv2dSpec,
-) -> ConvGrads {
-    conv2d_backward_with(input, weight, grad_output, spec, Scratch::shared())
-}
-
-/// [`conv2d_backward`] drawing every temporary from `scratch`.
+/// Draws every temporary from `scratch`.
 ///
 /// # Panics
 ///
@@ -638,7 +612,7 @@ mod tests {
             pad: 1,
             groups: 1,
         };
-        let fast = conv2d_forward(&x, &w, Some(&b), spec);
+        let fast = conv2d_forward_with(&x, &w, Some(&b), spec, Scratch::shared());
         let slow = naive_conv(&x, &w, Some(&b), spec);
         assert_eq!(fast.shape().dims(), &[2, 4, 6, 6]);
         assert_close(fast.data(), slow.data(), 1e-4);
@@ -654,7 +628,7 @@ mod tests {
             pad: 1,
             groups: 1,
         };
-        let fast = conv2d_forward(&x, &w, None, spec);
+        let fast = conv2d_forward_with(&x, &w, None, spec, Scratch::shared());
         let slow = naive_conv(&x, &w, None, spec);
         assert_eq!(fast.shape().dims(), &[1, 3, 4, 4]);
         assert_close(fast.data(), slow.data(), 1e-4);
@@ -670,7 +644,7 @@ mod tests {
             pad: 1,
             groups: 4,
         };
-        let fast = conv2d_forward(&x, &w, None, spec);
+        let fast = conv2d_forward_with(&x, &w, None, spec, Scratch::shared());
         let slow = naive_conv(&x, &w, None, spec);
         assert_close(fast.data(), slow.data(), 1e-4);
     }
@@ -700,22 +674,22 @@ mod tests {
             };
             let x = Tensor::randn(&[n, c, h, w], 1.0, &mut rng);
             let wt = Tensor::randn(&[o, cg, k, k], 0.5, &mut rng);
-            let fast = conv2d_forward(&x, &wt, None, spec);
+            let fast = conv2d_forward_with(&x, &wt, None, spec, Scratch::shared());
             let slow = naive_conv(&x, &wt, None, spec);
             assert_close(fast.data(), slow.data(), 1e-3);
 
             // Weight gradient of loss = sum(out) equals a convolution of
             // ones; check against finite differences at a few entries.
             let gy = Tensor::ones(fast.shape().dims());
-            let grads = conv2d_backward(&x, &wt, &gy, spec);
+            let grads = conv2d_backward_with(&x, &wt, &gy, spec, Scratch::shared());
             let eps = 1e-2;
             for i in [0, wt.numel() / 2, wt.numel() - 1] {
                 let mut wp = wt.clone();
                 wp.data_mut()[i] += eps;
                 let mut wm = wt.clone();
                 wm.data_mut()[i] -= eps;
-                let num = (conv2d_forward(&x, &wp, None, spec).sum()
-                    - conv2d_forward(&x, &wm, None, spec).sum())
+                let num = (conv2d_forward_with(&x, &wp, None, spec, Scratch::shared()).sum()
+                    - conv2d_forward_with(&x, &wm, None, spec, Scratch::shared()).sum())
                     / (2.0 * eps);
                 let ana = grads.grad_weight.data()[i];
                 assert!(
@@ -757,9 +731,9 @@ mod tests {
             groups: 1,
         };
         // Loss = sum(conv(x)) so grad_output = ones.
-        let y = conv2d_forward(&x, &w, Some(&b), spec);
+        let y = conv2d_forward_with(&x, &w, Some(&b), spec, Scratch::shared());
         let gy = Tensor::ones(y.shape().dims());
-        let grads = conv2d_backward(&x, &w, &gy, spec);
+        let grads = conv2d_backward_with(&x, &w, &gy, spec, Scratch::shared());
 
         let eps = 1e-2;
         // d loss / d x[i] via central differences.
@@ -768,8 +742,8 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let fp = conv2d_forward(&xp, &w, Some(&b), spec).sum();
-            let fm = conv2d_forward(&xm, &w, Some(&b), spec).sum();
+            let fp = conv2d_forward_with(&xp, &w, Some(&b), spec, Scratch::shared()).sum();
+            let fm = conv2d_forward_with(&xm, &w, Some(&b), spec, Scratch::shared()).sum();
             let num = (fp - fm) / (2.0 * eps);
             let ana = grads.grad_input.data()[i];
             assert!((num - ana).abs() < 1e-2, "x[{i}]: {num} vs {ana}");
@@ -779,8 +753,8 @@ mod tests {
             wp.data_mut()[i] += eps;
             let mut wm = w.clone();
             wm.data_mut()[i] -= eps;
-            let fp = conv2d_forward(&x, &wp, Some(&b), spec).sum();
-            let fm = conv2d_forward(&x, &wm, Some(&b), spec).sum();
+            let fp = conv2d_forward_with(&x, &wp, Some(&b), spec, Scratch::shared()).sum();
+            let fm = conv2d_forward_with(&x, &wm, Some(&b), spec, Scratch::shared()).sum();
             let num = (fp - fm) / (2.0 * eps);
             let ana = grads.grad_weight.data()[i];
             assert!((num - ana).abs() < 1e-2, "w[{i}]: {num} vs {ana}");
@@ -800,17 +774,17 @@ mod tests {
             pad: 1,
             groups: 3,
         };
-        let y = conv2d_forward(&x, &w, None, spec);
+        let y = conv2d_forward_with(&x, &w, None, spec, Scratch::shared());
         let gy = Tensor::ones(y.shape().dims());
-        let grads = conv2d_backward(&x, &w, &gy, spec);
+        let grads = conv2d_backward_with(&x, &w, &gy, spec, Scratch::shared());
         let eps = 1e-2;
         for i in [0usize, 10, 26] {
             let mut wp = w.clone();
             wp.data_mut()[i] += eps;
             let mut wm = w.clone();
             wm.data_mut()[i] -= eps;
-            let num = (conv2d_forward(&x, &wp, None, spec).sum()
-                - conv2d_forward(&x, &wm, None, spec).sum())
+            let num = (conv2d_forward_with(&x, &wp, None, spec, Scratch::shared()).sum()
+                - conv2d_forward_with(&x, &wm, None, spec, Scratch::shared()).sum())
                 / (2.0 * eps);
             let ana = grads.grad_weight.data()[i];
             assert!((num - ana).abs() < 1e-2, "w[{i}]: {num} vs {ana}");
@@ -826,20 +800,20 @@ mod tests {
         let x = Tensor::randn(&[2, 3, 4, 4], 1.0, &mut rng);
         let w = Tensor::randn(&[5, 3, 1, 1], 0.5, &mut rng);
         let fast_spec = Conv2dSpec::default(); // pointwise fast path
-        let y = conv2d_forward(&x, &w, None, fast_spec);
+        let y = conv2d_forward_with(&x, &w, None, fast_spec, Scratch::shared());
         let slow = naive_conv(&x, &w, None, fast_spec);
         assert_close(y.data(), slow.data(), 1e-4);
 
         let gy = Tensor::ones(y.shape().dims());
-        let grads = conv2d_backward(&x, &w, &gy, fast_spec);
+        let grads = conv2d_backward_with(&x, &w, &gy, fast_spec, Scratch::shared());
         let eps = 1e-2;
         for i in [0usize, 20, 47] {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let num = (conv2d_forward(&xp, &w, None, fast_spec).sum()
-                - conv2d_forward(&xm, &w, None, fast_spec).sum())
+            let num = (conv2d_forward_with(&xp, &w, None, fast_spec, Scratch::shared()).sum()
+                - conv2d_forward_with(&xm, &w, None, fast_spec, Scratch::shared()).sum())
                 / (2.0 * eps);
             let ana = grads.grad_input.data()[i];
             assert!((num - ana).abs() < 1e-2, "x[{i}]: {num} vs {ana}");
@@ -849,8 +823,8 @@ mod tests {
             wp.data_mut()[i] += eps;
             let mut wm = w.clone();
             wm.data_mut()[i] -= eps;
-            let num = (conv2d_forward(&x, &wp, None, fast_spec).sum()
-                - conv2d_forward(&x, &wm, None, fast_spec).sum())
+            let num = (conv2d_forward_with(&x, &wp, None, fast_spec, Scratch::shared()).sum()
+                - conv2d_forward_with(&x, &wm, None, fast_spec, Scratch::shared()).sum())
                 / (2.0 * eps);
             let ana = grads.grad_weight.data()[i];
             assert!((num - ana).abs() < 1e-2, "w[{i}]: {num} vs {ana}");
@@ -862,7 +836,7 @@ mod tests {
     fn bad_groups_rejected() {
         let x = Tensor::zeros(&[1, 3, 4, 4]);
         let w = Tensor::zeros(&[2, 1, 3, 3]);
-        let _ = conv2d_forward(
+        let _ = conv2d_forward_with(
             &x,
             &w,
             None,
@@ -871,6 +845,7 @@ mod tests {
                 pad: 1,
                 groups: 2,
             },
+            Scratch::shared(),
         );
     }
 
@@ -904,7 +879,7 @@ mod tests {
             pad: 0,
             groups: 1,
         };
-        let y = conv2d_forward(&x, &w, None, spec);
+        let y = conv2d_forward_with(&x, &w, None, spec, Scratch::shared());
         // Every output window covering x[1,1] must be NaN.
         assert!(y.data().iter().all(|v| v.is_nan()), "{:?}", y.data());
     }
@@ -920,7 +895,7 @@ mod tests {
             pad: 0,
             groups: 1,
         };
-        let y = conv2d_forward(&x, &w, None, spec);
+        let y = conv2d_forward_with(&x, &w, None, spec, Scratch::shared());
         for i in 0..9 {
             assert!((y.data()[i] - 2.0 * x.data()[i]).abs() < 1e-5);
             assert!((y.data()[9 + i] - 3.0 * x.data()[9 + i]).abs() < 1e-5);
@@ -937,7 +912,7 @@ mod tests {
             pad: 0,
             groups: 1,
         };
-        let y = conv2d_forward(&x, &w, None, spec);
+        let y = conv2d_forward_with(&x, &w, None, spec, Scratch::shared());
         assert_eq!(y.shape().dims(), &[1, 1, 3, 3]);
         let slow = naive_conv(&x, &w, None, spec);
         assert_close(y.data(), slow.data(), 1e-5);
@@ -954,7 +929,7 @@ mod tests {
             pad: 1,
             groups: 2,
         };
-        let fast = conv2d_forward(&x, &w, None, spec);
+        let fast = conv2d_forward_with(&x, &w, None, spec, Scratch::shared());
         // Cross-check group separation: zeroing group 2's input must not
         // change group 1's output.
         let mut x2 = x.clone();
@@ -964,7 +939,7 @@ mod tests {
                 x2.data_mut()[base..base + 25].fill(0.0);
             }
         }
-        let fast2 = conv2d_forward(&x2, &w, None, spec);
+        let fast2 = conv2d_forward_with(&x2, &w, None, spec, Scratch::shared());
         // Output channels 0..3 belong to group 1 and depend only on input
         // channels 0..1.
         for s in 0..2 {

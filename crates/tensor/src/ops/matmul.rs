@@ -3,16 +3,16 @@
 //! Three variants cover everything backpropagation needs without ever
 //! materialising a transpose in the public API:
 //!
-//! * [`matmul`]       — `C = A · B`
-//! * [`matmul_at_b`]  — `C = Aᵀ · B` (weight gradients)
-//! * [`matmul_a_bt`]  — `C = A · Bᵀ` (input gradients)
+//! * [`matmul_with`]      — `C = A · B`
+//! * [`matmul_at_b_with`] — `C = Aᵀ · B` (weight gradients)
+//! * [`matmul_a_bt_with`] — `C = A · Bᵀ` (input gradients)
 //!
 //! Large products pack `B` into [`NR`](super::gemm::NR)-wide column panels
 //! and accumulate `MR`×`NR` register tiles (see [`super::gemm`]); small
-//! ones use direct loops with bit-identical results. Every variant has a
-//! `_with` form that draws its output (and packing scratch) from a caller
-//! supplied [`Scratch`] arena so steady-state training reuses buffers
-//! instead of allocating; the plain forms use the process-shared arena.
+//! ones use direct loops with bit-identical results. Each variant draws its
+//! output (and packing scratch) from a caller-supplied [`Scratch`] arena,
+//! so steady-state training reuses buffers instead of allocating; the
+//! one-off [`matmul`] uses the process-shared arena.
 //!
 //! # IEEE faithfulness
 //!
@@ -98,14 +98,7 @@ pub fn matmul_with(a: &Tensor, b: &Tensor, scratch: &Scratch) -> Tensor {
 
 /// `C[m,n] = Aᵀ[m,k] · B[k,n]` where `A` is stored as `[k, m]`.
 ///
-/// # Panics
-///
-/// Panics if operands are not 2-D or leading dimensions disagree.
-pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_at_b_with(a, b, Scratch::shared())
-}
-
-/// [`matmul_at_b`] drawing its output and packing buffers from `scratch`.
+/// Draws its output and packing buffers from `scratch`.
 ///
 /// # Panics
 ///
@@ -151,14 +144,7 @@ pub fn matmul_at_b_with(a: &Tensor, b: &Tensor, scratch: &Scratch) -> Tensor {
 
 /// `C[m,n] = A[m,k] · Bᵀ[k,n]` where `B` is stored as `[n, k]`.
 ///
-/// # Panics
-///
-/// Panics if operands are not 2-D or trailing dimensions disagree.
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_a_bt_with(a, b, Scratch::shared())
-}
-
-/// [`matmul_a_bt`] drawing its output and packing buffers from `scratch`.
+/// Draws its output and packing buffers from `scratch`.
 ///
 /// # Panics
 ///
@@ -240,13 +226,13 @@ mod tests {
         let mut rng = Rng::seed_from(2);
         let a = Tensor::randn(&[4, 6], 1.0, &mut rng);
         let b = Tensor::randn(&[4, 5], 1.0, &mut rng);
-        let c = matmul_at_b(&a, &b);
+        let c = matmul_at_b_with(&a, &b, Scratch::shared());
         let reference = matmul(&a.transpose2d(), &b);
         assert_close(c.data(), reference.data(), 1e-5);
 
         let a2 = Tensor::randn(&[3, 7], 1.0, &mut rng);
         let b2 = Tensor::randn(&[5, 7], 1.0, &mut rng);
-        let c2 = matmul_a_bt(&a2, &b2);
+        let c2 = matmul_a_bt_with(&a2, &b2, Scratch::shared());
         let reference2 = matmul(&a2, &b2.transpose2d());
         assert_close(c2.data(), reference2.data(), 1e-5);
     }
@@ -300,8 +286,16 @@ mod tests {
             let want = naive(&a, &b);
             let tol = 1e-3;
             assert_close(matmul(&a, &b).data(), want.data(), tol);
-            assert_close(matmul_at_b(&a.transpose2d(), &b).data(), want.data(), tol);
-            assert_close(matmul_a_bt(&a, &b.transpose2d()).data(), want.data(), tol);
+            assert_close(
+                matmul_at_b_with(&a.transpose2d(), &b, Scratch::shared()).data(),
+                want.data(),
+                tol,
+            );
+            assert_close(
+                matmul_a_bt_with(&a, &b.transpose2d(), Scratch::shared()).data(),
+                want.data(),
+                tol,
+            );
         }
     }
 
@@ -376,7 +370,7 @@ mod tests {
         let mut a = Tensor::zeros(&[3, 2]); // stored [k, m]
         a.set(&[1, 0], f32::NAN);
         let b = Tensor::ones(&[3, 4]);
-        let c = matmul_at_b(&a, &b);
+        let c = matmul_at_b_with(&a, &b, Scratch::shared());
         for j in 0..4 {
             assert!(c.at(&[0, j]).is_nan(), "column {j}");
             assert_eq!(c.at(&[1, j]), 0.0);
@@ -385,7 +379,7 @@ mod tests {
         let mut big_a = Tensor::zeros(&[16, 8]);
         big_a.set(&[5, 3], f32::INFINITY);
         let big_b = Tensor::zeros(&[16, 16]);
-        let cb = matmul_at_b(&big_a, &big_b);
+        let cb = matmul_at_b_with(&big_a, &big_b, Scratch::shared());
         for j in 0..16 {
             assert!(cb.at(&[3, j]).is_nan(), "inf × 0 column {j}");
         }
@@ -396,7 +390,7 @@ mod tests {
         let mut a = Tensor::zeros(&[2, 3]);
         a.set(&[1, 2], f32::NAN);
         let b = Tensor::ones(&[4, 3]); // stored [n, k]
-        let c = matmul_a_bt(&a, &b);
+        let c = matmul_a_bt_with(&a, &b, Scratch::shared());
         for j in 0..4 {
             assert!(c.at(&[1, j]).is_nan(), "column {j}");
             assert_eq!(c.at(&[0, j]), 0.0);
@@ -405,7 +399,7 @@ mod tests {
         let mut big_a = Tensor::zeros(&[8, 16]);
         big_a.set(&[2, 9], f32::NAN);
         let big_b = Tensor::ones(&[16, 16]);
-        let cb = matmul_a_bt(&big_a, &big_b);
+        let cb = matmul_a_bt_with(&big_a, &big_b, Scratch::shared());
         for j in 0..16 {
             assert!(cb.at(&[2, j]).is_nan(), "column {j}");
             assert_eq!(cb.at(&[0, j]), 0.0);

@@ -11,16 +11,11 @@ mod pool;
 mod reduce;
 
 pub use conv::{
-    col2im, conv2d_backward, conv2d_backward_with, conv2d_forward, conv2d_forward_with,
-    conv_out_dim, im2col, Conv2dSpec, ConvGrads,
+    col2im, conv2d_backward_with, conv2d_forward_with, conv_out_dim, im2col, Conv2dSpec, ConvGrads,
 };
-pub use matmul::{
-    matmul, matmul_a_bt, matmul_a_bt_with, matmul_at_b, matmul_at_b_with, matmul_with,
-};
+pub use matmul::{matmul, matmul_a_bt_with, matmul_at_b_with, matmul_with};
 pub use pool::{
-    avg_pool2d_backward, avg_pool2d_backward_with, avg_pool2d_forward, avg_pool2d_forward_with,
-    global_avg_pool_backward, global_avg_pool_backward_with, global_avg_pool_forward,
-    global_avg_pool_forward_with, max_pool2d_backward, max_pool2d_backward_with,
-    max_pool2d_forward, max_pool2d_forward_with, MaxPoolCache,
+    avg_pool2d_backward_with, avg_pool2d_forward_with, global_avg_pool_backward_with,
+    global_avg_pool_forward_with, max_pool2d_backward_with, max_pool2d_forward_with, MaxPoolCache,
 };
 pub use reduce::{argmax_rows, log_softmax_rows, one_hot, softmax_rows, sum_rows};

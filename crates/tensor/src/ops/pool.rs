@@ -27,18 +27,9 @@ impl MaxPoolCache {
 
 /// Max pooling over `k`×`k` windows with stride `s`.
 ///
-/// Returns the pooled tensor and a cache for [`max_pool2d_backward`].
-/// Uses the process-shared scratch arena; see [`max_pool2d_forward_with`].
+/// Returns the pooled tensor and a cache for [`max_pool2d_backward_with`].
 ///
-/// # Panics
-///
-/// Panics if the input is not NCHW or the window does not fit.
-pub fn max_pool2d_forward(input: &Tensor, k: usize, s: usize) -> (Tensor, MaxPoolCache) {
-    max_pool2d_forward_with(input, k, s, Scratch::shared())
-}
-
-/// [`max_pool2d_forward`] drawing the output and index buffers from
-/// `scratch`.
+/// Draws the output and index buffers from `scratch`.
 ///
 /// The argmax pass runs first (one `(sample, channel)` plane per task),
 /// then the values are gathered through the winning indices — the two
@@ -113,14 +104,7 @@ pub fn max_pool2d_forward_with(
 
 /// Routes output gradients back to the winning input positions.
 ///
-/// # Panics
-///
-/// Panics if `grad_output` does not match the cached geometry.
-pub fn max_pool2d_backward(grad_output: &Tensor, cache: &MaxPoolCache) -> Tensor {
-    max_pool2d_backward_with(grad_output, cache, Scratch::shared())
-}
-
-/// [`max_pool2d_backward`] drawing the gradient buffer from `scratch`.
+/// Draws the gradient buffer from `scratch`.
 ///
 /// # Panics
 ///
@@ -154,14 +138,7 @@ pub fn max_pool2d_backward_with(
 
 /// Average pooling over `k`×`k` windows with stride `s`.
 ///
-/// # Panics
-///
-/// Panics if the input is not NCHW or the window does not fit.
-pub fn avg_pool2d_forward(input: &Tensor, k: usize, s: usize) -> Tensor {
-    avg_pool2d_forward_with(input, k, s, Scratch::shared())
-}
-
-/// [`avg_pool2d_forward`] drawing the output buffer from `scratch`.
+/// Draws the output buffer from `scratch`.
 ///
 /// # Panics
 ///
@@ -198,21 +175,9 @@ pub fn avg_pool2d_forward_with(input: &Tensor, k: usize, s: usize, scratch: &Scr
     out
 }
 
-/// Backward pass of [`avg_pool2d_forward`].
+/// Backward pass of [`avg_pool2d_forward_with`].
 ///
-/// # Panics
-///
-/// Panics if the geometries are inconsistent.
-pub fn avg_pool2d_backward(
-    grad_output: &Tensor,
-    input_dims: &[usize],
-    k: usize,
-    s: usize,
-) -> Tensor {
-    avg_pool2d_backward_with(grad_output, input_dims, k, s, Scratch::shared())
-}
-
-/// [`avg_pool2d_backward`] drawing the gradient buffer from `scratch`.
+/// Draws the gradient buffer from `scratch`.
 ///
 /// # Panics
 ///
@@ -256,14 +221,7 @@ pub fn avg_pool2d_backward_with(
 
 /// Collapses each channel plane to its mean: `[N,C,H,W] -> [N,C]`.
 ///
-/// # Panics
-///
-/// Panics if the input is not 4-D.
-pub fn global_avg_pool_forward(input: &Tensor) -> Tensor {
-    global_avg_pool_forward_with(input, Scratch::shared())
-}
-
-/// [`global_avg_pool_forward`] drawing the output buffer from `scratch`.
+/// Draws the output buffer from `scratch`.
 ///
 /// # Panics
 ///
@@ -290,16 +248,9 @@ pub fn global_avg_pool_forward_with(input: &Tensor, scratch: &Scratch) -> Tensor
     out
 }
 
-/// Backward pass of [`global_avg_pool_forward`].
+/// Backward pass of [`global_avg_pool_forward_with`].
 ///
-/// # Panics
-///
-/// Panics if shapes are inconsistent.
-pub fn global_avg_pool_backward(grad_output: &Tensor, input_dims: &[usize]) -> Tensor {
-    global_avg_pool_backward_with(grad_output, input_dims, Scratch::shared())
-}
-
-/// [`global_avg_pool_backward`] drawing the gradient buffer from `scratch`.
+/// Draws the gradient buffer from `scratch`.
 ///
 /// # Panics
 ///
@@ -341,23 +292,23 @@ mod tests {
             ],
             &[1, 1, 4, 4],
         );
-        let (y, _) = max_pool2d_forward(&x, 2, 2);
+        let (y, _) = max_pool2d_forward_with(&x, 2, 2, Scratch::shared());
         assert_eq!(y.data(), &[4.0, 8.0, 12.0, 16.0]);
     }
 
     #[test]
     fn max_pool_backward_routes_to_argmax() {
         let x = Tensor::from_vec(vec![1.0, 3.0, 2.0, 0.0], &[1, 1, 2, 2]);
-        let (_, cache) = max_pool2d_forward(&x, 2, 2);
+        let (_, cache) = max_pool2d_forward_with(&x, 2, 2, Scratch::shared());
         let gy = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]);
-        let gx = max_pool2d_backward(&gy, &cache);
+        let gx = max_pool2d_backward_with(&gy, &cache, Scratch::shared());
         assert_eq!(gx.data(), &[0.0, 5.0, 0.0, 0.0]);
     }
 
     #[test]
     fn avg_pool_matches_mean() {
         let x = Tensor::from_vec((1..=16).map(|v| v as f32).collect(), &[1, 1, 4, 4]);
-        let y = avg_pool2d_forward(&x, 2, 2);
+        let y = avg_pool2d_forward_with(&x, 2, 2, Scratch::shared());
         assert_eq!(y.data(), &[3.5, 5.5, 11.5, 13.5]);
     }
 
@@ -365,16 +316,17 @@ mod tests {
     fn avg_pool_backward_finite_differences() {
         let mut rng = Rng::seed_from(1);
         let x = Tensor::randn(&[1, 2, 4, 4], 1.0, &mut rng);
-        let y = avg_pool2d_forward(&x, 2, 2);
+        let y = avg_pool2d_forward_with(&x, 2, 2, Scratch::shared());
         let gy = Tensor::ones(y.shape().dims());
-        let gx = avg_pool2d_backward(&gy, x.shape().dims(), 2, 2);
+        let gx = avg_pool2d_backward_with(&gy, x.shape().dims(), 2, 2, Scratch::shared());
         let eps = 1e-2;
         for i in [0usize, 9, 21, 31] {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let num = (avg_pool2d_forward(&xp, 2, 2).sum() - avg_pool2d_forward(&xm, 2, 2).sum())
+            let num = (avg_pool2d_forward_with(&xp, 2, 2, Scratch::shared()).sum()
+                - avg_pool2d_forward_with(&xm, 2, 2, Scratch::shared()).sum())
                 / (2.0 * eps);
             assert!((num - gx.data()[i]).abs() < 1e-3);
         }
@@ -384,13 +336,13 @@ mod tests {
     fn global_avg_pool_roundtrip() {
         let mut rng = Rng::seed_from(2);
         let x = Tensor::randn(&[2, 3, 4, 4], 1.0, &mut rng);
-        let y = global_avg_pool_forward(&x);
+        let y = global_avg_pool_forward_with(&x, Scratch::shared());
         assert_eq!(y.shape().dims(), &[2, 3]);
         // Mean of channel 0 of sample 0.
         let expect: f32 = x.data()[0..16].iter().sum::<f32>() / 16.0;
         assert!((y.data()[0] - expect).abs() < 1e-5);
         let gy = Tensor::ones(&[2, 3]);
-        let gx = global_avg_pool_backward(&gy, x.shape().dims());
+        let gx = global_avg_pool_backward_with(&gy, x.shape().dims(), Scratch::shared());
         assert_close(&[gx.data().iter().sum::<f32>()], &[6.0], 1e-4);
     }
 
@@ -398,16 +350,16 @@ mod tests {
     fn max_pool_propagates_nan_windows() {
         // A window of injected NaNs must yield NaN, not −∞.
         let x = Tensor::from_vec(vec![f32::NAN, f32::NAN, f32::NAN, f32::NAN], &[1, 1, 2, 2]);
-        let (y, _) = max_pool2d_forward(&x, 2, 2);
+        let (y, _) = max_pool2d_forward_with(&x, 2, 2, Scratch::shared());
         assert!(y.data()[0].is_nan());
         // Any NaN in the window poisons the output, like the reference
         // frameworks — a silently dropped NaN would hide the fault.
         let x2 = Tensor::from_vec(vec![1.0, f32::NAN, 0.5, -2.0], &[1, 1, 2, 2]);
-        let (y2, _) = max_pool2d_forward(&x2, 2, 2);
+        let (y2, _) = max_pool2d_forward_with(&x2, 2, 2, Scratch::shared());
         assert!(y2.data()[0].is_nan());
         // Finite windows are untouched by the NaN branch.
         let x3 = Tensor::from_vec(vec![1.0, 3.0, 0.5, -2.0], &[1, 1, 2, 2]);
-        let (y3, _) = max_pool2d_forward(&x3, 2, 2);
+        let (y3, _) = max_pool2d_forward_with(&x3, 2, 2, Scratch::shared());
         assert_eq!(y3.data()[0], 3.0);
     }
 
@@ -433,10 +385,10 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
             &[1, 1, 3, 3],
         );
-        let (y, cache) = max_pool2d_forward(&x, 2, 1);
+        let (y, cache) = max_pool2d_forward_with(&x, 2, 1, Scratch::shared());
         assert_eq!(y.data(), &[5.0, 6.0, 8.0, 9.0]);
         let gy = Tensor::ones(&[1, 1, 2, 2]);
-        let gx = max_pool2d_backward(&gy, &cache);
+        let gx = max_pool2d_backward_with(&gy, &cache, Scratch::shared());
         // Each window winner receives exactly one unit.
         assert_eq!(gx.data()[4], 1.0); // value 5
         assert_eq!(gx.data()[8], 1.0); // value 9

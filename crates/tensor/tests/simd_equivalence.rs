@@ -83,10 +83,10 @@ fn gemm_sweep_is_bit_identical_across_levels() {
             bits(&ops::matmul(&a, &b))
         });
         assert_levels_agree(&format!("matmul_at_b {m}x{k}x{n} seed {seed}"), || {
-            bits(&ops::matmul_at_b(&at, &b))
+            bits(&ops::matmul_at_b_with(&at, &b, Scratch::shared()))
         });
         assert_levels_agree(&format!("matmul_a_bt {m}x{k}x{n} seed {seed}"), || {
-            bits(&ops::matmul_a_bt(&a, &bt))
+            bits(&ops::matmul_a_bt_with(&a, &bt, Scratch::shared()))
         });
     }
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The full local CI gate: formatting, lints, release build, all tests.
 # CI (.github/workflows/ci.yml) runs exactly this script, so a green local
-# run means a green pipeline.
+# run means a green pipeline. The one CI stage it does not run is the A/B
+# perf gate (the workflow's bench-ab job), because that needs two commits:
+# run `python3 scripts/bench_ab.py HEAD^1` for it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,6 +108,11 @@ test -s "$smoke_dir/scaling.json"
 ./target/release/tdfm figures "$smoke_dir/scaling.json" \
     --out "$smoke_dir/figures-scaling" > /dev/null
 test -s "$smoke_dir/figures-scaling/scaling_threads.svg"
+
+echo "== A/B perf gate: decision-rule tests =="
+# The gate itself (scripts/bench_ab.py) needs a base revision; its
+# decision rule is tested here on canned result documents.
+python3 scripts/test_bench_ab.py
 
 echo "== obs smoke: trace + manifest + tdfm report =="
 # Run the smallest harness binary with tracing on, then make `tdfm report`

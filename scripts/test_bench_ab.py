@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Unit tests of the A/B gate's decision, over canned result documents.
+
+Run: python3 scripts/test_bench_ab.py
+"""
+
+import json
+import os
+import sys
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from bench_ab import decide, parse_run  # noqa: E402
+
+END_TO_END = [
+    {"name": "units_per_s", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+]
+
+
+def run(units=100.0, setup=1.0, rss=40.0, correct=True, failed=0, exit_status=0):
+    values = {"units_per_s": units, "setup_s": setup, "peak_rss_mb": rss}
+    metrics = {k: {"value": v, "unit": "u"} for k, v in values.items()}
+    doc = {"correct": correct, "attempted": 1000, "failed": failed, "metrics": metrics}
+    return parse_run(exit_status, "workload w seed 1\n" + json.dumps(doc) + "\n")
+
+
+def verdict(changes, base=None):
+    return decide(END_TO_END, {"w": [(base or run(), c) for c in changes]})
+
+
+class DecideTest(unittest.TestCase):
+    def test_metrics_within_their_bounds_pass(self):
+        rows, failures = verdict([run(units=90.0, setup=1.2, rss=43.0)] * 5)
+        self.assertEqual(failures, [])
+        self.assertEqual([r[:4] + r[5:] for r in rows[:1]], [("w", "units_per_s", 100.0, 90.0, 0.25)])
+        self.assertAlmostEqual(rows[0][4], 100.0 / 90.0)
+
+    def test_fewer_units_per_second_beyond_the_bound_fail(self):
+        _, failures = decide(END_TO_END, {"campaign-cifar": [(run(), run(units=79.0))] * 5})
+        self.assertEqual(len(failures), 1)
+        self.assertIn("campaign-cifar: units_per_s", failures[0])
+
+    def test_setup_time_is_lower_is_better(self):
+        _, up = verdict([run(setup=1.3)] * 5)
+        self.assertEqual(len(up), 1)
+        self.assertIn("setup_s", up[0])
+        self.assertEqual(verdict([run(setup=0.5)] * 5)[1], [])
+
+    def test_one_outlier_pair_does_not_fail_the_median(self):
+        rows, failures = verdict([run(units=20.0, setup=5.0, rss=90.0)] + [run()] * 4)
+        self.assertEqual(failures, [])
+        self.assertEqual(rows[0][4], 1.0)
+
+    def test_a_failed_change_unit_fails_despite_good_timings(self):
+        _, failures = verdict([run(units=200.0, correct=False, failed=1)] + [run()] * 4)
+        self.assertEqual(failures, ["w: change run of pair 1: correct: false"])
+
+    def test_a_missing_result_or_a_crash_fails(self):
+        changes = [run()] * 5
+        changes[2] = parse_run(0, "benchmark build failed\n")
+        changes[4] = run(exit_status=101)
+        self.assertEqual(
+            verdict(changes)[1],
+            ["w: change run of pair 3: no result document", "w: change run of pair 5: exit status 101"],
+        )
+
+    def test_base_side_pin_failures_do_not_fail_the_gate(self):
+        self.assertEqual(verdict([run()] * 5, base=run(correct=False, failed=3))[1], [])
+
+
+if __name__ == "__main__":
+    unittest.main()
