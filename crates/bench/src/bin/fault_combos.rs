@@ -1,10 +1,6 @@
 //! Regenerates the Section IV-C combined-fault experiments: injecting two
 //! fault types together and checking the AD is statistically similar to
 //! the dominant individual fault type.
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
 use tdfm_bench::{ad_cell, banner, results_to_json, write_json, write_manifest};
 use tdfm_core::{ExperimentConfig, ExperimentResult, Runner, TechniqueKind};
@@ -24,7 +20,7 @@ fn plan_config(scale: Scale, plan: FaultPlan) -> ExperimentConfig {
     }
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     banner(
         "Section IV-C: combined fault types (GTSRB, ConvNet)",
@@ -98,12 +94,9 @@ fn main() {
     }
 
     let owned: Vec<ExperimentResult> = all.into_iter().cloned().collect();
-    match write_json("fault_combos.json", &results_to_json(&owned)) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
-    match write_manifest("fault_combos", &runner, &owned) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write manifest: {e}"),
-    }
+    let path = write_json("fault_combos.json", &results_to_json(&owned))?;
+    println!("\nwrote {}", path.display());
+    let path = write_manifest("fault_combos", &runner.manifest("fault_combos", &owned))?;
+    println!("wrote {}", path.display());
+    Ok(())
 }

@@ -9,10 +9,6 @@
 //!
 //! Each panel is printed as the numeric series plus an ASCII bar chart of
 //! the 30% column (the paper's middle dose).
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
 use tdfm_bench::{ad_cell, banner, render_bars, results_to_json, write_json, write_manifest};
 use tdfm_core::{ExperimentConfig, ExperimentResult, Runner, TechniqueKind};
@@ -84,7 +80,7 @@ fn print_panel(name: &str, rows: &[(TechniqueKind, Vec<ExperimentResult>)]) {
     println!("\n{}", render_bars("AD at 30% (bar chart):", &bars));
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     banner(
         "Fig. 3: AD on GTSRB (a-d mislabelling, e-h removal)",
@@ -132,17 +128,14 @@ fn main() {
         print_panel(name, &rows);
         results.extend(rows.into_iter().flat_map(|(_, s)| s));
     }
-    match write_json("fig3.json", &results_to_json(&results)) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
-    match write_manifest("fig3", &runner, &results) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write manifest: {e}"),
-    }
+    let path = write_json("fig3.json", &results_to_json(&results))?;
+    println!("wrote {}", path.display());
+    let path = write_manifest("fig3", &runner.manifest("fig3", &results))?;
+    println!("wrote {}", path.display());
     println!(
         "\nPaper shape check: baseline AD grows with mislabelling; LS and Ens lowest;\n\
          KD good at 10% but worse than baseline at 30-50%; removal ADs much lower\n\
          than mislabelling ADs across the board."
     );
+    Ok(())
 }

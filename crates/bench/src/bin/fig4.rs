@@ -5,10 +5,6 @@
 //! back in submission order, so the printed output matches a sequential
 //! run. Each panel is printed as the numeric series plus an ASCII bar
 //! chart of the 30% column.
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
 use tdfm_bench::{ad_cell, banner, render_bars, results_to_json, write_json, write_manifest};
 use tdfm_core::{ExperimentConfig, ExperimentResult, Runner, TechniqueKind};
@@ -18,7 +14,7 @@ use tdfm_nn::models::ModelKind;
 
 const PERCENTS: [f32; 3] = [10.0, 30.0, 50.0];
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     banner("Fig. 4: AD across datasets", scale, "Section IV-D, Fig. 4");
     // Panels in the paper's order: (a)-(f).
@@ -109,18 +105,15 @@ fn main() {
         }
         println!("\n{}", render_bars("AD at 30% (bar chart):", &bars));
     }
-    match write_json("fig4.json", &results_to_json(&results)) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
-    match write_manifest("fig4", &runner, &results) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write manifest: {e}"),
-    }
+    let path = write_json("fig4.json", &results_to_json(&results))?;
+    println!("wrote {}", path.display());
+    let path = write_manifest("fig4", &runner.manifest("fig4", &results))?;
+    println!("wrote {}", path.display());
     println!(
         "\nPaper shape check: CIFAR-10 and Pneumonia mislabelling ADs higher than\n\
          GTSRB's; repetition ADs low everywhere; Ens lowest overall, LS second;\n\
          LC best at 50% mislabelling on the few-class datasets (a, e) but not on\n\
          GTSRB (c)."
     );
+    Ok(())
 }

@@ -8,14 +8,8 @@
 //! delta against the model's own fault-free predictions. Weight flips are
 //! applied and reverted bit-exactly via the XOR involution; activation
 //! flips ride the `Network` forward hook.
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
-use tdfm_bench::{
-    ad_cell, banner, model_fault_results_to_json, pct, write_json, write_model_fault_manifest,
-};
+use tdfm_bench::{ad_cell, banner, pct, results_to_json, write_json, write_manifest};
 use tdfm_core::model_fault::{ModelFaultRunner, ModelFaultSweep};
 use tdfm_core::TechniqueKind;
 use tdfm_data::{DatasetKind, Scale};
@@ -44,7 +38,7 @@ fn plans() -> Vec<ModelFaultPlan> {
     plans
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     banner(
         "Model-fault study: SEU bit-flips in weights and activations",
@@ -92,16 +86,13 @@ fn main() {
         println!("  {:<6} = {}", h, plan.label());
     }
 
-    match write_json("model_faults.json", &model_fault_results_to_json(&results)) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
-    match write_model_fault_manifest("model_faults", &runner, &results) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write manifest: {e}"),
-    }
+    let path = write_json("model_faults.json", &results_to_json(&results))?;
+    println!("\nwrote {}", path.display());
+    let path = write_manifest("model_faults", &runner.manifest("model_faults", &results))?;
+    println!("wrote {}", path.display());
     println!(
         "\nShape check: weight faults hurt more as the flip count grows; fault-aware\n\
          training (FAT) should sit below the baseline under weight faults."
     );
+    Ok(())
 }

@@ -3,10 +3,6 @@
 //!
 //! Paper numbers: golden 90%, faulty 55%; technique ADs of 5% (LS),
 //! 29% (LC), 15% (RL), 13% (KD), 5% (Ens).
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
 use tdfm_bench::{ad_cell, banner, pct, results_to_json, write_json, write_manifest};
 use tdfm_core::{ExperimentConfig, Runner, TechniqueKind};
@@ -14,7 +10,7 @@ use tdfm_data::{DatasetKind, Scale};
 use tdfm_inject::{FaultKind, FaultPlan};
 use tdfm_nn::models::ModelKind;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     banner(
         "Motivating example: Pneumonia + ResNet50 + 10% mislabelling",
@@ -76,16 +72,13 @@ fn main() {
             paper
         );
     }
-    match write_json("motivating.json", &results_to_json(&results)) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
-    match write_manifest("motivating", &runner, &results) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write manifest: {e}"),
-    }
+    let path = write_json("motivating.json", &results_to_json(&results))?;
+    println!("\nwrote {}", path.display());
+    let path = write_manifest("motivating", &runner.manifest("motivating", &results))?;
+    println!("wrote {}", path.display());
     println!(
         "\nPaper shape check: mislabelling costs the unprotected model real accuracy;\n\
          LS and Ens should be the two lowest-AD techniques."
     );
+    Ok(())
 }

@@ -4,17 +4,13 @@
 //! Paper expectations: inference 1x for everything except ensembles (5x);
 //! training lowest for LS (~1x), ~1.5x for KD, higher for LC, highest for
 //! ensembles (~5x).
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
 use tdfm_bench::{banner, write_json};
 use tdfm_core::overhead::measure_overheads;
 use tdfm_data::{DatasetKind, Scale};
 use tdfm_nn::models::ModelKind;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     banner("Section IV-E: runtime overheads", scale, "Section IV-E");
     let mut all = Vec::new();
@@ -42,12 +38,11 @@ fn main() {
         all.extend(rows);
     }
     let json = tdfm_json::to_string_pretty(&all);
-    match write_json("overhead.json", &json) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    let path = write_json("overhead.json", &json)?;
+    println!("wrote {}", path.display());
     println!(
         "\nPaper shape check: Ens ~5x in both phases; KD between 1.5x and 2x training;\n\
          LS ~1x; LC above the single-model techniques."
     );
+    Ok(())
 }

@@ -6,14 +6,8 @@
 //! with one shard mislabelled at the paper's three fault rates; the table
 //! reports the accuracy delta against the aggregator's own clean run plus
 //! how often the FedDebug-style localizer ranked the injected shard first.
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
-use tdfm_bench::{
-    ad_cell, banner, pct, shard_fault_results_to_json, write_json, write_shard_fault_manifest,
-};
+use tdfm_bench::{ad_cell, banner, pct, results_to_json, write_json, write_manifest};
 use tdfm_core::{AggregatorKind, ShardFaultRunner, ShardFaultSweep};
 use tdfm_data::{DatasetKind, Scale};
 use tdfm_inject::ShardFaultPlan;
@@ -35,7 +29,7 @@ fn plans() -> Vec<ShardFaultPlan> {
     plans
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     banner(
         "Byzantine-robust sharded training: one faulty shard in eight",
@@ -77,16 +71,13 @@ fn main() {
          often the localizer's top suspect was the injected shard."
     );
 
-    match write_json("shard_faults.json", &shard_fault_results_to_json(&results)) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
-    match write_shard_fault_manifest("shard_faults", &runner, &results) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write manifest: {e}"),
-    }
+    let path = write_json("shard_faults.json", &results_to_json(&results))?;
+    println!("\nwrote {}", path.display());
+    let path = write_manifest("shard_faults", &runner.manifest("shard_faults", &results))?;
+    println!("wrote {}", path.display());
     println!(
         "\nShape check: Mean degrades as the victim rate grows; TrimmedMean/Median/\n\
          CTMA stay near zero AD, and the localizer fingers shard {VICTIM} at the top rate."
     );
+    Ok(())
 }

@@ -1,12 +1,8 @@
 //! Regenerates Table I: the survey's technique-selection matrix.
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
 use tdfm_survey::{catalog, render_table_i, select_representatives};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cat = catalog();
     print!("{}", render_table_i(&cat));
     println!();
@@ -16,8 +12,7 @@ fn main() {
         println!("  {:<24} -> {} {}", t.approach.name(), t.name, t.reference);
     }
     let json = tdfm_json::to_string_pretty(&cat);
-    match tdfm_bench::write_json("table1.json", &json) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    let path = tdfm_bench::write_json("table1.json", &json)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
 }

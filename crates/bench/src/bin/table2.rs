@@ -1,14 +1,10 @@
 //! Regenerates Table II: the dataset registry (paper statistics plus the
 //! synthetic analogue sizes at the current scale).
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
 use tdfm_bench::banner;
 use tdfm_data::{DatasetKind, Scale};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     banner(
         "Table II: image classification datasets",
@@ -37,8 +33,7 @@ fn main() {
     assert_eq!(tt.train.classes(), 43);
     let infos: Vec<_> = DatasetKind::ALL.iter().map(|k| k.info()).collect();
     let json = tdfm_json::to_string_pretty(&infos);
-    match tdfm_bench::write_json("table2.json", &json) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    let path = tdfm_bench::write_json("table2.json", &json)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
 }

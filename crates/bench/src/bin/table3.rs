@@ -1,15 +1,11 @@
 //! Regenerates Table III: the architecture registry, with live parameter
 //! counts at the current scale's width.
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
 use tdfm_bench::banner;
 use tdfm_data::Scale;
 use tdfm_nn::models::{ModelConfig, ModelKind};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     banner(
         "Table III: neural network architectures",
@@ -40,8 +36,7 @@ fn main() {
     }
     let infos: Vec<_> = ModelKind::ALL.iter().map(|k| k.info()).collect();
     let json = tdfm_json::to_string_pretty(&infos);
-    match tdfm_bench::write_json("table3.json", &json) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    let path = tdfm_bench::write_json("table3.json", &json)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
 }

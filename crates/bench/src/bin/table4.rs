@@ -7,10 +7,6 @@
 //!
 //! Paper layout: rows = (model, dataset), columns = Base, LS, LC, RL, KD,
 //! Ens; datasets 1 = CIFAR-10, 2 = GTSRB, 3 = Pneumonia.
-#![allow(
-    clippy::print_stderr,
-    reason = "a CLI front end reports to its user on stderr"
-)]
 
 use tdfm_bench::{banner, pct, results_to_json, write_json, write_manifest};
 use tdfm_core::{ExperimentConfig, Runner, TechniqueKind};
@@ -18,7 +14,7 @@ use tdfm_data::{DatasetKind, Scale};
 use tdfm_inject::FaultPlan;
 use tdfm_nn::models::ModelKind;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
     banner(
         "Table IV: accuracies without fault injection",
@@ -76,16 +72,13 @@ fn main() {
             println!();
         }
     }
-    match write_json("table4.json", &results_to_json(&results)) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
-    match write_manifest("table4", &runner, &results) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write manifest: {e}"),
-    }
+    let path = write_json("table4.json", &results_to_json(&results))?;
+    println!("\nwrote {}", path.display());
+    let path = write_manifest("table4", &runner.manifest("table4", &results))?;
+    println!("wrote {}", path.display());
     println!(
         "\nPaper shape check: techniques should not collapse the golden accuracy in most \
          cells;\nLC and RL may degrade on Pneumonia (small dataset), as in the paper."
     );
+    Ok(())
 }

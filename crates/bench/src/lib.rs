@@ -20,6 +20,10 @@
 //! | `ablation`     | DESIGN.md §4 (ensemble diversity, KD, LC, LS)  |
 //! | `shard_faults` | DESIGN.md §2.10 (Byzantine-robust aggregation) |
 //!
+//! Every binary writes its results with [`write_json`] (a runner's
+//! results serialised by [`results_to_json`]) and its run manifest with
+//! [`write_manifest`]; a failed write makes the binary exit non-zero.
+//!
 //! [`figures`] turns those result documents into SVG charts (`tdfm
 //! figures`). [`harness`] and [`compare`] back the `benches/` wall-clock
 //! micro-benchmarks and the `training_step --compare` gate; the A/B perf
@@ -29,10 +33,10 @@ pub mod compare;
 pub mod figures;
 pub mod harness;
 
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use tdfm_core::{ExperimentResult, Runner};
+use std::path::PathBuf;
 use tdfm_data::Scale;
+use tdfm_json::ToJson;
+use tdfm_obs::RunManifest;
 
 /// Where experiment binaries drop their JSON results.
 pub fn results_dir() -> PathBuf {
@@ -53,84 +57,27 @@ pub fn write_json(name: &str, payload: &str) -> std::io::Result<PathBuf> {
     let dir = results_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(name);
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(payload.as_bytes())?;
+    std::fs::write(&path, payload)?;
     Ok(path)
 }
 
-/// Writes the run's manifest next to its results under [`results_dir`]
-/// as `<stem>.manifest.json` (e.g. `results/table4.manifest.json`): the
-/// grid with per-cell wall times plus the runner's and the process-global
-/// metrics. `tdfm report` consumes it.
+/// Writes a run's manifest next to its results under [`results_dir`] as
+/// `<stem>.manifest.json` (e.g. `results/table4.manifest.json`); `tdfm
+/// report` consumes it.
 ///
 /// # Errors
 ///
 /// Returns any filesystem error encountered.
-pub fn write_manifest(
-    stem: &str,
-    runner: &Runner,
-    results: &[ExperimentResult],
-) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{stem}.manifest.json"));
-    runner.manifest(stem, results).write(&path)?;
+pub fn write_manifest(stem: &str, manifest: &RunManifest) -> std::io::Result<PathBuf> {
+    let path = results_dir().join(format!("{stem}.manifest.json"));
+    manifest.write(&path)?;
     Ok(path)
 }
 
-/// Serialises a batch of experiment results to one JSON array document.
-pub fn results_to_json(results: &[ExperimentResult]) -> String {
-    let inner: Vec<String> = results.iter().map(|r| r.to_json()).collect();
-    format!("[\n{}\n]", inner.join(",\n"))
-}
-
-/// [`write_manifest`] for the model-fault runner: writes
-/// `<stem>.manifest.json` under [`results_dir`]; `tdfm report` reads it
-/// with the same code path as the data-fault manifests.
-///
-/// # Errors
-///
-/// Returns any filesystem error encountered.
-pub fn write_model_fault_manifest(
-    stem: &str,
-    runner: &tdfm_core::ModelFaultRunner,
-    results: &[tdfm_core::ModelFaultResult],
-) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{stem}.manifest.json"));
-    runner.manifest(stem, results).write(&path)?;
-    Ok(path)
-}
-
-/// Serialises a batch of model-fault results to one JSON array document.
-pub fn model_fault_results_to_json(results: &[tdfm_core::ModelFaultResult]) -> String {
-    let inner: Vec<String> = results.iter().map(|r| r.to_json()).collect();
-    format!("[\n{}\n]", inner.join(",\n"))
-}
-
-/// [`write_manifest`] for the sharded-training runner: writes
-/// `<stem>.manifest.json` under [`results_dir`]; `tdfm report` reads it
-/// with the same code path as the data-fault manifests.
-///
-/// # Errors
-///
-/// Returns any filesystem error encountered.
-pub fn write_shard_fault_manifest(
-    stem: &str,
-    runner: &tdfm_core::ShardFaultRunner,
-    results: &[tdfm_core::ShardFaultResult],
-) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{stem}.manifest.json"));
-    runner.manifest(stem, results).write(&path)?;
-    Ok(path)
-}
-
-/// Serialises a batch of shard-fault results to one JSON array document.
-pub fn shard_fault_results_to_json(results: &[tdfm_core::ShardFaultResult]) -> String {
-    let inner: Vec<String> = results.iter().map(|r| r.to_json()).collect();
+/// Serialises a batch of results of any runner to one JSON array
+/// document, each element pretty-printed.
+pub fn results_to_json<T: ToJson>(results: &[T]) -> String {
+    let inner: Vec<String> = results.iter().map(tdfm_json::to_string_pretty).collect();
     format!("[\n{}\n]", inner.join(",\n"))
 }
 
@@ -152,12 +99,6 @@ pub fn pct(x: f32) -> String {
 /// both in percent).
 pub fn ad_cell(ci: &tdfm_core::ConfidenceInterval) -> String {
     format!("{:5.1} ± {:4.1}", 100.0 * ci.mean, 100.0 * ci.half_width)
-}
-
-/// `true` when a results file exists (lets EXPERIMENTS.md link stable
-/// artefacts).
-pub fn result_exists(name: &str) -> bool {
-    Path::new(&results_dir()).join(name).exists()
 }
 
 /// Renders one figure panel as horizontal ASCII bars — the terminal
@@ -234,7 +175,6 @@ mod tests {
         std::env::set_var("TDFM_RESULTS", "/tmp/tdfm-test-results");
         let path = write_json("unit.json", "[]").unwrap();
         assert!(path.exists());
-        assert!(result_exists("unit.json"));
         std::fs::remove_file(path).unwrap();
         std::env::remove_var("TDFM_RESULTS");
     }

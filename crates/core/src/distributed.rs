@@ -34,10 +34,9 @@
 //! reducer's result — are bit for bit those of a per-coordinate
 //! `sort_unstable_by(f32::total_cmp)`.
 
-use crate::experiment::run_indexed;
+use crate::experiment::{rep_seed, run_indexed, CellResult, RunLog};
 use crate::metrics::{accuracy, accuracy_delta, ConfidenceInterval};
 use crate::technique::EVAL_BATCH;
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -51,8 +50,7 @@ use tdfm_nn::trainer::{
     StateSnapshot,
 };
 use tdfm_nn::Network;
-use tdfm_obs::{event, span, Level, ManifestCell, ProvenanceRecord, RunManifest};
-use tdfm_tensor::parallel::num_threads;
+use tdfm_obs::{event, span, Level, ManifestCell, RunManifest};
 use tdfm_tensor::rng::Rng;
 use tdfm_tensor::{Scratch, Tensor};
 
@@ -838,11 +836,6 @@ json_struct!(ShardFaultResult {
 });
 
 impl ShardFaultResult {
-    /// Serialises the result as pretty JSON.
-    pub fn to_json(&self) -> String {
-        tdfm_json::to_string_pretty(self)
-    }
-
     /// Zeroes the wall-clock field — everything else is a deterministic
     /// function of the sweep, so normalised results diff byte-for-byte.
     pub fn normalize_timings(&mut self) {
@@ -881,25 +874,38 @@ fn split_holdouts(shards: &[LabeledDataset]) -> (Vec<LabeledDataset>, Vec<Labele
     (train, holdout)
 }
 
+impl CellResult for ShardFaultResult {
+    /// The aggregator rides in the cell's technique field.
+    fn manifest_cell(&self, index: usize) -> ManifestCell {
+        ManifestCell {
+            index,
+            dataset: self.dataset.name().to_string(),
+            model: self.model.name().to_string(),
+            technique: self.aggregator.clone(),
+            fault: self.fault_label.clone(),
+            scale: self.scale.name().to_string(),
+            repetitions: self.repetitions.len(),
+            seed: self.seed,
+            wall_seconds: self.wall_seconds,
+        }
+    }
+
+    fn ad_mean(&self) -> f32 {
+        self.ad.mean
+    }
+}
+
 /// Runs shard-fault sweeps, sharing one clean reference fit per
 /// (aggregator, repetition).
 ///
-/// Like the other runners, each instance owns a private metrics registry
-/// so fit counters stay exact when several runners share a process;
-/// [`ShardFaultRunner::manifest`] snapshots it and merges the process
-/// globals (including `aggregator_trims` and `shard_worker_drops`).
+/// Like the other runners, each instance keeps its metrics and its
+/// provenance (which shard was hit and where the flipped labels sat) in a
+/// `RunLog`; [`ShardFaultRunner::manifest`] writes it out merged with
+/// the process globals (including `aggregator_trims` and
+/// `shard_worker_drops`).
 #[derive(Default)]
 pub struct ShardFaultRunner {
-    metrics: tdfm_obs::Registry,
-    /// Injection provenance per cell identity (aggregator | fault label):
-    /// which shard was hit and where the flipped labels sat, summed over
-    /// repetitions.
-    provenance: Mutex<BTreeMap<String, ProvenanceBuilder>>,
-}
-
-/// The provenance-map key of an (aggregator, plan) cell.
-fn cell_key(aggregator: &str, fault_label: &str) -> String {
-    format!("{aggregator}|{fault_label}")
+    log: RunLog,
 }
 
 impl ShardFaultRunner {
@@ -912,12 +918,12 @@ impl ShardFaultRunner {
     /// sweep costs `aggregators × repetitions × (1 + faulty plans)` fits —
     /// clean plans reuse the reference fit).
     pub fn sharded_fits(&self) -> usize {
-        self.metrics.counter("sharded_fits").get() as usize
+        self.log.metrics.counter("sharded_fits").get() as usize
     }
 
     /// Snapshot of this runner's private metrics.
     pub fn metrics_snapshot(&self) -> tdfm_obs::MetricsSnapshot {
-        self.metrics.snapshot()
+        self.log.metrics.snapshot()
     }
 
     /// Runs the sweep, returning one result per (aggregator, plan) pair in
@@ -941,7 +947,8 @@ impl ShardFaultRunner {
             let kind = sweep.aggregators[a];
             let started = Instant::now();
             let results = self.run_aggregator(sweep, kind);
-            self.metrics
+            self.log
+                .metrics
                 .histogram("aggregator_seconds")
                 .record(started.elapsed());
             event!(
@@ -969,10 +976,7 @@ impl ShardFaultRunner {
         let mut walls = vec![0.0f64; sweep.plans.len()];
         let mut prov_per_plan = vec![ProvenanceBuilder::new(); sweep.plans.len()];
         for r in 0..sweep.repetitions {
-            let rep_seed = sweep
-                .seed
-                .wrapping_add(1 + r as u64)
-                .wrapping_mul(0x9E37_79B9);
+            let rep_seed = rep_seed(sweep.seed, r);
             let data = sweep.dataset.generate(sweep.scale, rep_seed);
             let shards = data.train.shards(sweep.workers);
             let shard_len = shards[0].len();
@@ -988,7 +992,7 @@ impl ShardFaultRunner {
             // Clean reference: same shards, same seeds, no fault. Shared by
             // every plan of this repetition.
             let (clean_train, clean_holdouts) = split_holdouts(&shards);
-            self.metrics.counter("sharded_fits").inc();
+            self.log.metrics.counter("sharded_fits").inc();
             let mut agg = kind.build();
             let (mut clean_net, clean_report) =
                 fit_sharded(sweep.model, &model_config, &clean_train, &cfg, agg.as_mut());
@@ -1015,7 +1019,7 @@ impl ShardFaultRunner {
                     let (faulty_shards, inj_report) = plan.apply(&shards, inject_seed);
                     prov_per_plan[p].extend(&inj_report.records);
                     let (faulty_train, faulty_holdouts) = split_holdouts(&faulty_shards);
-                    self.metrics.counter("sharded_fits").inc();
+                    self.log.metrics.counter("sharded_fits").inc();
                     let mut agg = kind.build();
                     let (mut net, report) = fit_sharded(
                         sweep.model,
@@ -1041,16 +1045,14 @@ impl ShardFaultRunner {
                 reps_per_plan[p].push(rep);
             }
         }
-        {
-            let mut provenance = self.provenance.lock().expect("provenance lock poisoned");
-            for (plan, prov) in sweep.plans.iter().zip(&prov_per_plan) {
-                if !prov.is_empty() {
-                    provenance
-                        .entry(cell_key(&name, &plan.label()))
-                        .or_default()
-                        .extend(&prov.records());
-                }
-            }
+        for (plan, prov) in sweep.plans.iter().zip(&prov_per_plan) {
+            self.log.add_provenance(
+                sweep.dataset,
+                sweep.model,
+                &name,
+                &plan.label(),
+                &prov.records(),
+            );
         }
         sweep
             .plans
@@ -1081,65 +1083,10 @@ impl ShardFaultRunner {
             .collect()
     }
 
-    /// Builds the run manifest for a batch of sweep results: one
-    /// [`ManifestCell`] per (aggregator, plan) cell (the aggregator rides
-    /// in the technique field) plus this runner's metrics merged with the
-    /// process-global registry, so `tdfm report` reads it like every other
-    /// manifest.
+    /// The run manifest of a batch of sweep results, one cell per
+    /// (aggregator, plan) pair; see [`crate::experiment::Runner::manifest`].
     pub fn manifest(&self, name: &str, results: &[ShardFaultResult]) -> RunManifest {
-        let scale = match results {
-            [] => "-".to_string(),
-            [first, rest @ ..] => {
-                if rest.iter().any(|r| r.scale != first.scale) {
-                    "mixed".to_string()
-                } else {
-                    first.scale.name().to_string()
-                }
-            }
-        };
-        let mut manifest = RunManifest::new(name, scale, num_threads());
-        manifest.cells = results
-            .iter()
-            .enumerate()
-            .map(|(index, result)| ManifestCell {
-                index,
-                dataset: result.dataset.name().to_string(),
-                model: result.model.name().to_string(),
-                technique: result.aggregator.clone(),
-                fault: result.fault_label.clone(),
-                scale: result.scale.name().to_string(),
-                repetitions: result.repetitions.len(),
-                seed: result.seed,
-                wall_seconds: result.wall_seconds,
-            })
-            .collect();
-        let provenance = self.provenance.lock().expect("provenance lock poisoned");
-        for (index, result) in results.iter().enumerate() {
-            // tdfm-lint: allow(lock-held-across-call, cell_key is a pure string formatter)
-            let Some(builder) = provenance.get(&cell_key(&result.aggregator, &result.fault_label))
-            else {
-                continue;
-            };
-            // tdfm-lint: allow(lock-held-across-call, records() clones out of the builder without taking any lock)
-            for r in builder.records() {
-                manifest.provenance.push(ProvenanceRecord {
-                    cell: index,
-                    source: "data".to_string(),
-                    kind: r.kind,
-                    target: r.target,
-                    bit_lo: r.bit_lo,
-                    bit_hi: r.bit_hi,
-                    bucket: r.bucket,
-                    count: r.count,
-                    ad_mean: result.ad.mean as f64,
-                });
-            }
-        }
-        drop(provenance);
-        let mut metrics = self.metrics.snapshot();
-        metrics.merge(&tdfm_obs::global().snapshot());
-        manifest.metrics = metrics;
-        manifest
+        self.log.manifest(name, results)
     }
 }
 
@@ -1148,7 +1095,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use tdfm_nn::trainer::{fit, TargetSource};
-    use tdfm_tensor::parallel::with_inner_threads;
+    use tdfm_tensor::parallel::{num_threads, with_inner_threads};
 
     /// Synthetic per-worker gradients: two tensors per worker, values drawn
     /// from a seeded normal stream.
@@ -1737,9 +1684,34 @@ mod tests {
             for r in &mut results {
                 r.normalize_timings();
             }
-            results.iter().map(|r| r.to_json()).collect::<Vec<_>>()
+            tdfm_json::to_string_pretty(&results)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn provenance_of_sweeps_differing_only_in_model_stays_apart() {
+        let sweep = |model| ShardFaultSweep {
+            model,
+            ..tiny_sweep(
+                vec![AggregatorKind::Mean],
+                vec![ShardFaultPlan::mislabel(1, 50.0)],
+            )
+        };
+        let alone = ShardFaultRunner::new();
+        let expected = alone
+            .manifest("unit", &alone.run_sweep(&sweep(ModelKind::ConvNet)))
+            .provenance;
+        assert!(!expected.is_empty());
+
+        let runner = ShardFaultRunner::new();
+        let first = runner.run_sweep(&sweep(ModelKind::ConvNet));
+        runner.run_sweep(&sweep(ModelKind::DeconvNet));
+        let manifest = runner.manifest("unit", &first);
+        assert_eq!(
+            manifest.provenance, expected,
+            "cell 0 sums only its own sweep"
+        );
     }
 
     #[test]

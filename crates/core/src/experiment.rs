@@ -5,9 +5,9 @@
 //! spread its 33 days of GPU time over a cluster:
 //!
 //! * [`Runner::run_grid`] fans independent experiment cells across worker
-//!   threads, and [`Runner::run_with`] does the same for the repetitions
-//!   inside one cell. Results are collected by index, so output order (and
-//!   the serialised JSON) is identical to a sequential run.
+//!   threads, and each cell does the same for its repetitions. Results are
+//!   collected by index, so output order (and the serialised JSON) is
+//!   identical to a sequential run.
 //! * Each worker hands the nested tensor kernels a reduced thread budget
 //!   via [`tdfm_tensor::parallel::with_inner_threads`], so grid-level and
 //!   kernel-level parallelism share one global budget instead of
@@ -16,6 +16,11 @@
 //! Golden-model and shared-fit caches are keyed maps of
 //! [`OnceLock`] slots: concurrent cells that need the same golden model
 //! block on one training instead of racing to train it twice.
+//!
+//! `RunLog` is the record of a run that all three fault runners share
+//! (this runner, [`crate::model_fault::ModelFaultRunner`] and
+//! [`crate::distributed::ShardFaultRunner`]): metrics, injection provenance
+//! and wall time, written out as one [`RunManifest`].
 
 use crate::metrics::{accuracy, accuracy_delta, ConfidenceInterval};
 use crate::technique::{Mitigation, TechniqueKind, TrainContext};
@@ -24,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use tdfm_data::{DatasetKind, Scale, TrainTest};
-use tdfm_inject::{split_clean, FaultPlan, Injector, ProvenanceBuilder};
+use tdfm_inject::{split_clean, FaultPlan, FaultRecord, Injector, ProvenanceBuilder};
 use tdfm_json::json_struct;
 use tdfm_nn::models::ModelKind;
 use tdfm_obs::{event, span, Level, ManifestCell, ProvenanceRecord, RunManifest};
@@ -157,13 +162,15 @@ struct OnceMap<K, V> {
     slots: Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>,
 }
 
-impl<K: std::hash::Hash + Eq + Clone, V> OnceMap<K, V> {
-    fn new() -> Self {
+impl<K, V> Default for OnceMap<K, V> {
+    fn default() -> Self {
         Self {
             slots: Mutex::new(HashMap::new()),
         }
     }
+}
 
+impl<K: std::hash::Hash + Eq + Clone, V> OnceMap<K, V> {
     fn get_or_compute(&self, key: &K, compute: impl FnOnce() -> V) -> Arc<V> {
         let slot = {
             let mut map = self.slots.lock().expect("cache lock poisoned");
@@ -171,15 +178,155 @@ impl<K: std::hash::Hash + Eq + Clone, V> OnceMap<K, V> {
         };
         Arc::clone(slot.get_or_init(|| Arc::new(compute())))
     }
+}
 
-    /// Number of keys whose value has been computed.
-    fn len(&self) -> usize {
-        self.slots
+/// A cell result a [`RunLog`] can write into a [`RunManifest`]: the result
+/// types of all three runners supply their manifest cell, the fault axis
+/// of their provenance and their AD.
+pub(crate) trait CellResult {
+    /// The cell's manifest entry at grid position `index`.
+    fn manifest_cell(&self, index: usize) -> ManifestCell;
+    /// Fault axis of the cell's provenance: `"data"` unless the result
+    /// says `"weights"` or `"activations"`.
+    fn provenance_source(&self) -> &'static str {
+        "data"
+    }
+    /// Mean accuracy delta, joined onto each of the cell's provenance
+    /// records.
+    fn ad_mean(&self) -> f32;
+}
+
+/// The provenance key of a cell: its [`ManifestCell`] identity (scale and
+/// seed are fixed per run and would only split identical cells apart).
+fn cell_identity(dataset: &str, model: &str, technique: &str, fault: &str) -> String {
+    format!("{dataset}|{model}|{technique}|{fault}")
+}
+
+/// The record of one run, held by each of the three fault runners.
+///
+/// It owns a private [`tdfm_obs::Registry`], so cache counters and
+/// cell/repetition timings stay exact even when several runners share a
+/// process (as the test suite does), and the injection provenance of every
+/// cell identity, summed over every repetition the runner executed for it.
+/// [`RunLog::manifest`] snapshots both, merged with the process-global
+/// registry, into a [`RunManifest`] stamped with the seconds since the log
+/// was created.
+pub(crate) struct RunLog {
+    pub(crate) metrics: tdfm_obs::Registry,
+    /// Keyed by [`cell_identity`]; a `BTreeMap` keeps manifest output
+    /// deterministic under thread fan-out.
+    provenance: Mutex<BTreeMap<String, ProvenanceBuilder>>,
+    started: Instant,
+}
+
+impl Default for RunLog {
+    fn default() -> Self {
+        Self {
+            metrics: tdfm_obs::Registry::new(),
+            provenance: Mutex::new(BTreeMap::new()),
+            started: Instant::now(),
+        }
+    }
+}
+
+impl RunLog {
+    /// Adds injection records to the cell (`dataset`, `model`,
+    /// `technique`, `fault`).
+    pub(crate) fn add_provenance(
+        &self,
+        dataset: DatasetKind,
+        model: ModelKind,
+        technique: &str,
+        fault: &str,
+        records: &[FaultRecord],
+    ) {
+        if records.is_empty() {
+            return;
+        }
+        let key = cell_identity(dataset.name(), model.name(), technique, fault);
+        self.provenance
             .lock()
-            .expect("cache lock poisoned")
-            .values()
-            .filter(|slot| slot.get().is_some())
-            .count()
+            .expect("provenance lock poisoned")
+            .entry(key)
+            .or_default()
+            .extend(records);
+    }
+
+    /// Builds the run manifest of a batch of results (see
+    /// [`Runner::manifest`]).
+    pub(crate) fn manifest<T: CellResult>(&self, name: &str, results: &[T]) -> RunManifest {
+        let cells: Vec<ManifestCell> = results
+            .iter()
+            .enumerate()
+            .map(|(index, result)| result.manifest_cell(index))
+            .collect();
+        let scale = match cells.split_first() {
+            None => "-",
+            Some((first, rest)) if rest.iter().any(|c| c.scale != first.scale) => "mixed",
+            Some((first, _)) => first.scale.as_str(),
+        };
+        let mut manifest = RunManifest::new(name, scale, num_threads());
+        // A snapshot, so no lock is held while the results are joined.
+        let provenance = self
+            .provenance
+            .lock()
+            .expect("provenance lock poisoned")
+            .clone();
+        for (cell, result) in cells.iter().zip(results) {
+            let key = cell_identity(&cell.dataset, &cell.model, &cell.technique, &cell.fault);
+            let Some(builder) = provenance.get(&key) else {
+                continue;
+            };
+            manifest
+                .provenance
+                .extend(builder.records().into_iter().map(|r| ProvenanceRecord {
+                    cell: cell.index,
+                    source: result.provenance_source().to_string(),
+                    kind: r.kind,
+                    target: r.target,
+                    bit_lo: r.bit_lo,
+                    bit_hi: r.bit_hi,
+                    bucket: r.bucket,
+                    count: r.count,
+                    ad_mean: result.ad_mean() as f64,
+                }));
+        }
+        manifest.cells = cells;
+        let mut metrics = self.metrics.snapshot();
+        metrics.merge(&tdfm_obs::global().snapshot());
+        manifest.metrics = metrics;
+        manifest.wall_seconds = self.started.elapsed().as_secs_f64();
+        manifest
+    }
+}
+
+/// The seed of repetition `r` under base seed `seed`, the same rule on
+/// every runner.
+pub(crate) fn rep_seed(seed: u64, r: usize) -> u64 {
+    seed.wrapping_add(1 + r as u64).wrapping_mul(0x9E37_79B9)
+}
+
+impl CellResult for ExperimentResult {
+    fn manifest_cell(&self, index: usize) -> ManifestCell {
+        ManifestCell {
+            index,
+            dataset: self.config.dataset.name().to_string(),
+            model: self.config.model.name().to_string(),
+            technique: self.config.technique.full_name().to_string(),
+            fault: self.fault_label.clone(),
+            scale: self.config.scale.name().to_string(),
+            repetitions: self.config.repetitions,
+            seed: self.config.seed,
+            wall_seconds: self
+                .repetitions
+                .iter()
+                .map(|rep| rep.train_seconds + rep.infer_seconds)
+                .sum(),
+        }
+    }
+
+    fn ad_mean(&self) -> f32 {
+        self.ad.mean
     }
 }
 
@@ -188,48 +335,13 @@ impl<K: std::hash::Hash + Eq + Clone, V> OnceMap<K, V> {
 /// The golden model for a `(dataset, model, scale, repetition-seed)` tuple
 /// is shared by every technique and fault amount, and fitted ensembles are
 /// shared across per-model panels — the same sharing the paper exploits to
-/// keep 33 days of GPU time tractable.
-///
-/// Each runner owns a private [`tdfm_obs::Registry`] so cache counters and
-/// cell/repetition timings stay exact even when several runners share a
-/// process (as the test suite does); [`Runner::manifest`] snapshots it,
-/// merged with the process-global registry, into a [`RunManifest`].
+/// keep 33 days of GPU time tractable. The run's metrics and provenance
+/// live in its `RunLog`.
+#[derive(Default)]
 pub struct Runner {
     golden: OnceMap<GoldenKey, GoldenEntry>,
     shared: OnceMap<SharedKey, SharedFit>,
-    metrics: tdfm_obs::Registry,
-    /// Injection provenance accumulated per cell identity (dataset |
-    /// model | technique | fault label), summed over every repetition
-    /// this runner executed for that identity; [`Runner::manifest`] joins
-    /// it against the matching results' AD. A `BTreeMap` keeps manifest
-    /// output deterministic under [`Runner::run_grid`]'s thread fan-out.
-    provenance: Mutex<BTreeMap<String, ProvenanceBuilder>>,
-    cache_dir: Option<std::path::PathBuf>,
-}
-
-impl Default for Runner {
-    fn default() -> Self {
-        Self {
-            golden: OnceMap::new(),
-            shared: OnceMap::new(),
-            metrics: tdfm_obs::Registry::new(),
-            provenance: Mutex::new(BTreeMap::new()),
-            cache_dir: None,
-        }
-    }
-}
-
-/// The provenance-map key of a cell: every config field that identifies
-/// a [`ManifestCell`] (scale and seed excluded — they are already fixed
-/// per run and would only split identical cells apart).
-fn cell_key(config: &ExperimentConfig) -> String {
-    format!(
-        "{}|{}|{}|{}",
-        config.dataset.name(),
-        config.model.name(),
-        config.technique.full_name(),
-        config.fault_plan.label()
-    )
+    log: RunLog,
 }
 
 /// Runs `work(0..count)` on up to [`num_threads`] workers, collecting the
@@ -281,48 +393,21 @@ impl Runner {
         Self::default()
     }
 
-    /// Creates a runner that additionally persists golden predictions to
-    /// `dir`, so repeated harness invocations skip retraining golden
-    /// models (created on first write).
-    pub fn with_cache_dir(dir: impl Into<std::path::PathBuf>) -> Self {
-        Self {
-            cache_dir: Some(dir.into()),
-            ..Self::default()
-        }
-    }
-
-    /// Number of cached golden models (useful for tests/diagnostics).
-    pub fn golden_cache_len(&self) -> usize {
-        self.golden.len()
-    }
-
-    /// Number of golden models actually *trained* (disk-cache hits and
-    /// in-memory hits don't count). Under [`Runner::run_grid`] this must
-    /// equal the number of distinct golden keys, however many cells share
-    /// them — the regression guard for the cache's in-flight deduplication.
+    /// Number of golden models actually *trained* (cache hits don't
+    /// count). Under [`Runner::run_grid`] this must equal the number of
+    /// distinct golden keys, however many cells share them — the
+    /// regression guard for the cache's in-flight deduplication.
     ///
     /// Backed by this runner's `golden_trainings` metrics counter, which
     /// also lands in the run manifest.
     pub fn golden_trainings(&self) -> usize {
-        self.metrics.counter("golden_trainings").get() as usize
+        self.log.metrics.counter("golden_trainings").get() as usize
     }
 
     /// Snapshot of this runner's private metrics (cache counters, cell and
     /// repetition timings).
     pub fn metrics_snapshot(&self) -> tdfm_obs::MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    fn golden_cache_path(&self, key: &GoldenKey) -> Option<std::path::PathBuf> {
-        self.cache_dir.as_ref().map(|dir| {
-            dir.join(format!(
-                "golden-{}-{}-{}-{}.json",
-                key.0.name().replace('-', ""),
-                key.1.name(),
-                key.2.name(),
-                key.3
-            ))
-        })
+        self.log.metrics.snapshot()
     }
 
     fn golden_entry(
@@ -334,23 +419,9 @@ impl Runner {
         data: &TrainTest,
     ) -> Arc<GoldenEntry> {
         let key = (dataset, model, scale, rep_seed);
-        self.metrics.counter("golden_lookups").inc();
+        self.log.metrics.counter("golden_lookups").inc();
         self.golden.get_or_compute(&key, || {
-            // Second level: the on-disk cache, when configured.
-            if let Some(path) = self.golden_cache_path(&key) {
-                if let Ok(text) = std::fs::read_to_string(&path) {
-                    if let Ok(predictions) = tdfm_json::from_str::<Vec<u32>>(&text) {
-                        if predictions.len() == data.test.len() {
-                            self.metrics.counter("golden_disk_hits").inc();
-                            return GoldenEntry {
-                                accuracy: accuracy(&predictions, data.test.labels()),
-                                predictions,
-                            };
-                        }
-                    }
-                }
-            }
-            self.metrics.counter("golden_trainings").inc();
+            self.log.metrics.counter("golden_trainings").inc();
             event!(
                 Level::Debug,
                 "golden_training",
@@ -365,12 +436,6 @@ impl Runner {
                 .build()
                 .fit(model, &data.train, &ctx);
             let predictions = fitted.predict(data.test.images());
-            if let Some(path) = self.golden_cache_path(&key) {
-                if let Some(dir) = path.parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                let _ = std::fs::write(&path, tdfm_json::to_string(&predictions));
-            }
             GoldenEntry {
                 accuracy: accuracy(&predictions, data.test.labels()),
                 predictions,
@@ -392,33 +457,22 @@ impl Runner {
         self.run_with(config, technique.as_ref())
     }
 
-    /// Runs one experiment cell with a caller-provided technique (used by
-    /// the ablation studies, e.g. homogeneous ensembles). The
+    /// Runs one experiment cell with a caller-provided technique; the
     /// `config.technique` field is kept for reporting only.
     ///
     /// Repetitions execute on worker threads (within the current thread
     /// budget) and are collected by index, so the aggregated result is
     /// identical to a sequential run: each repetition is a deterministic
     /// function of its derived seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repetitions == 0`.
-    pub fn run_with(
-        &self,
-        config: &ExperimentConfig,
-        technique: &dyn Mitigation,
-    ) -> ExperimentResult {
+    fn run_with(&self, config: &ExperimentConfig, technique: &dyn Mitigation) -> ExperimentResult {
         assert!(config.repetitions > 0, "need at least one repetition");
         let reps = run_indexed(config.repetitions, |r| {
-            let rep_seed = config
-                .seed
-                .wrapping_add(1 + r as u64)
-                .wrapping_mul(0x9E37_79B9);
+            let rep_seed = rep_seed(config.seed, r);
             let _rep_span = span!("repetition", rep = r, seed = rep_seed);
             let started = Instant::now();
             let result = self.run_repetition(config, technique, rep_seed);
-            self.metrics
+            self.log
+                .metrics
                 .histogram("repetition_seconds")
                 .record(started.elapsed());
             result
@@ -456,14 +510,13 @@ impl Runner {
         } else {
             injector.apply(&data.train, &config.fault_plan)
         };
-        if !injection.records.is_empty() {
-            self.provenance
-                .lock()
-                .expect("provenance lock poisoned")
-                .entry(cell_key(config))
-                .or_default()
-                .extend(&injection.records);
-        }
+        self.log.add_provenance(
+            config.dataset,
+            config.model,
+            config.technique.full_name(),
+            &config.fault_plan.label(),
+            &injection.records,
+        );
 
         let shared_key: Option<SharedKey> = if technique.model_independent() {
             Some((
@@ -477,7 +530,7 @@ impl Runner {
             None
         };
         let fit_once = || {
-            self.metrics.counter("technique_fits").inc();
+            self.log.metrics.counter("technique_fits").inc();
             let t0 = Instant::now();
             let mut fitted = technique.fit(config.model, &faulty_train, &ctx);
             let train_seconds = t0.elapsed().as_secs_f64();
@@ -506,11 +559,6 @@ impl Runner {
             train_seconds: fit.train_seconds,
             infer_seconds: fit.infer_seconds,
         }
-    }
-
-    /// Runs several cells in sequence, returning results in input order.
-    pub fn run_all(&self, configs: &[ExperimentConfig]) -> Vec<ExperimentResult> {
-        configs.iter().map(|c| self.run(c)).collect()
     }
 
     /// Runs a grid of cells concurrently, returning results in input order.
@@ -557,10 +605,11 @@ impl Runner {
             );
             let started = Instant::now();
             let result = self.run_with(config, technique);
-            self.metrics
+            self.log
+                .metrics
                 .histogram("cell_seconds")
                 .record(started.elapsed());
-            self.metrics.counter("cells_completed").inc();
+            self.log.metrics.counter("cells_completed").inc();
             let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
             event!(
                 Level::Info,
@@ -577,84 +626,14 @@ impl Runner {
     }
 
     /// Builds the run manifest for a batch of results produced by this
-    /// runner: one [`ManifestCell`] per result (identity, seeds, summed
-    /// repetition wall time) plus this runner's metrics merged with the
-    /// process-global registry (kernel-op and span timings, grad-clip
-    /// counts). Harness binaries and `tdfm sweep` write this next to
-    /// their results files; `tdfm report` aggregates it back.
+    /// runner: one [`ManifestCell`] per result, each cell's injection
+    /// provenance joined with its AD, this runner's metrics merged with
+    /// the process-global registry (kernel-op and span timings, grad-clip
+    /// counts) and the run's wall time since the runner was created.
+    /// Harness binaries and `tdfm sweep` write it next to their results
+    /// files; `tdfm report` aggregates it back.
     pub fn manifest(&self, name: &str, results: &[ExperimentResult]) -> RunManifest {
-        let scale = match results {
-            [] => "-".to_string(),
-            [first, rest @ ..] => {
-                if rest.iter().any(|r| r.config.scale != first.config.scale) {
-                    "mixed".to_string()
-                } else {
-                    first.config.scale.name().to_string()
-                }
-            }
-        };
-        let mut manifest = RunManifest::new(name, scale, num_threads());
-        manifest.cells = results
-            .iter()
-            .enumerate()
-            .map(|(index, result)| ManifestCell {
-                index,
-                dataset: result.config.dataset.name().to_string(),
-                model: result.config.model.name().to_string(),
-                technique: result.config.technique.full_name().to_string(),
-                fault: result.fault_label.clone(),
-                scale: result.config.scale.name().to_string(),
-                repetitions: result.config.repetitions,
-                seed: result.config.seed,
-                wall_seconds: result
-                    .repetitions
-                    .iter()
-                    .map(|rep| rep.train_seconds + rep.infer_seconds)
-                    .sum(),
-            })
-            .collect();
-        let provenance = self.provenance.lock().expect("provenance lock poisoned");
-        for (index, result) in results.iter().enumerate() {
-            // tdfm-lint: allow(lock-held-across-call, cell_key is a pure string formatter)
-            let Some(builder) = provenance.get(&cell_key(&result.config)) else {
-                continue;
-            };
-            // tdfm-lint: allow(lock-held-across-call, records() clones out of the builder without taking any lock)
-            for r in builder.records() {
-                manifest.provenance.push(ProvenanceRecord {
-                    cell: index,
-                    source: "data".to_string(),
-                    kind: r.kind,
-                    target: r.target,
-                    bit_lo: r.bit_lo,
-                    bit_hi: r.bit_hi,
-                    bucket: r.bucket,
-                    count: r.count,
-                    ad_mean: result.ad.mean as f64,
-                });
-            }
-        }
-        drop(provenance);
-        let mut metrics = self.metrics.snapshot();
-        metrics.merge(&tdfm_obs::global().snapshot());
-        manifest.metrics = metrics;
-        manifest
-    }
-
-    /// Runs several cells on at most `workers` threads, returning results
-    /// in input order. Results are identical to [`Runner::run_all`] (minus
-    /// timings) because every cell is deterministic in its own seeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn run_all_parallel(
-        &self,
-        configs: &[ExperimentConfig],
-        workers: usize,
-    ) -> Vec<ExperimentResult> {
-        assert!(workers > 0, "need at least one worker");
-        with_inner_threads(workers, || self.run_grid(configs))
+        self.log.manifest(name, results)
     }
 }
 
@@ -697,10 +676,9 @@ mod tests {
     fn golden_cache_is_shared_across_techniques() {
         let runner = Runner::new();
         let _ = runner.run(&tiny_config(TechniqueKind::Baseline, 10.0));
-        let after_first = runner.golden_cache_len();
+        let after_first = runner.golden_trainings();
         let _ = runner.run(&tiny_config(TechniqueKind::LabelSmoothing, 10.0));
         // Same dataset/model/scale/seed tuple: no new golden trainings.
-        assert_eq!(runner.golden_cache_len(), after_first);
         assert_eq!(runner.golden_trainings(), after_first);
     }
 
@@ -739,8 +717,8 @@ mod tests {
             tiny_config(TechniqueKind::Baseline, 10.0),
             tiny_config(TechniqueKind::LabelSmoothing, 30.0),
         ];
-        let seq = runner.run_all(&configs);
-        let par = Runner::new().run_all_parallel(&configs, 2);
+        let seq: Vec<ExperimentResult> = configs.iter().map(|c| runner.run(c)).collect();
+        let par = with_inner_threads(2, || Runner::new().run_grid(&configs));
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.ad.mean, b.ad.mean);
             assert_eq!(a.faulty_accuracy.mean, b.faulty_accuracy.mean);
@@ -779,7 +757,6 @@ mod tests {
             6,
             "each golden key trains once"
         );
-        assert_eq!(grid_runner.golden_cache_len(), 6);
 
         for (mut a, mut b) in sequential.into_iter().zip(grid) {
             a.normalize_timings();
@@ -790,25 +767,6 @@ mod tests {
                 "grid output must match sequential"
             );
         }
-    }
-
-    #[test]
-    fn disk_cache_round_trips_golden_predictions() {
-        let dir = std::env::temp_dir().join("tdfm-golden-cache-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = tiny_config(TechniqueKind::Baseline, 10.0);
-        let first = Runner::with_cache_dir(&dir).run(&config);
-        // Cache files were written.
-        let entries = std::fs::read_dir(&dir).unwrap().count();
-        assert!(entries > 0, "no cache files written");
-        // A fresh runner reading the same cache reproduces the metrics
-        // without retraining.
-        let reader = Runner::with_cache_dir(&dir);
-        let second = reader.run(&config);
-        assert_eq!(reader.golden_trainings(), 0, "disk hits must not retrain");
-        assert_eq!(first.ad.mean, second.ad.mean);
-        assert_eq!(first.golden_accuracy.mean, second.golden_accuracy.mean);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

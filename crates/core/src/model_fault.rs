@@ -15,12 +15,11 @@
 //! model-fault analogue of the golden cache: a sweep of `P` plans at `R`
 //! repetitions costs `R` trainings per technique, not `P·R`.
 
-use crate::experiment::run_indexed;
+use crate::experiment::{rep_seed, run_indexed, CellResult, RunLog};
 use crate::metrics::{accuracy, accuracy_delta, ConfidenceInterval};
 use crate::technique::{FittedModel, TechniqueKind, TrainContext};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use tdfm_data::{DatasetKind, LabeledDataset, Scale};
 use tdfm_inject::model::{
@@ -31,8 +30,7 @@ use tdfm_inject::provenance::weight_provenance;
 use tdfm_inject::{split_clean, ProvenanceBuilder};
 use tdfm_json::json_struct;
 use tdfm_nn::models::ModelKind;
-use tdfm_obs::{event, Level, ManifestCell, ProvenanceRecord, RunManifest};
-use tdfm_tensor::parallel::num_threads;
+use tdfm_obs::{event, Level, ManifestCell, RunManifest};
 
 /// A model-fault sweep: every listed technique scored against every
 /// listed fault plan, sharing one fit per (technique, repetition).
@@ -123,11 +121,6 @@ json_struct!(ModelFaultResult {
 });
 
 impl ModelFaultResult {
-    /// Serialises the result as pretty JSON.
-    pub fn to_json(&self) -> String {
-        tdfm_json::to_string_pretty(self)
-    }
-
     /// Zeroes the wall-clock field — everything else is a deterministic
     /// function of the sweep, so normalised results diff byte-for-byte.
     pub fn normalize_timings(&mut self) {
@@ -135,25 +128,43 @@ impl ModelFaultResult {
     }
 }
 
-/// Runs model-fault sweeps, sharing one technique fit across fault plans.
-///
-/// Like [`crate::experiment::Runner`], each runner owns a private metrics
-/// registry so fit counters and scoring timings stay exact when several
-/// runners share a process; [`ModelFaultRunner::manifest`] snapshots it.
-#[derive(Default)]
-pub struct ModelFaultRunner {
-    metrics: tdfm_obs::Registry,
-    /// Model-fault provenance per cell identity (technique | fault
-    /// label): which (tensor, bit) pairs the applied instances hit, and
-    /// how many activation flips actually fired, summed over
-    /// repetitions. [`ModelFaultRunner::manifest`] joins it with each
-    /// cell's AD.
-    provenance: Mutex<BTreeMap<String, ProvenanceBuilder>>,
+impl CellResult for ModelFaultResult {
+    fn manifest_cell(&self, index: usize) -> ManifestCell {
+        ManifestCell {
+            index,
+            dataset: self.dataset.name().to_string(),
+            model: self.model.name().to_string(),
+            technique: self.technique.full_name().to_string(),
+            fault: self.fault_label.clone(),
+            scale: self.scale.name().to_string(),
+            repetitions: self.repetitions.len(),
+            seed: self.seed,
+            wall_seconds: self.wall_seconds,
+        }
+    }
+
+    fn provenance_source(&self) -> &'static str {
+        if self.fault_label.starts_with("activations") {
+            "activations"
+        } else {
+            "weights"
+        }
+    }
+
+    fn ad_mean(&self) -> f32 {
+        self.ad.mean
+    }
 }
 
-/// The provenance-map key of a (technique, plan) cell.
-fn cell_key(technique: TechniqueKind, fault_label: &str) -> String {
-    format!("{}|{fault_label}", technique.full_name())
+/// Runs model-fault sweeps, sharing one technique fit across fault plans.
+///
+/// Like [`crate::experiment::Runner`], each runner keeps its metrics and
+/// its provenance (which (tensor, bit) pairs the applied weight faults
+/// hit, and how many activation flips actually fired) in a
+/// `RunLog`, which [`ModelFaultRunner::manifest`] writes out.
+#[derive(Default)]
+pub struct ModelFaultRunner {
+    log: RunLog,
 }
 
 impl ModelFaultRunner {
@@ -166,12 +177,12 @@ impl ModelFaultRunner {
     /// a sweep costs `techniques × repetitions` fits however many plans
     /// it scores).
     pub fn technique_fits(&self) -> usize {
-        self.metrics.counter("technique_fits").get() as usize
+        self.log.metrics.counter("technique_fits").get() as usize
     }
 
     /// Snapshot of this runner's private metrics.
     pub fn metrics_snapshot(&self) -> tdfm_obs::MetricsSnapshot {
-        self.metrics.snapshot()
+        self.log.metrics.snapshot()
     }
 
     /// Runs the sweep, returning one result per (technique, plan) pair in
@@ -193,7 +204,8 @@ impl ModelFaultRunner {
             let kind = sweep.techniques[t];
             let started = Instant::now();
             let results = self.run_technique(sweep, kind);
-            self.metrics
+            self.log
+                .metrics
                 .histogram("technique_seconds")
                 .record(started.elapsed());
             event!(
@@ -216,10 +228,7 @@ impl ModelFaultRunner {
         let mut walls = vec![0.0f64; sweep.plans.len()];
         let mut prov_per_plan = vec![ProvenanceBuilder::new(); sweep.plans.len()];
         for r in 0..sweep.repetitions {
-            let rep_seed = sweep
-                .seed
-                .wrapping_add(1 + r as u64)
-                .wrapping_mul(0x9E37_79B9);
+            let rep_seed = rep_seed(sweep.seed, r);
             let data = sweep.dataset.generate(sweep.scale, rep_seed);
             let mut ctx = TrainContext::new(sweep.scale, rep_seed);
             ctx.tune_for(data.train.len());
@@ -232,7 +241,7 @@ impl ModelFaultRunner {
             } else {
                 data.train.clone()
             };
-            self.metrics.counter("technique_fits").inc();
+            self.log.metrics.counter("technique_fits").inc();
             let mut fitted = technique.fit(sweep.model, &train, &ctx);
             let clean_preds = fitted.predict(data.test.images());
             let clean_accuracy = accuracy(&clean_preds, data.test.labels());
@@ -266,16 +275,14 @@ impl ModelFaultRunner {
                 reps_per_plan[p].push(rep);
             }
         }
-        {
-            let mut provenance = self.provenance.lock().expect("provenance lock poisoned");
-            for (plan, prov) in sweep.plans.iter().zip(&prov_per_plan) {
-                if !prov.is_empty() {
-                    provenance
-                        .entry(cell_key(kind, &plan.label()))
-                        .or_default()
-                        .extend(&prov.records());
-                }
-            }
+        for (plan, prov) in sweep.plans.iter().zip(&prov_per_plan) {
+            self.log.add_provenance(
+                sweep.dataset,
+                sweep.model,
+                kind.full_name(),
+                &plan.label(),
+                &prov.records(),
+            );
         }
         sweep
             .plans
@@ -337,7 +344,7 @@ impl ModelFaultRunner {
                     apply_weight_faults(fitted.networks_mut()[0], instance);
                     acc_sum += accuracy(&preds, test.labels()) as f64;
                     ad_sum += accuracy_delta(clean_preds, &preds, test.labels()) as f64;
-                    self.metrics.counter("weight_trials").inc();
+                    self.log.metrics.counter("weight_trials").inc();
                 }
                 let k = instances.len() as f64;
                 ModelFaultRepetition {
@@ -358,7 +365,7 @@ impl ModelFaultRunner {
                     let report = apply_weight_faults(net, &instance);
                     made_nonfinite += report.made_nonfinite;
                     applied.push(instance);
-                    self.metrics.counter("weight_trials").inc();
+                    self.log.metrics.counter("weight_trials").inc();
                 }
                 let preds = fitted.predict(test.images());
                 for (net, instance) in fitted.networks_mut().into_iter().zip(&applied) {
@@ -417,7 +424,7 @@ impl ModelFaultRunner {
             "-",
             fired.load(Ordering::Relaxed),
         );
-        self.metrics.counter("activation_trials").inc();
+        self.log.metrics.counter("activation_trials").inc();
         ModelFaultRepetition {
             clean_accuracy,
             faulty_accuracy: accuracy(&preds, test.labels()),
@@ -426,70 +433,10 @@ impl ModelFaultRunner {
         }
     }
 
-    /// Builds the run manifest for a batch of sweep results: one
-    /// [`ManifestCell`] per (technique, plan) cell plus this runner's
-    /// metrics merged with the process-global registry — the same shape
-    /// [`crate::experiment::Runner::manifest`] produces, so `tdfm report`
-    /// reads both.
+    /// The run manifest of a batch of sweep results, one cell per
+    /// (technique, plan) pair; see [`crate::experiment::Runner::manifest`].
     pub fn manifest(&self, name: &str, results: &[ModelFaultResult]) -> RunManifest {
-        let scale = match results {
-            [] => "-".to_string(),
-            [first, rest @ ..] => {
-                if rest.iter().any(|r| r.scale != first.scale) {
-                    "mixed".to_string()
-                } else {
-                    first.scale.name().to_string()
-                }
-            }
-        };
-        let mut manifest = RunManifest::new(name, scale, num_threads());
-        manifest.cells = results
-            .iter()
-            .enumerate()
-            .map(|(index, result)| ManifestCell {
-                index,
-                dataset: result.dataset.name().to_string(),
-                model: result.model.name().to_string(),
-                technique: result.technique.full_name().to_string(),
-                fault: result.fault_label.clone(),
-                scale: result.scale.name().to_string(),
-                repetitions: result.repetitions.len(),
-                seed: result.seed,
-                wall_seconds: result.wall_seconds,
-            })
-            .collect();
-        let provenance = self.provenance.lock().expect("provenance lock poisoned");
-        for (index, result) in results.iter().enumerate() {
-            // tdfm-lint: allow(lock-held-across-call, cell_key is a pure string formatter)
-            let Some(builder) = provenance.get(&cell_key(result.technique, &result.fault_label))
-            else {
-                continue;
-            };
-            let source = if result.fault_label.starts_with("activations") {
-                "activations"
-            } else {
-                "weights"
-            };
-            // tdfm-lint: allow(lock-held-across-call, records() clones out of the builder without taking any lock)
-            for r in builder.records() {
-                manifest.provenance.push(ProvenanceRecord {
-                    cell: index,
-                    source: source.to_string(),
-                    kind: r.kind,
-                    target: r.target,
-                    bit_lo: r.bit_lo,
-                    bit_hi: r.bit_hi,
-                    bucket: r.bucket,
-                    count: r.count,
-                    ad_mean: result.ad.mean as f64,
-                });
-            }
-        }
-        drop(provenance);
-        let mut metrics = self.metrics.snapshot();
-        metrics.merge(&tdfm_obs::global().snapshot());
-        manifest.metrics = metrics;
-        manifest
+        self.log.manifest(name, results)
     }
 }
 
@@ -567,7 +514,7 @@ mod tests {
             for r in &mut results {
                 r.normalize_timings();
             }
-            results.iter().map(|r| r.to_json()).collect::<Vec<_>>()
+            tdfm_json::to_string_pretty(&results)
         };
         assert_eq!(run(), run());
     }
@@ -655,6 +602,34 @@ mod tests {
         for r in &manifest.provenance {
             assert_eq!(r.ad_mean, results[r.cell].ad.mean as f64);
         }
+    }
+
+    #[test]
+    fn provenance_of_sweeps_differing_only_in_model_stays_apart() {
+        let sweep = |model| ModelFaultSweep {
+            model,
+            repetitions: 1,
+            ..tiny_sweep(
+                vec![TechniqueKind::Baseline],
+                vec![ModelFaultPlan::weights()
+                    .bits(BitRange::EXPONENT)
+                    .mode(InjectionMode::Stochastic { flips: 3, seed: 7 })],
+            )
+        };
+        let alone = ModelFaultRunner::new();
+        let expected = alone
+            .manifest("unit", &alone.run_sweep(&sweep(ModelKind::ConvNet)))
+            .provenance;
+        assert!(!expected.is_empty());
+
+        let runner = ModelFaultRunner::new();
+        let first = runner.run_sweep(&sweep(ModelKind::ConvNet));
+        runner.run_sweep(&sweep(ModelKind::DeconvNet));
+        let manifest = runner.manifest("unit", &first);
+        assert_eq!(
+            manifest.provenance, expected,
+            "cell 0 sums only its own sweep"
+        );
     }
 
     #[test]

@@ -116,6 +116,9 @@ pub struct RunManifest {
     /// Heap allocations observed by the counting allocator, when a
     /// harness opted in (0 otherwise).
     pub allocations: u64,
+    /// Wall-clock seconds of the whole run, from the start of its record
+    /// to manifest time (0 on manifests that predate the field).
+    pub wall_seconds: f64,
 }
 
 json_struct!(RunManifest {
@@ -127,7 +130,8 @@ json_struct!(RunManifest {
     metrics,
     provenance = default,
     peak_rss_bytes = default,
-    allocations = default
+    allocations = default,
+    wall_seconds = default
 });
 
 impl RunManifest {
@@ -147,6 +151,7 @@ impl RunManifest {
             provenance: Vec::new(),
             peak_rss_bytes: crate::memory::peak_rss_bytes(),
             allocations: crate::memory::allocations(),
+            wall_seconds: 0.0,
         }
     }
 
@@ -239,6 +244,7 @@ mod tests {
         let mut m = sample();
         m.peak_rss_bytes = 123_456_789;
         m.allocations = 42;
+        m.wall_seconds = 3.5;
         m.provenance.push(ProvenanceRecord {
             cell: 0,
             source: "data".into(),
@@ -257,12 +263,18 @@ mod tests {
 
     #[test]
     fn manifests_without_new_fields_still_parse() {
-        // A manifest written before provenance / memory accounting existed
-        // must load with defaults, not fail.
+        // A manifest written before provenance / memory accounting / run
+        // wall time existed must load with defaults, not fail.
         let mut m = sample();
         m.provenance.clear();
+        m.wall_seconds = 2.0;
         let mut json = m.to_json();
-        for field in ["\"provenance\"", "\"peak_rss_bytes\"", "\"allocations\""] {
+        for field in [
+            "\"provenance\"",
+            "\"peak_rss_bytes\"",
+            "\"allocations\"",
+            "\"wall_seconds\": 2",
+        ] {
             assert!(json.contains(field));
         }
         // Strip the new fields out of the serialised form.
@@ -270,12 +282,18 @@ mod tests {
         let tdfm_json::Value::Object(mut map) = value else {
             panic!("manifest is an object")
         };
-        map.retain(|(k, _)| !matches!(k.as_str(), "provenance" | "peak_rss_bytes" | "allocations"));
+        map.retain(|(k, _)| {
+            !matches!(
+                k.as_str(),
+                "provenance" | "peak_rss_bytes" | "allocations" | "wall_seconds"
+            )
+        });
         json = tdfm_json::to_string(&tdfm_json::Value::Object(map));
         let back: RunManifest = tdfm_json::from_str(&json).unwrap();
         assert!(back.provenance.is_empty());
         assert_eq!(back.peak_rss_bytes, 0);
         assert_eq!(back.allocations, 0);
+        assert_eq!(back.wall_seconds, 0.0);
         assert_eq!(back.cells, m.cells);
     }
 

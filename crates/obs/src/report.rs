@@ -66,24 +66,23 @@ fn render_manifest(out: &mut String, path: &Path, m: &RunManifest) {
     let _ = writeln!(out, "== manifest: {} ({}) ==", m.name, path.display());
     let _ = writeln!(
         out,
-        "cells: {}   scale: {}   thread budget: {}   total cell wall: {:.2}s",
+        "cells: {}   scale: {}   thread budget: {}   total cell wall: {:.2}s   run wall: {:.2}s",
         m.cells.len(),
         m.scale,
         m.thread_budget,
-        m.total_wall_seconds()
+        m.total_wall_seconds(),
+        m.wall_seconds
     );
 
     let lookups = m.metrics.counter("golden_lookups").unwrap_or(0);
     let trained = m.metrics.counter("golden_trainings").unwrap_or(0);
-    let disk = m.metrics.counter("golden_disk_hits").unwrap_or(0);
     if lookups > 0 {
         let hits = lookups.saturating_sub(trained);
         let _ = writeln!(
             out,
-            "golden cache: {} lookups, {} trained, {} disk hits — hit rate {:.1}%",
+            "golden cache: {} lookups, {} trained — hit rate {:.1}%",
             lookups,
             trained,
-            disk,
             100.0 * hits as f64 / lookups as f64
         );
     }
@@ -348,6 +347,7 @@ mod tests {
         let mut m = RunManifest::new("prov", "tiny", 2);
         m.peak_rss_bytes = 64 * 1024 * 1024;
         m.allocations = 12;
+        m.wall_seconds = 7.25;
         let record = |cell, kind: &str, bucket: &str, count, ad_mean| ProvenanceRecord {
             cell,
             source: "data".into(),
@@ -367,6 +367,7 @@ mod tests {
         let report = render_report(&[&path]).unwrap();
         assert!(report.contains("peak RSS 64.0 MiB"), "{report}");
         assert!(report.contains("12 heap allocation(s)"), "{report}");
+        assert!(report.contains("run wall: 7.25s"), "{report}");
         let mislabel = report.find("Mislabelling").unwrap();
         let removal = report.find("Removal").unwrap();
         assert!(mislabel < removal, "damage-weighted order\n{report}");

@@ -125,6 +125,30 @@ test -s "$smoke_dir/motivating.manifest.json"
 ./target/release/tdfm report \
     "$smoke_dir/motivating.manifest.json" "$smoke_dir/trace.jsonl"
 
+echo "== write failures: harness binaries exit non-zero =="
+# A harness that cannot write its results or its manifest must fail the
+# run, not warn and exit 0. A results directory under a regular file
+# cannot be created: table1 (JSON only) and motivating (JSON + manifest)
+# must both exit non-zero. Then the manifest write alone: the JSON path is
+# writable but the manifest path is taken by a directory.
+blocker="$smoke_dir/not-a-directory"
+touch "$blocker"
+if TDFM_RESULTS="$blocker/results" ./target/release/table1 > /dev/null; then
+    echo "table1 exited 0 although it could not write its results" >&2
+    exit 1
+fi
+if TDFM_SCALE=tiny TDFM_RESULTS="$blocker/results" \
+        ./target/release/motivating > /dev/null; then
+    echo "motivating exited 0 although it could not write its results" >&2
+    exit 1
+fi
+mkdir -p "$smoke_dir/manifest-blocked/motivating.manifest.json"
+if TDFM_SCALE=tiny TDFM_RESULTS="$smoke_dir/manifest-blocked" \
+        ./target/release/motivating > /dev/null; then
+    echo "motivating exited 0 although it could not write its manifest" >&2
+    exit 1
+fi
+
 echo "== profile smoke: span tree + collapsed stacks from the trace =="
 # The same trace must reconstruct into a span-tree profile (the profiler
 # exits non-zero on malformed or unbalanced traces) in both renderings.

@@ -466,7 +466,6 @@ fn cmd_sweep(config_path: &str, output: Option<&str>) -> Result<(), String> {
     // in cell order, so the report below matches the config file.
     let runner = Runner::new();
     let results = runner.run_grid(&cells);
-    let mut payload = Vec::with_capacity(cells.len());
     for (i, (cell, result)) in cells.iter().zip(&results).enumerate() {
         println!(
             "[{}/{}] {} / {} / {} / {}: AD {:.1}% ± {:.1}",
@@ -479,11 +478,10 @@ fn cmd_sweep(config_path: &str, output: Option<&str>) -> Result<(), String> {
             100.0 * result.ad.mean,
             100.0 * result.ad.half_width,
         );
-        payload.push(result.to_json());
     }
     if let Some(path) = output {
-        let doc = format!("[\n{}\n]", payload.join(",\n"));
-        std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, tdfm::bench::results_to_json(&results))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
     // The manifest lands next to the results (`out.json` ->
