@@ -2,8 +2,9 @@
 //!
 //! A counting global allocator wraps the system allocator; the test warms the
 //! scratch arena with a few forward/backward passes, switches the counter on,
-//! and asserts that further passes through a conv → relu → max-pool →
-//! flatten → dense stack perform zero heap allocations.
+//! and asserts that further passes through a conv → relu → max-pool stack,
+//! down to a convolution over 1×1 planes, then flatten → dense, perform
+//! zero heap allocations.
 //!
 //! The test pins the thread count to 1 so the parallel helpers take their
 //! inline (allocation-free) serial path, and it uses a private scratch arena
@@ -66,12 +67,19 @@ fn steady_state_conv_dense_passes_do_not_allocate() {
 
     let mut rng = Rng::seed_from(0x5EED);
     let arena = Arc::new(Scratch::new());
+    // The last stage is VGG's deep end at smoke scale: a padded 3×3
+    // convolution over 1×1 planes, where a whole sample is one GEMM column.
     let mut net = Sequential::new()
         .push(Conv2d::new(1, 2, 3, Conv2dSpec::same(3), &mut rng))
         .push(ReLU::new())
         .push(MaxPool2d::new(2, 2))
+        .push(Conv2d::new(2, 4, 3, Conv2dSpec::same(3), &mut rng))
+        .push(ReLU::new())
+        .push(MaxPool2d::new(2, 2))
+        .push(Conv2d::new(4, 4, 3, Conv2dSpec::same(3), &mut rng))
+        .push(ReLU::new())
         .push(Flatten::new())
-        .push(Dense::new(8, 2, &mut rng));
+        .push(Dense::new(4, 2, &mut rng));
     net.bind_scratch(&arena);
 
     let x = Tensor::randn(&[4, 1, 4, 4], 1.0, &mut rng);

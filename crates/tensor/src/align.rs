@@ -1,8 +1,8 @@
 //! A 32-byte-aligned, growable `f32` buffer for the [`Scratch`] arena.
 //!
 //! AVX2 works on 32-byte vectors; when a buffer's base address is 32-byte
-//! aligned, none of the 8-lane loads in the packed GEMM panels or im2col
-//! columns straddle a cache line. `Vec<f32>` only guarantees 4-byte
+//! aligned, none of the 8-lane loads in the packed GEMM panels straddle a
+//! cache line. `Vec<f32>` only guarantees 4-byte
 //! alignment, so the arena's raw checkouts use this type instead. The
 //! kernels still use unaligned load instructions — alignment here is a
 //! performance property, never a safety requirement.
@@ -10,7 +10,7 @@
 //! [`Scratch`]: crate::scratch::Scratch
 #![allow(unsafe_code, reason = "an aligned buffer owns a raw allocation")]
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::alloc::{alloc, dealloc, Layout};
 
 /// Alignment (bytes) of every non-empty [`AlignedVec`] allocation.
 pub const SIMD_ALIGN: usize = 32;
@@ -18,12 +18,19 @@ pub const SIMD_ALIGN: usize = 32;
 /// A `Vec<f32>`-alike whose backing allocation is 32-byte aligned.
 ///
 /// Supports exactly the operations the scratch pool needs: resize (new
-/// elements zeroed, like `Vec::resize(_, 0.0)`), slice access, capacity
-/// queries. Growth preserves the live prefix.
+/// elements zeroed, like `Vec::resize(_, 0.0)`), resize that keeps stale
+/// contents, slice access, capacity queries. Growth preserves the live
+/// prefix.
+///
+/// The first `init` elements of the allocation have been written at some
+/// point (`len <= init <= cap`); only those are ever exposed, so a
+/// length reset by [`AlignedVec::clear`] can be undone by
+/// [`AlignedVec::resize_stale`] without re-zeroing.
 #[derive(Debug)]
 pub struct AlignedVec {
     ptr: *mut f32,
     len: usize,
+    init: usize,
     cap: usize,
 }
 
@@ -39,6 +46,7 @@ impl AlignedVec {
         Self {
             ptr: std::ptr::null_mut(),
             len: 0,
+            init: 0,
             cap: 0,
         }
     }
@@ -74,22 +82,32 @@ impl AlignedVec {
     /// exactly `Vec::resize(len, 0.0)` semantics (a shrink keeps the
     /// truncated bytes; regrowing re-zeroes them before exposure).
     pub fn resize_zeroed(&mut self, len: usize) {
+        let old = self.len.min(len);
+        self.resize_stale(len);
+        self.as_mut_slice()[old..].fill(0.0);
+    }
+
+    /// Sets the length to `len`, keeping whatever the elements held
+    /// before (stale values from an earlier use, or zeros). Only elements
+    /// never written before are zeroed, so a pooled buffer is reused
+    /// without a full rewrite.
+    pub fn resize_stale(&mut self, len: usize) {
         if len > self.cap {
             self.grow(len);
         }
-        if len > self.len {
-            let old = self.len;
-            self.len = len;
-            self.as_mut_slice()[old..].fill(0.0);
-        } else {
-            self.len = len;
+        if len > self.init {
+            // SAFETY: init < len <= cap, so [init, len) lies inside the
+            // allocation; writing zeros initialises it.
+            unsafe { std::ptr::write_bytes(self.ptr.add(self.init), 0, len - self.init) };
+            self.init = len;
         }
+        self.len = len;
     }
 
     fn grow(&mut self, want: usize) {
         debug_assert!(want > self.cap);
         // SAFETY: layout has non-zero size (want > cap >= 0 so want >= 1).
-        let new_ptr = unsafe { alloc_zeroed(Self::layout(want)) } as *mut f32;
+        let new_ptr = unsafe { alloc(Self::layout(want)) } as *mut f32;
         assert!(!new_ptr.is_null(), "aligned allocation failed");
         if self.len > 0 {
             // SAFETY: both regions are valid for `len` elements and
@@ -98,6 +116,7 @@ impl AlignedVec {
         }
         self.release();
         self.ptr = new_ptr;
+        self.init = self.len;
         self.cap = want;
     }
 
@@ -106,6 +125,7 @@ impl AlignedVec {
             // SAFETY: ptr was allocated with exactly this layout.
             unsafe { dealloc(self.ptr as *mut u8, Self::layout(self.cap)) };
             self.ptr = std::ptr::null_mut();
+            self.init = 0;
             self.cap = 0;
         }
     }
@@ -120,7 +140,7 @@ impl AlignedVec {
         if self.len == 0 {
             return &[];
         }
-        // SAFETY: ptr is valid for len initialised f32s (cap >= len > 0).
+        // SAFETY: ptr is valid for len initialised f32s (init >= len > 0).
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
@@ -129,7 +149,8 @@ impl AlignedVec {
         if self.len == 0 {
             return &mut [];
         }
-        // SAFETY: ptr is valid for len initialised f32s and uniquely owned.
+        // SAFETY: ptr is valid for len initialised f32s (init >= len) and
+        // uniquely owned.
         unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
     }
 }
@@ -191,6 +212,28 @@ mod tests {
         assert!(v.is_empty());
         v.resize_zeroed(8);
         assert!(v.iter().all(|&x| x == 0.0), "stale values must not leak");
+    }
+
+    #[test]
+    fn resize_stale_keeps_written_values_and_zeroes_the_rest() {
+        let mut v = AlignedVec::zeroed(8);
+        v.as_mut_slice().fill(9.0);
+        v.clear();
+        v.resize_stale(6);
+        assert!(v.iter().all(|&x| x == 9.0), "stale prefix reused as is");
+        v.resize_stale(8);
+        assert!(v.iter().all(|&x| x == 9.0), "within the high-water mark");
+        v.resize_stale(6);
+        v.resize_stale(12); // grows: keeps the 6 live values only
+        assert!(v[..6].iter().all(|&x| x == 9.0));
+        assert!(
+            v[6..].iter().all(|&x| x == 0.0),
+            "never-exposed tail zeroed"
+        );
+        v.clear();
+        v.resize_stale(100); // grows: nothing live to keep
+        assert!(v.iter().all(|&x| x == 0.0), "fresh allocation zeroed");
+        assert_eq!(v.as_slice().as_ptr() as usize % SIMD_ALIGN, 0);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!   image convention used throughout the study.
 //! * [`parallel`] — a scoped-thread data-parallel runtime used by the
 //!   convolution/matmul kernels and by ensemble training.
-//! * [`ops`] — panel-packed, register-tiled matrix multiplication, im2col
-//!   convolution (forward/backward, with strides, padding and groups for
-//!   depthwise convolutions), max/average pooling, reductions and softmax.
+//! * [`ops`] — panel-packed, register-tiled matrix multiplication,
+//!   block-lowered convolution (forward/backward, with strides, padding and
+//!   groups for depthwise convolutions), max/average pooling, reductions
+//!   and softmax.
 //! * [`simd`] — runtime-dispatched AVX2/SSE2/scalar kernels behind every
 //!   hot loop, byte-identical across levels (`TDFM_SIMD` overrides).
 //! * [`Scratch`] — a reusable buffer arena threaded through the kernels so

@@ -1,6 +1,6 @@
 //! Shared GEMM building blocks: panel packing + a register-tiled microkernel.
 //!
-//! The matmul variants and the im2col convolution all reduce to
+//! The matmul variants and the block-lowered convolution all reduce to
 //! `C[m,n] (+)= A[m,k] · B[k,n]`. This module implements that product two
 //! ways with **bit-identical** results:
 //!

@@ -15,7 +15,6 @@
 //! outer worker never constrains another.
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -142,45 +141,6 @@ pub fn with_inner_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Splits `0..n` into at most `parts` contiguous, nearly equal ranges.
-pub fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    if n == 0 {
-        // tdfm-lint: allow(hot-path-alloc, Vec::new of an empty vec never touches the heap)
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, n);
-    let base = n / parts;
-    let extra = n % parts;
-    // tdfm-lint: allow(hot-path-alloc, O(threads) range list built once per parallel region, not per element)
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// Runs `f` over contiguous sub-ranges of `0..n` on worker threads.
-///
-/// `work_per_item` is an estimate of per-item cost used to decide whether
-/// threading is worth it; pass 1 for cheap items.
-pub fn parallel_for(n: usize, work_per_item: usize, f: impl Fn(Range<usize>) + Sync) {
-    let threads = num_threads();
-    if threads <= 1 || n.saturating_mul(work_per_item.max(1)) < SERIAL_THRESHOLD || n < 2 {
-        f(0..n);
-        return;
-    }
-    let ranges = split_ranges(n, threads);
-    std::thread::scope(|scope| {
-        for range in ranges {
-            let f = &f;
-            scope.spawn(move || f(range));
-        }
-    });
-}
-
 /// Splits `data` into `chunk`-sized pieces and runs `f(chunk_index, piece)`
 /// on worker threads. The final piece may be shorter.
 ///
@@ -223,42 +183,6 @@ pub fn parallel_chunks_mut<T: Send>(
     });
 }
 
-/// Maps `0..n` in parallel and folds the per-range results with `reduce`.
-///
-/// Used by convolution backward passes: each worker accumulates a private
-/// weight-gradient buffer, and the buffers are summed at the end.
-pub fn parallel_map_reduce<T: Send>(
-    n: usize,
-    work_per_item: usize,
-    map: impl Fn(Range<usize>) -> T + Sync,
-    reduce: impl Fn(T, T) -> T,
-) -> Option<T> {
-    if n == 0 {
-        return None;
-    }
-    let threads = num_threads();
-    if threads <= 1 || n.saturating_mul(work_per_item.max(1)) < SERIAL_THRESHOLD || n < 2 {
-        return Some(map(0..n));
-    }
-    let ranges = split_ranges(n, threads);
-    let results: Vec<T> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let map = &map;
-                scope.spawn(move || map(range))
-            })
-            // tdfm-lint: allow(hot-path-alloc, O(threads) handle list built once per reduction)
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            // tdfm-lint: allow(hot-path-alloc, O(threads) partial results gathered once per reduction)
-            .collect()
-    });
-    results.into_iter().reduce(reduce)
-}
-
 #[cfg(test)]
 #[allow(
     unsafe_code,
@@ -266,38 +190,10 @@ pub fn parallel_map_reduce<T: Send>(
 )]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     /// `num_threads` resolution reads process-global state (the override
     /// and `TDFM_THREADS`), so tests touching it serialise on this lock.
     static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn split_ranges_covers_everything() {
-        for n in [0usize, 1, 7, 100] {
-            for parts in [1usize, 2, 3, 8] {
-                let ranges = split_ranges(n, parts);
-                let total: usize = ranges.iter().map(|r| r.len()).sum();
-                assert_eq!(total, n);
-                let mut expect = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect);
-                    expect = r.end;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_for_visits_each_index_once() {
-        let hits = AtomicU64::new(0);
-        parallel_for(10_000, 1, |range| {
-            for _ in range {
-                hits.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 10_000);
-    }
 
     #[test]
     fn parallel_chunks_mut_writes_disjoint() {
@@ -310,23 +206,6 @@ mod tests {
         for (j, &x) in data.iter().enumerate() {
             assert_eq!(x, j / 100);
         }
-    }
-
-    #[test]
-    fn parallel_map_reduce_sums() {
-        let total = parallel_map_reduce(
-            100_000,
-            1,
-            |range| range.map(|x| x as u64).sum::<u64>(),
-            |a, b| a + b,
-        )
-        .unwrap();
-        assert_eq!(total, (0..100_000u64).sum::<u64>());
-    }
-
-    #[test]
-    fn parallel_map_reduce_empty_is_none() {
-        assert!(parallel_map_reduce(0, 1, |_| 1u32, |a, b| a + b).is_none());
     }
 
     #[test]

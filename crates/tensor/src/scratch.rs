@@ -1,7 +1,7 @@
 //! A reusable buffer arena for the training hot path.
 //!
 //! Every training batch needs the same temporaries as the previous one:
-//! im2col column matrices, packed GEMM panels, layer outputs, gradient
+//! packed GEMM panels, padded convolution planes, layer outputs, gradient
 //! buffers. Allocating them anew per batch is exactly the overhead the
 //! PyTorchFI-extension work (Gräfe et al.) identifies as dominating
 //! large-scale fault-injection campaigns. [`Scratch`] is a checkout /
@@ -13,7 +13,7 @@
 //!
 //! * raw `f32` checkouts ([`Scratch::take`]) are [`AlignedVec`]s whose base
 //!   address is 32-byte aligned, so the AVX2 kernels' 8-lane accesses to
-//!   im2col columns and packed GEMM panels never straddle a cache line;
+//!   packed GEMM panels never straddle a cache line;
 //! * [`Tensor`] checkouts ([`Scratch::tensor_uninit`]) reuse plain
 //!   `Vec<f32>` buffers (tensors are `Vec`-backed);
 //! * `u32` checkouts ([`Scratch::take_u32`]) serve max-pool argmax caches.
@@ -154,7 +154,7 @@ impl Scratch {
                 AlignedVec::new()
             }
         };
-        buf.resize_zeroed(len);
+        buf.resize_stale(len);
         debug_assert!(
             len == 0 || (buf.as_slice().as_ptr() as usize).is_multiple_of(SIMD_ALIGN),
             "scratch checkout must be {SIMD_ALIGN}-byte aligned"
@@ -205,9 +205,10 @@ impl Scratch {
     /// Checks out an `f32` buffer of exactly `len` elements, 32-byte
     /// aligned for the vector kernels.
     ///
-    /// Contents are unspecified (the current implementation hands out
-    /// zeroed memory, but callers must not rely on it); overwrite before
-    /// reading. Use [`Scratch::take_zeroed`] when the caller accumulates.
+    /// Contents are unspecified: a reused buffer keeps the values of its
+    /// previous checkout, and only never-written elements are zeroed.
+    /// Overwrite before reading. Use [`Scratch::take_zeroed`] when the
+    /// caller accumulates.
     pub fn take(&self, len: usize) -> ScratchBuf<'_> {
         ScratchBuf {
             owner: self,
@@ -388,6 +389,21 @@ mod tests {
         // Pooled round trips stay aligned too.
         let again = s.take(4097);
         assert_eq!(again.as_ptr() as usize % SIMD_ALIGN, 0);
+    }
+
+    #[test]
+    fn take_reuses_stale_contents_and_take_zeroed_clears_them() {
+        let s = Scratch::new();
+        s.take(64).fill(7.0);
+        assert!(
+            s.take(64).iter().all(|&x| x == 7.0),
+            "a pooled checkout is not rewritten"
+        );
+        assert!(s.take_zeroed(64).iter().all(|&x| x == 0.0));
+        // Past the buffer's high-water mark, new elements read zero.
+        s.take(16).fill(3.0);
+        let b = s.take(80);
+        assert!(b[64..].iter().all(|&x| x == 0.0));
     }
 
     #[test]

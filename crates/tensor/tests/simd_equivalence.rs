@@ -91,11 +91,31 @@ fn gemm_sweep_is_bit_identical_across_levels() {
     }
 }
 
+/// Forward plus all three backward gradients of one convolution, as bits,
+/// agreed on by every SIMD level.
+fn assert_conv_levels_agree(label: &str, input: &Tensor, weight: &Tensor, spec: Conv2dSpec) {
+    let mut rng = Rng::seed_from(input.numel() as u64);
+    let bias = Tensor::randn(&[weight.shape().dim(0)], 0.1, &mut rng);
+    assert_levels_agree(label, || {
+        // A fresh arena per run keeps buffer histories identical.
+        let scratch = Scratch::new();
+        let out = conv2d_forward_with(input, weight, Some(&bias), spec, &scratch);
+        let grads = conv2d_backward_with(input, weight, &out, spec, &scratch);
+        (
+            bits(&out),
+            bits(&grads.grad_input),
+            bits(&grads.grad_weight),
+            bits(&grads.grad_bias),
+        )
+    });
+}
+
 #[test]
 fn conv_sweep_is_bit_identical_across_levels() {
     let _guard = level_lock();
-    // 16 randomised geometries: kernel sizes, strides, padding, groups,
-    // checked through forward and all three backward gradients.
+    // 16 randomised geometries: kernel sizes, strides, padding, groups and
+    // batches of up to 40 samples (several sample blocks), checked through
+    // forward and all three backward gradients.
     for seed in 0..16u64 {
         let mut rng = Rng::seed_from(0xC04 + seed);
         let groups = [1, 1, 1, 2][rng.below(4)];
@@ -108,7 +128,7 @@ fn conv_sweep_is_bit_identical_across_levels() {
         let pad = rng.below(kh.min(kw));
         let h = kh + rng.below(8);
         let w = kw + rng.below(8);
-        let n = 1 + rng.below(3);
+        let n = 1 + rng.below(40);
         let spec = Conv2dSpec {
             stride,
             pad,
@@ -116,21 +136,33 @@ fn conv_sweep_is_bit_identical_across_levels() {
         };
         let input = Tensor::randn(&[n, c, h, w], 1.0, &mut rng);
         let weight = Tensor::randn(&[o, cg, kh, kw], 0.5, &mut rng);
-        let bias = Tensor::randn(&[o], 0.1, &mut rng);
         let label =
             format!("conv n{n} c{c} {h}x{w} k{kh}x{kw} s{stride} p{pad} g{groups} seed {seed}");
-        assert_levels_agree(&label, || {
-            // A fresh arena per run keeps buffer histories identical.
-            let scratch = Scratch::new();
-            let out = conv2d_forward_with(&input, &weight, Some(&bias), spec, &scratch);
-            let grads = conv2d_backward_with(&input, &weight, &out, spec, &scratch);
-            (
-                bits(&out),
-                bits(&grads.grad_input),
-                bits(&grads.grad_weight),
-                bits(&grads.grad_bias),
-            )
-        });
+        assert_conv_levels_agree(&label, &input, &weight, spec);
+    }
+    // 1×1 outputs (VGG stages 4–5, ResNet stage 4 at smoke scale): a
+    // whole sample is one GEMM column, so a panel spans eight samples.
+    // (n, c, side, o, k, stride, pad, groups)
+    for (i, (n, c, side, o, k, stride, pad, groups)) in [
+        (8, 16, 1, 16, 3, 1, 1, 1),
+        (37, 4, 3, 6, 3, 1, 0, 1),
+        (40, 8, 2, 8, 3, 2, 1, 8),
+        (29, 6, 1, 5, 1, 1, 0, 1),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut rng = Rng::seed_from(0xC14 + i as u64);
+        let spec = Conv2dSpec {
+            stride,
+            pad,
+            groups,
+        };
+        let input = Tensor::randn(&[n, c, side, side], 1.0, &mut rng);
+        let weight = Tensor::randn(&[o, c / groups, k, k], 0.5, &mut rng);
+        let label =
+            format!("1x1-output conv n{n} c{c} {side}x{side} k{k} s{stride} p{pad} g{groups}");
+        assert_conv_levels_agree(&label, &input, &weight, spec);
     }
 }
 

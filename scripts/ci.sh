@@ -210,6 +210,28 @@ TDFM_SIMD=off TDFM_THREADS=4 TDFM_SCALE=smoke TDFM_RESULTS="$drift_dir" \
 ./target/release/tdfm diff-results \
     results/shard_faults.json "$drift_dir/shard_faults.json"
 
+echo "== kernel-thread drift gate: a lone cell trains the same bits at 1 and 4 threads =="
+# The grids above spread their thread budget over many cells, so each
+# kernel runs on one thread. A sweep of one cell hands the whole budget to
+# its kernels instead (conv forward/backward, matmul, pooling). Train one
+# smoke cell per model at 1 and at 4 threads and require identical
+# results: the kernels must fold every sum in the same order at any
+# budget (DESIGN.md §2.1a).
+for model in ConvNet Vgg11; do
+    cat > "$drift_dir/cell-$model.json" <<EOF
+[{"dataset": "Gtsrb", "model": "$model", "technique": "Baseline",
+  "fault_plan": {"specs": [{"kind": "Mislabelling", "percent": 30.0}]},
+  "scale": "Smoke", "repetitions": 1, "seed": 0}]
+EOF
+    for threads in 1 4; do
+        TDFM_THREADS=$threads ./target/release/tdfm sweep \
+            --config "$drift_dir/cell-$model.json" \
+            --output "$drift_dir/cell-$model-t$threads.json" > /dev/null
+    done
+    ./target/release/tdfm diff-results \
+        "$drift_dir/cell-$model-t1.json" "$drift_dir/cell-$model-t4.json"
+done
+
 echo "== figure drift gate: committed SVGs reproduce byte-identically =="
 # Figures are pure functions of the committed result JSONs, so they must
 # regenerate byte-for-byte — at any thread count. A `cmp` failure means
