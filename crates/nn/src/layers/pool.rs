@@ -3,16 +3,18 @@
 use crate::layer::{Layer, Mode};
 use tdfm_tensor::ops::{
     avg_pool2d_backward_with, avg_pool2d_forward_with, global_avg_pool_backward_with,
-    global_avg_pool_forward_with, max_pool2d_backward_with, max_pool2d_forward_with, MaxPoolCache,
+    global_avg_pool_forward_with, max_pool2d_backward_with, max_pool2d_forward_train_with,
+    max_pool2d_forward_with, MaxPoolCache,
 };
 use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 
 /// Max pooling over square windows (ConvNet / VGG families).
 ///
-/// The argmax cache is recycled through the scratch arena between batches.
-/// Unlike the value caches of dense/conv layers, the cache is kept in every
-/// mode: it holds routing indices, not activations, and the backward pass
-/// cannot run without it.
+/// The argmax cache is kept only under [`Mode::Train`], as the dense and
+/// conv layers keep their input caches: an evaluation pass computes values
+/// alone and drops any previous cache, so a `backward` after it panics.
+/// The cache's index buffer is recycled through the scratch arena between
+/// batches.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     k: usize,
@@ -39,17 +41,23 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let (out, cache) = max_pool2d_forward_with(input, self.k, self.s, &self.scratch);
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         if let Some(old) = self.cache.take() {
             old.recycle(&self.scratch);
         }
+        if mode != Mode::Train {
+            return max_pool2d_forward_with(input, self.k, self.s, &self.scratch);
+        }
+        let (out, cache) = max_pool2d_forward_train_with(input, self.k, self.s, &self.scratch);
         self.cache = Some(cache);
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("forward before backward");
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("Train-mode forward before backward");
         max_pool2d_backward_with(grad_output, cache, &self.scratch)
     }
 
@@ -165,6 +173,36 @@ mod tests {
         assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
         let gx = p.backward(&Tensor::ones(&[1, 1, 2, 2]));
         assert_eq!(gx.data().iter().sum::<f32>(), 4.0);
+    }
+
+    #[test]
+    fn max_pool_eval_forward_equals_train_forward() {
+        let mut rng = tdfm_tensor::rng::Rng::seed_from(3);
+        let mut x = Tensor::randn(&[4, 3, 9, 8], 1.0, &mut rng);
+        x.data_mut()[5] = f32::from_bits(0x7fc0_0123);
+        x.data_mut()[6] = -0.0;
+        let arena = std::sync::Arc::new(Scratch::new());
+        let mut p = MaxPool2d::new(2, 2);
+        p.bind_scratch(&arena);
+        let train = p.forward(&x, Mode::Train);
+        // Output and index buffer.
+        assert_eq!(arena.stats().checkouts(), 2);
+        let eval = p.forward(&x, Mode::Eval);
+        // The output only: evaluation checks out no index buffer.
+        assert_eq!(arena.stats().checkouts(), 3);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&eval), bits(&train));
+    }
+
+    #[test]
+    #[should_panic(expected = "forward before backward")]
+    fn max_pool_backward_after_eval_forward_panics() {
+        let mut p = MaxPool2d::new(2, 2);
+        let x = Tensor::ones(&[1, 1, 4, 4]);
+        let _ = p.forward(&x, Mode::Train);
+        // The evaluation pass drops the Train cache.
+        let _ = p.forward(&x, Mode::Eval);
+        let _ = p.backward(&Tensor::ones(&[1, 1, 2, 2]));
     }
 
     #[test]

@@ -14,8 +14,9 @@ use tdfm_tensor::parallel::with_inner_threads;
 use tdfm_tensor::rng::Rng;
 use tdfm_tensor::Tensor;
 
-/// Trains `kind` for two epochs on 64 smoke-scale images at `threads`
-/// kernel threads and returns every parameter's bits.
+/// Trains `kind` for two epochs on 512 smoke-scale images at `threads`
+/// kernel threads and returns every parameter's bits. Batches of 256 give
+/// the convolutions enough work to fan out past the serial threshold.
 fn trained_bits(kind: ModelKind, threads: usize) -> Vec<u32> {
     let cfg = ModelConfig {
         in_shape: (3, 8, 8),
@@ -24,8 +25,8 @@ fn trained_bits(kind: ModelKind, threads: usize) -> Vec<u32> {
         seed: 11,
     };
     let mut rng = Rng::seed_from(0x7EAD);
-    let x = Tensor::randn(&[64, 3, 8, 8], 1.0, &mut rng);
-    let labels = (0..64u32).map(|i| (i * 7) % 5).collect();
+    let x = Tensor::randn(&[512, 3, 8, 8], 1.0, &mut rng);
+    let labels = (0..512u32).map(|i| (i * 7) % 5).collect();
     with_inner_threads(threads, || {
         let mut net = kind.build(&cfg);
         fit(
@@ -35,7 +36,7 @@ fn trained_bits(kind: ModelKind, threads: usize) -> Vec<u32> {
             &TargetSource::Hard(labels),
             &FitConfig {
                 epochs: 2,
-                batch_size: 32,
+                batch_size: 256,
                 ..FitConfig::default()
             },
         );

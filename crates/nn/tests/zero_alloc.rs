@@ -1,10 +1,11 @@
-//! Proof that the dense/conv training hot path allocates nothing per batch.
+//! Proof that the dense/conv hot path allocates nothing per batch.
 //!
 //! A counting global allocator wraps the system allocator; the test warms the
 //! scratch arena with a few forward/backward passes, switches the counter on,
 //! and asserts that further passes through a conv → relu → max-pool stack,
 //! down to a convolution over 1×1 planes, then flatten → dense, perform
-//! zero heap allocations.
+//! zero heap allocations, and that evaluation forwards of the same stack
+//! do not either.
 //!
 //! The test pins the thread count to 1 so the parallel helpers take their
 //! inline (allocation-free) serial path, and it uses a private scratch arena
@@ -110,4 +111,20 @@ fn steady_state_conv_dense_passes_do_not_allocate() {
         "steady-state forward/backward passes performed {allocs} heap allocations"
     );
     assert!(arena.stats().hits > 0, "arena was never used");
+
+    // Evaluation forwards of the same stack: the first drops the Train
+    // caches into the arena, after which inference allocates nothing.
+    arena.recycle(net.forward(&x, Mode::Eval));
+    memory::reset_allocations();
+    memory::set_counting(true);
+    for _ in 0..2 {
+        let y = net.forward(&x, Mode::Eval);
+        arena.recycle(y);
+    }
+    memory::set_counting(false);
+    let allocs = memory::allocations();
+    assert_eq!(
+        allocs, 0,
+        "steady-state evaluation forwards performed {allocs} heap allocations"
+    );
 }

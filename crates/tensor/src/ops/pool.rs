@@ -5,9 +5,10 @@
 //! (global) average pooling.
 
 use crate::ops::conv_out_dim;
-use crate::parallel::parallel_chunks_mut;
+use crate::parallel::{parallel_chunks_mut, parallel_zip_chunks_mut};
 use crate::scratch::Scratch;
 use crate::Tensor;
+use std::hint::select_unpredictable;
 
 /// Indices of the winning elements of a max-pool forward pass, needed to
 /// route gradients in the backward pass.
@@ -25,79 +26,161 @@ impl MaxPoolCache {
     }
 }
 
-/// Max pooling over `k`×`k` windows with stride `s`.
+/// The geometry of one max-pool call: `[n, c, h, w]` in, `oh × ow` planes
+/// out, `k`×`k` windows at stride `s`.
+struct PoolGeom {
+    dims: [usize; 4],
+    oh: usize,
+    ow: usize,
+    k: usize,
+    s: usize,
+}
+
+impl PoolGeom {
+    fn new(input: &Tensor, k: usize, s: usize) -> Self {
+        assert_eq!(input.shape().rank(), 4, "max pool input must be NCHW");
+        let d = input.shape().dims();
+        let dims = [d[0], d[1], d[2], d[3]];
+        Self {
+            dims,
+            oh: conv_out_dim(dims[2], k, s, 0),
+            ow: conv_out_dim(dims[3], k, s, 0),
+            k,
+            s,
+        }
+    }
+
+    fn out_dims(&self) -> [usize; 4] {
+        [self.dims[0], self.dims[1], self.oh, self.ow]
+    }
+
+    fn plane_in(&self) -> usize {
+        self.dims[2] * self.dims[3]
+    }
+
+    fn plane_out(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Max-pools one input `plane` into its output plane `y`; with `TRACK`,
+    /// also writes each window's winning plane index into `arg`.
+    ///
+    /// Every window is read in row-major order, and a tap `v` replaces the
+    /// running best when `v > best || v.is_nan()`. So a NaN wins and then
+    /// stays unless a later NaN replaces it (the last NaN in window order
+    /// wins, with its payload), an equal value never replaces the best (a
+    /// `-0.0`/`+0.0` tie keeps the first element), and an all-`-inf`
+    /// window yields `-inf` at its first element.
+    ///
+    /// The scan goes tap by tap over all of the plane's windows at once,
+    /// with each running best held in `y`: the windows are independent, so
+    /// no long serial chain forms. The select is a conditional move on the
+    /// value's bits (with the index packed alongside under `TRACK`), never
+    /// a branch: which tap wins depends on fresh activations, so a branch
+    /// on it mispredicts. A select on the `f32`s themselves compiles to a
+    /// branch on x86-64 without SSE4.1, hence the bits.
+    #[inline(always)]
+    fn scan_plane<const TRACK: bool>(&self, plane: &[f32], y: &mut [f32], arg: &mut [u32]) {
+        let (w, k, s, ow) = (self.dims[3], self.k, self.s, self.ow);
+        y.fill(f32::NEG_INFINITY);
+        if TRACK {
+            for (o, a) in arg.iter_mut().enumerate() {
+                *a = ((o / ow) * s * w + (o % ow) * s) as u32;
+            }
+        }
+        for ki in 0..k {
+            for kj in 0..k {
+                for (oi, y_row) in y.chunks_exact_mut(ow).enumerate() {
+                    let r = (oi * s + ki) * w + kj;
+                    let taps = &plane[r..=r + (ow - 1) * s];
+                    if TRACK {
+                        let a_row = &mut arg[oi * ow..(oi + 1) * ow];
+                        for (j, (b, a)) in y_row.iter_mut().zip(a_row).enumerate() {
+                            let v = taps[j * s];
+                            let old = (u64::from(b.to_bits()) << 32) | u64::from(*a);
+                            let new = (u64::from(v.to_bits()) << 32) | (r + j * s) as u64;
+                            let won = select_unpredictable(wins(v, *b), new, old);
+                            *b = f32::from_bits((won >> 32) as u32);
+                            *a = won as u32;
+                        }
+                    } else {
+                        for (j, b) in y_row.iter_mut().enumerate() {
+                            let v = taps[j * s];
+                            let won = select_unpredictable(wins(v, *b), v.to_bits(), b.to_bits());
+                            *b = f32::from_bits(won);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Whether tap `v` replaces the running maximum `best`: it is greater, or
+/// it is a NaN (which then sticks, since nothing compares greater).
+#[inline(always)]
+fn wins(v: f32, best: f32) -> bool {
+    (v > best) | v.is_nan()
+}
+
+/// Max pooling over `k`×`k` windows with stride `s`, values only.
 ///
-/// Returns the pooled tensor and a cache for [`max_pool2d_backward_with`].
-///
-/// Draws the output and index buffers from `scratch`.
-///
-/// The argmax pass runs first (one `(sample, channel)` plane per task),
-/// then the values are gathered through the winning indices — the two
-/// passes replace a locked per-plane copy and allocate nothing.
+/// The evaluation pass: one window scan per output, no index bookkeeping.
+/// Values are bit-identical to [`max_pool2d_forward_train_with`]'s.
+/// Draws the output buffer from `scratch`.
 ///
 /// # Panics
 ///
 /// Panics if the input is not NCHW or the window does not fit.
-pub fn max_pool2d_forward_with(
+pub fn max_pool2d_forward_with(input: &Tensor, k: usize, s: usize, scratch: &Scratch) -> Tensor {
+    let g = PoolGeom::new(input, k, s);
+    let mut out = scratch.tensor_uninit(&g.out_dims());
+    let x = input.data();
+    let plane_in = g.plane_in();
+    parallel_chunks_mut(out.data_mut(), g.plane_out(), k * k, |p, y| {
+        let plane = &x[p * plane_in..(p + 1) * plane_in];
+        g.scan_plane::<false>(plane, y, &mut []);
+    });
+    out
+}
+
+/// Max pooling over `k`×`k` windows with stride `s`, recording each
+/// window's winning index for [`max_pool2d_backward_with`].
+///
+/// The training pass: the same window scan as [`max_pool2d_forward_with`]
+/// writes the value and the index together, one `(sample, channel)` plane
+/// per task. Draws the output and index buffers from `scratch`.
+///
+/// # Panics
+///
+/// Panics if the input is not NCHW or the window does not fit.
+pub fn max_pool2d_forward_train_with(
     input: &Tensor,
     k: usize,
     s: usize,
     scratch: &Scratch,
 ) -> (Tensor, MaxPoolCache) {
-    assert_eq!(input.shape().rank(), 4, "max pool input must be NCHW");
-    let (n, c, h, w) = (
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    );
-    let oh = conv_out_dim(h, k, s, 0);
-    let ow = conv_out_dim(w, k, s, 0);
-    let mut out = scratch.tensor_uninit(&[n, c, oh, ow]);
-    let mut argmax = scratch.take_u32(n * c * oh * ow).into_vec();
+    let g = PoolGeom::new(input, k, s);
+    let mut out = scratch.tensor_uninit(&g.out_dims());
+    let mut argmax = scratch.take_u32(out.numel()).into_vec();
     let x = input.data();
-    let plane_in = h * w;
-    let plane_out = oh * ow;
-    parallel_chunks_mut(&mut argmax, plane_out, k * k, |p, arg| {
-        let plane = &x[p * plane_in..(p + 1) * plane_in];
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0usize;
-                for ki in 0..k {
-                    for kj in 0..k {
-                        let idx = (oi * s + ki) * w + (oj * s + kj);
-                        let v = plane[idx];
-                        // A NaN wins the window and then sticks (nothing
-                        // compares greater than NaN), matching the
-                        // reference frameworks instead of silently
-                        // dropping the poisoned lane. Finite-only windows
-                        // are untouched.
-                        if v > best || v.is_nan() {
-                            best = v;
-                            best_idx = idx;
-                        }
-                    }
-                }
-                arg[oi * ow + oj] = best_idx as u32;
-            }
-        }
-    });
-    {
-        let arg = &argmax[..];
-        parallel_chunks_mut(out.data_mut(), plane_out, 1, |p, y| {
+    let (plane_in, plane_out) = (g.plane_in(), g.plane_out());
+    parallel_zip_chunks_mut(
+        out.data_mut(),
+        plane_out,
+        &mut argmax,
+        plane_out,
+        k * k,
+        |p, y, arg| {
             let plane = &x[p * plane_in..(p + 1) * plane_in];
-            let arg_plane = &arg[p * plane_out..(p + 1) * plane_out];
-            for (o, &idx) in y.iter_mut().zip(arg_plane) {
-                *o = plane[idx as usize];
-            }
-        });
-    }
+            g.scan_plane::<true>(plane, y, arg);
+        },
+    );
     (
         out,
         MaxPoolCache {
             argmax,
-            input_dims: [n, c, h, w],
+            input_dims: g.dims,
         },
     )
 }
@@ -279,30 +362,143 @@ pub fn global_avg_pool_backward_with(
 mod tests {
     use super::*;
     use crate::assert_close;
+    use crate::parallel::{with_inner_threads, SERIAL_THRESHOLD};
     use crate::rng::Rng;
 
+    /// A NaN with payload `p` (quiet bit set, so it survives copies).
+    fn nan(p: u32) -> f32 {
+        f32::from_bits(0x7fc0_0000 | p)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Max pooling written the obvious way: per window, the last NaN if
+    /// there is one, otherwise the first element that no other element
+    /// exceeds. Returns the values and their plane indices.
+    fn naive_max_pool(x: &Tensor, k: usize, s: usize) -> (Vec<f32>, Vec<u32>) {
+        let d = x.shape().dims();
+        let (planes, h, w) = (d[0] * d[1], d[2], d[3]);
+        let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
+        let (mut vals, mut idxs) = (Vec::new(), Vec::new());
+        for p in 0..planes {
+            let plane = &x.data()[p * h * w..(p + 1) * h * w];
+            for oi in 0..oh {
+                for oj in 0..ow {
+                    let window: Vec<usize> = (0..k * k)
+                        .map(|t| (oi * s + t / k) * w + oj * s + t % k)
+                        .collect();
+                    let at = |i: &usize| plane[*i];
+                    let win = match window.iter().rposition(|i| at(i).is_nan()) {
+                        Some(j) => window[j],
+                        None => *window
+                            .iter()
+                            .find(|i| window.iter().all(|u| at(u) <= at(i)))
+                            .expect("a finite or infinite window has a maximum"),
+                    };
+                    vals.push(plane[win]);
+                    idxs.push(win as u32);
+                }
+            }
+        }
+        (vals, idxs)
+    }
+
+    /// Values, and training-mode indices, bit for bit against
+    /// [`naive_max_pool`] at 1, 2 and 3 kernel threads.
     #[test]
-    fn max_pool_picks_window_maxima() {
-        let x = Tensor::from_vec(
-            vec![
-                1.0, 2.0, 5.0, 6.0, //
-                3.0, 4.0, 7.0, 8.0, //
-                9.0, 10.0, 13.0, 14.0, //
+    fn max_pool_matches_naive_reference() {
+        let (inf, z) = (f32::INFINITY, 0.0f32);
+        // Batches big enough to fan out, with NaNs (distinct payloads),
+        // signed zeros and infinities scattered through them.
+        let mut rng = Rng::seed_from(7);
+        let mut big = |dims: &[usize]| {
+            let mut t = Tensor::randn(dims, 1.0, &mut rng);
+            for (i, v) in t.data_mut().iter_mut().enumerate() {
+                *v = match i % 97 {
+                    0 => nan(i as u32 & 0xffff),
+                    13 | 14 => -z,
+                    15 => z,
+                    40 => -inf,
+                    _ => *v,
+                };
+            }
+            t
+        };
+        let (big_k3, big_k2) = (big(&[32, 16, 35, 33]), big(&[64, 16, 34, 33]));
+        // (input, k, s, expected values; empty = reference only)
+        #[rustfmt::skip]
+        let rows: Vec<(Tensor, usize, usize, Vec<f32>)> = vec![
+            // Window maxima, 2/2.
+            (Tensor::from_vec(vec![
+                1.0, 2.0, 5.0, 6.0,
+                3.0, 4.0, 7.0, 8.0,
+                9.0, 10.0, 13.0, 14.0,
                 11.0, 12.0, 15.0, 16.0,
-            ],
-            &[1, 1, 4, 4],
-        );
-        let (y, _) = max_pool2d_forward_with(&x, 2, 2, Scratch::shared());
-        assert_eq!(y.data(), &[4.0, 8.0, 12.0, 16.0]);
+            ], &[1, 1, 4, 4]), 2, 2, vec![4.0, 8.0, 12.0, 16.0]),
+            // Overlapping windows, 2/1.
+            (Tensor::from_vec((1..=9).map(|v| v as f32).collect(), &[1, 1, 3, 3]),
+                2, 1, vec![5.0, 6.0, 8.0, 9.0]),
+            // One NaN poisons its window; a finite window is untouched.
+            (Tensor::from_vec(vec![1.0, nan(1), 0.5, 3.0, -2.0, 0.5], &[1, 1, 2, 3]),
+                2, 1, vec![nan(1), nan(1)]),
+            // Two NaNs with distinct payloads: the last in window order wins.
+            (Tensor::from_vec(vec![nan(2), 1.0, 7.0, nan(3)], &[1, 1, 2, 2]),
+                2, 2, vec![nan(3)]),
+            (Tensor::from_vec(vec![nan(4), nan(5), nan(6), nan(7)], &[1, 1, 2, 2]),
+                2, 2, vec![nan(7)]),
+            // Signed-zero ties keep the first element.
+            (Tensor::from_vec(vec![-z, z, z, -z, z, -z, -z, z], &[1, 1, 2, 4]),
+                2, 2, vec![-z, z]),
+            // All-`-inf` windows, away from the plane's first element too.
+            (Tensor::from_vec(vec![1.0, 2.0, -inf, -inf, 3.0, 4.0, -inf, -inf], &[1, 1, 2, 4]),
+                2, 2, vec![4.0, -inf]),
+            (Tensor::from_vec(vec![-inf; 8], &[2, 1, 2, 2]), 2, 2, vec![-inf, -inf]),
+            // Sizes the window does not divide: 3/1, 3/2, 2/2 and 1/1.
+            (Tensor::randn(&[2, 3, 7, 5], 1.0, &mut rng), 3, 1, vec![]),
+            (Tensor::randn(&[2, 3, 7, 6], 1.0, &mut rng), 3, 2, vec![]),
+            (Tensor::randn(&[3, 2, 5, 7], 1.0, &mut rng), 2, 2, vec![]),
+            (Tensor::randn(&[2, 2, 3, 5], 1.0, &mut rng), 1, 1, vec![]),
+            (big_k3.clone(), 3, 2, vec![]),
+            (big_k3, 3, 1, vec![]),
+            (big_k2, 2, 2, vec![]),
+        ];
+        for (row, (x, k, s, expect)) in rows.iter().enumerate() {
+            let (want, want_idx) = naive_max_pool(x, *k, *s);
+            if row >= rows.len() - 3 {
+                let work = want.len() * k * k;
+                assert!(work >= SERIAL_THRESHOLD, "row {row} must fan out");
+            }
+            if !expect.is_empty() {
+                assert_eq!(bits(&want), bits(expect), "row {row}: reference");
+            }
+            for threads in 1..=3 {
+                with_inner_threads(threads, || {
+                    let scratch = Scratch::new();
+                    let eval = max_pool2d_forward_with(x, *k, *s, &scratch);
+                    let (train, cache) = max_pool2d_forward_train_with(x, *k, *s, &scratch);
+                    let at = format!("row {row}, k{k} s{s}, {threads} threads");
+                    assert_eq!(bits(eval.data()), bits(&want), "{at}: eval values");
+                    assert_eq!(bits(train.data()), bits(&want), "{at}: train values");
+                    assert_eq!(cache.argmax, want_idx, "{at}: train indices");
+                });
+            }
+        }
     }
 
     #[test]
     fn max_pool_backward_routes_to_argmax() {
         let x = Tensor::from_vec(vec![1.0, 3.0, 2.0, 0.0], &[1, 1, 2, 2]);
-        let (_, cache) = max_pool2d_forward_with(&x, 2, 2, Scratch::shared());
+        let (_, cache) = max_pool2d_forward_train_with(&x, 2, 2, Scratch::shared());
         let gy = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]);
         let gx = max_pool2d_backward_with(&gy, &cache, Scratch::shared());
         assert_eq!(gx.data(), &[0.0, 5.0, 0.0, 0.0]);
+        // Overlapping windows: each window's winner receives one unit.
+        let x = Tensor::from_vec((1..=9).map(|v| v as f32).collect(), &[1, 1, 3, 3]);
+        let (_, cache) = max_pool2d_forward_train_with(&x, 2, 1, Scratch::shared());
+        let gx = max_pool2d_backward_with(&Tensor::ones(&[1, 1, 2, 2]), &cache, Scratch::shared());
+        assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -347,51 +543,18 @@ mod tests {
     }
 
     #[test]
-    fn max_pool_propagates_nan_windows() {
-        // A window of injected NaNs must yield NaN, not −∞.
-        let x = Tensor::from_vec(vec![f32::NAN, f32::NAN, f32::NAN, f32::NAN], &[1, 1, 2, 2]);
-        let (y, _) = max_pool2d_forward_with(&x, 2, 2, Scratch::shared());
-        assert!(y.data()[0].is_nan());
-        // Any NaN in the window poisons the output, like the reference
-        // frameworks — a silently dropped NaN would hide the fault.
-        let x2 = Tensor::from_vec(vec![1.0, f32::NAN, 0.5, -2.0], &[1, 1, 2, 2]);
-        let (y2, _) = max_pool2d_forward_with(&x2, 2, 2, Scratch::shared());
-        assert!(y2.data()[0].is_nan());
-        // Finite windows are untouched by the NaN branch.
-        let x3 = Tensor::from_vec(vec![1.0, 3.0, 0.5, -2.0], &[1, 1, 2, 2]);
-        let (y3, _) = max_pool2d_forward_with(&x3, 2, 2, Scratch::shared());
-        assert_eq!(y3.data()[0], 3.0);
-    }
-
-    #[test]
     fn max_pool_cache_recycles_into_arena() {
         let scratch = Scratch::new();
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]);
-        let (y, cache) = max_pool2d_forward_with(&x, 2, 2, &scratch);
+        let (y, cache) = max_pool2d_forward_train_with(&x, 2, 2, &scratch);
         scratch.recycle(y);
         cache.recycle(&scratch);
         let baseline = scratch.stats().misses;
-        let (_y2, _c2) = max_pool2d_forward_with(&x, 2, 2, &scratch);
+        let (_y2, _c2) = max_pool2d_forward_train_with(&x, 2, 2, &scratch);
         assert_eq!(
             scratch.stats().misses,
             baseline,
             "second forward must reuse both pooled buffers"
         );
-    }
-
-    #[test]
-    fn max_pool_stride_one_overlapping() {
-        let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
-            &[1, 1, 3, 3],
-        );
-        let (y, cache) = max_pool2d_forward_with(&x, 2, 1, Scratch::shared());
-        assert_eq!(y.data(), &[5.0, 6.0, 8.0, 9.0]);
-        let gy = Tensor::ones(&[1, 1, 2, 2]);
-        let gx = max_pool2d_backward_with(&gy, &cache, Scratch::shared());
-        // Each window winner receives exactly one unit.
-        assert_eq!(gx.data()[4], 1.0); // value 5
-        assert_eq!(gx.data()[8], 1.0); // value 9
-        assert_eq!(gx.data().iter().sum::<f32>(), 4.0);
     }
 }

@@ -21,7 +21,12 @@ use std::sync::{Mutex, OnceLock};
 /// Estimated total work (elements x per-element cost) below which a kernel
 /// runs serially. Scoped worker threads cost tens of microseconds to spawn,
 /// so small kernels are cheaper inline.
-pub const SERIAL_THRESHOLD: usize = 1 << 16;
+///
+/// Set at the measured crossover (DESIGN.md, "Kernel threads"): on a
+/// 2-core AVX2 host, convolution, matmul and pooling calls at the seven
+/// models' shapes ran slower at 2 threads than serially up to 2^19 work
+/// (median 0.97x there) and faster from 2^20 (median 1.09x).
+pub const SERIAL_THRESHOLD: usize = 1 << 20;
 
 /// Hard ceiling on worker threads, whatever the configuration source.
 pub const MAX_THREADS: usize = 64;
@@ -157,25 +162,65 @@ pub fn parallel_chunks_mut<T: Send>(
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     assert!(chunk > 0, "chunk size must be positive");
+    let work = data_work(data.len(), work_per_item);
+    let pieces = data.chunks_mut(chunk).enumerate();
+    fan_out(work, pieces, |(i, piece)| f(i, piece));
+}
+
+/// [`parallel_chunks_mut`] over two buffers at once: piece `i` of `a`
+/// (`chunk_a` long) and piece `i` of `b` (`chunk_b` long) go to the same
+/// task, as `f(i, piece_a, piece_b)`. Work is estimated from `a`.
+///
+/// Kernels with two outputs per element (max pooling's value and winning
+/// index) write both in one pass this way.
+///
+/// # Panics
+///
+/// Panics if a chunk size is zero or the buffers hold different numbers
+/// of pieces.
+pub fn parallel_zip_chunks_mut<A: Send, B: Send>(
+    a: &mut [A],
+    chunk_a: usize,
+    b: &mut [B],
+    chunk_b: usize,
+    work_per_item: usize,
+    f: impl Fn(usize, &mut [A], &mut [B]) + Sync,
+) {
+    assert!(chunk_a > 0 && chunk_b > 0, "chunk size must be positive");
+    assert_eq!(
+        a.len().div_ceil(chunk_a),
+        b.len().div_ceil(chunk_b),
+        "zipped buffers must split into the same number of pieces"
+    );
+    let work = data_work(a.len(), work_per_item);
+    let pieces = a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b)).enumerate();
+    fan_out(work, pieces, |(i, (pa, pb))| f(i, pa, pb));
+}
+
+/// Estimated work of a kernel over `len` elements.
+fn data_work(len: usize, work_per_item: usize) -> usize {
+    len.saturating_mul(work_per_item.max(1))
+}
+
+/// Runs `f` over `items`: inline below [`SERIAL_THRESHOLD`] work or at one
+/// thread, otherwise on scoped workers that pop items from a shared queue.
+fn fan_out<I: Send>(work: usize, items: impl Iterator<Item = I>, f: impl Fn(I) + Sync) {
     let threads = num_threads();
-    let total_work = data.len().saturating_mul(work_per_item.max(1));
-    if threads <= 1 || total_work < SERIAL_THRESHOLD {
-        for (i, piece) in data.chunks_mut(chunk).enumerate() {
-            f(i, piece);
-        }
+    if threads <= 1 || work < SERIAL_THRESHOLD {
+        items.for_each(f);
         return;
     }
     // tdfm-lint: allow(hot-path-alloc, per-region fan-out work list: O(chunks) entries built once, not per element)
-    let pieces: Vec<(usize, &mut [T])> = data.chunks_mut(chunk).enumerate().collect();
-    let pieces = Mutex::new(pieces);
+    let items: Vec<I> = items.collect();
+    let items = Mutex::new(items);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let f = &f;
-            let pieces = &pieces;
+            let items = &items;
             scope.spawn(move || loop {
-                let item = pieces.lock().expect("queue lock poisoned").pop();
+                let item = items.lock().expect("queue lock poisoned").pop();
                 match item {
-                    Some((idx, piece)) => f(idx, piece),
+                    Some(item) => f(item),
                     None => break,
                 }
             });
@@ -198,7 +243,8 @@ mod tests {
     #[test]
     fn parallel_chunks_mut_writes_disjoint() {
         let mut data = vec![0usize; 10_000];
-        parallel_chunks_mut(&mut data, 100, 10, |i, piece| {
+        // Work over the threshold, so the pieces really fan out.
+        parallel_chunks_mut(&mut data, 100, SERIAL_THRESHOLD, |i, piece| {
             for x in piece {
                 *x = i;
             }
@@ -206,6 +252,21 @@ mod tests {
         for (j, &x) in data.iter().enumerate() {
             assert_eq!(x, j / 100);
         }
+    }
+
+    #[test]
+    fn parallel_zip_chunks_mut_pairs_pieces() {
+        let mut a = vec![0usize; 10_000];
+        let mut b = vec![0u8; 2_500];
+        with_inner_threads(2, || {
+            let work = SERIAL_THRESHOLD;
+            parallel_zip_chunks_mut(&mut a, 100, &mut b, 25, work, |i, pa, pb| {
+                pa.fill(i);
+                pb.fill(i as u8);
+            });
+        });
+        assert!(a.iter().enumerate().all(|(j, &x)| x == j / 100));
+        assert!(b.iter().enumerate().all(|(j, &x)| x == (j / 25) as u8));
     }
 
     #[test]

@@ -183,6 +183,8 @@ impl Scratch {
                 } else {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                 }
+                // A pooled buffer keeps its stale prefix; only a grown
+                // tail is zero-filled.
                 buf.resize(len, 0.0);
                 buf
             }
@@ -194,10 +196,9 @@ impl Scratch {
         }
     }
 
-    fn checkin_tensor_vec(&self, mut buf: Vec<f32>) {
+    fn checkin_tensor_vec(&self, buf: Vec<f32>) {
         let mut pool = self.tensor_pool.lock().expect("scratch pool poisoned");
         if pool.len() < Self::MAX_POOLED {
-            buf.clear();
             pool.push(buf);
         }
     }
@@ -228,7 +229,8 @@ impl Scratch {
     pub fn take_u32(&self, len: usize) -> ScratchBufU32<'_> {
         let picked = {
             let mut pool = self.u32_pool.lock().expect("scratch pool poisoned");
-            pool.pop()
+            // tdfm-lint: allow(lock-held-across-call, best_fit only scans the locked pool itself; it takes no lock and cannot block)
+            best_fit(&mut pool, len, |b: &Vec<u32>| b.capacity())
         };
         let buf = match picked {
             Some(mut buf) => {
@@ -279,8 +281,6 @@ impl Scratch {
     pub fn recycle_u32(&self, buf: Vec<u32>) {
         let mut pool = self.u32_pool.lock().expect("scratch pool poisoned");
         if pool.len() < Self::MAX_POOLED {
-            let mut buf = buf;
-            buf.clear();
             pool.push(buf);
         }
     }
@@ -427,6 +427,45 @@ mod tests {
             "1000-cap buffer serves 900"
         );
         assert!(big.capacity() >= 1000);
+    }
+
+    #[test]
+    fn u32_pool_best_fit_matches() {
+        let s = Scratch::new();
+        // Two index buffers of different sizes, checked out together so
+        // the small one is not served by the large.
+        let big = s.take_u32(1000);
+        let small = s.take_u32(10);
+        drop(big);
+        drop(small);
+        // The 10-element buffer serves the request; the 1000 stays pooled.
+        let b = s.take_u32(8);
+        assert!(b.len() == 8 && b.into_vec().capacity() < 1000);
+        let big = s.take_u32(900);
+        assert_eq!(s.stats().misses, 2, "1000-cap buffer serves 900");
+        assert!(big.into_vec().capacity() >= 1000);
+    }
+
+    #[test]
+    fn tensor_uninit_reuses_stale_contents_and_tensor_zeroed_clears_them() {
+        let s = Scratch::new();
+        s.recycle(Tensor::from_vec(vec![7.0; 64], &[64]));
+        let t = s.tensor_uninit(&[64]);
+        assert!(
+            t.data().iter().all(|&x| x == 7.0),
+            "a pooled tensor checkout is not rewritten"
+        );
+        s.recycle(t);
+        assert!(s.tensor_zeroed(&[8, 8]).data().iter().all(|&x| x == 0.0));
+        // A shorter checkout keeps the stale prefix; growing past the
+        // buffer's last length zero-fills only the new tail.
+        s.recycle(Tensor::from_vec(vec![3.0; 64], &[64]));
+        let short = s.tensor_uninit(&[16]);
+        assert!(short.data().iter().all(|&x| x == 3.0));
+        s.recycle(short);
+        let grown = s.tensor_uninit(&[80]);
+        assert!(grown.data()[..16].iter().all(|&x| x == 3.0));
+        assert!(grown.data()[16..].iter().all(|&x| x == 0.0));
     }
 
     #[test]

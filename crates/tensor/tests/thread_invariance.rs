@@ -5,7 +5,7 @@
 //! carries enough work for the kernels to fan out at two or more threads.
 
 use tdfm_tensor::ops::{conv2d_backward_with, conv2d_forward_with, Conv2dSpec};
-use tdfm_tensor::parallel::with_inner_threads;
+use tdfm_tensor::parallel::{with_inner_threads, SERIAL_THRESHOLD};
 use tdfm_tensor::rng::Rng;
 use tdfm_tensor::{Scratch, Tensor};
 
@@ -41,11 +41,11 @@ fn conv_gradients_do_not_depend_on_the_kernel_thread_count() {
     let same = Conv2dSpec::same(3);
     // (input dims, weight dims, spec)
     let geometries = [
-        ([32, 3, 8, 8], [4, 3, 3, 3], same),
-        ([16, 8, 8, 8], [8, 8, 3, 3], same),
-        ([64, 16, 1, 1], [16, 16, 3, 3], same),
+        ([256, 3, 8, 8], [4, 3, 3, 3], same),
+        ([32, 8, 8, 8], [8, 8, 3, 3], same),
+        ([512, 16, 1, 1], [16, 16, 3, 3], same),
         (
-            [24, 4, 9, 9],
+            [224, 4, 9, 9],
             [6, 4, 3, 3],
             Conv2dSpec {
                 stride: 2,
@@ -54,7 +54,7 @@ fn conv_gradients_do_not_depend_on_the_kernel_thread_count() {
             },
         ),
         (
-            [16, 16, 8, 8],
+            [128, 16, 8, 8],
             [16, 1, 3, 3],
             Conv2dSpec {
                 stride: 1,
@@ -62,7 +62,7 @@ fn conv_gradients_do_not_depend_on_the_kernel_thread_count() {
                 groups: 16,
             },
         ),
-        ([32, 16, 4, 4], [16, 16, 1, 1], Conv2dSpec::default()),
+        ([288, 16, 4, 4], [16, 16, 1, 1], Conv2dSpec::default()),
     ];
     for (i, (xd, wd, spec)) in geometries.into_iter().enumerate() {
         let mut rng = Rng::seed_from(0x7A + i as u64);
@@ -70,6 +70,15 @@ fn conv_gradients_do_not_depend_on_the_kernel_thread_count() {
         let w = Tensor::randn(&wd, 0.5, &mut rng);
         let b = Tensor::randn(&[wd[0]], 0.5, &mut rng);
         let y = conv2d_forward_with(&x, &w, Some(&b), spec, Scratch::shared());
+        // The forward and input-gradient work estimates (multiply-adds) of
+        // every geometry reach the serial threshold.
+        let kdim = wd[1] * wd[2] * wd[3];
+        for work in [y.numel() * kdim, x.numel() * kdim] {
+            assert!(
+                work >= SERIAL_THRESHOLD,
+                "{xd:?} * {wd:?}: {work} work units"
+            );
+        }
         let gy = Tensor::randn(y.shape().dims(), 1.0, &mut rng);
         let one = conv_bits(&x, &w, &b, &gy, spec, 1);
         for threads in [2, 3] {

@@ -194,6 +194,11 @@ TDFM_SCALE=smoke TDFM_RESULTS="$drift_dir" ./target/release/model_faults > /dev/
 TDFM_SIMD=off TDFM_SCALE=smoke TDFM_RESULTS="$drift_dir" \
     ./target/release/motivating > /dev/null
 ./target/release/tdfm diff-results results/motivating.json "$drift_dir/motivating.json"
+# model_faults predicts through the evaluation-only max-pool scan; hold its
+# scalar-kernel run to the committed results as well.
+TDFM_SIMD=off TDFM_SCALE=smoke TDFM_RESULTS="$drift_dir" \
+    ./target/release/model_faults > /dev/null
+./target/release/tdfm diff-results results/model_faults.json "$drift_dir/model_faults.json"
 # The sharded trainer's fixed sorted-order reduction claims byte-identical
 # output at any thread count: regenerate at both budgets and hold it to
 # that. Separate processes per setting — TDFM_THREADS is read once per
