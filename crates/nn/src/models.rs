@@ -57,6 +57,52 @@ impl Default for ModelConfig {
     }
 }
 
+/// Why a [`ModelConfig`] cannot build a network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvalidConfig {
+    /// `width` is zero.
+    ZeroWidth,
+    /// The input image is smaller than 4×4.
+    InputTooSmall {
+        /// Input height.
+        height: usize,
+        /// Input width.
+        width: usize,
+    },
+}
+
+impl std::fmt::Display for InvalidConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InvalidConfig::ZeroWidth => write!(f, "model width must be positive"),
+            InvalidConfig::InputTooSmall { height, width } => {
+                write!(f, "input must be at least 4x4, got {height}x{width}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InvalidConfig {}
+
+impl ModelConfig {
+    /// Checks that every architecture can be built from this
+    /// configuration: a positive width and an input of at least 4×4.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first condition that fails.
+    pub fn validate(&self) -> Result<(), InvalidConfig> {
+        let (_, height, width) = self.in_shape;
+        if self.width == 0 {
+            Err(InvalidConfig::ZeroWidth)
+        } else if height < 4 || width < 4 {
+            Err(InvalidConfig::InputTooSmall { height, width })
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// The architectures of Table III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
@@ -170,15 +216,12 @@ impl ModelKind {
     ///
     /// # Panics
     ///
-    /// Panics if the input image is smaller than 4×4 or `width == 0`.
+    /// Panics if [`ModelConfig::validate`] rejects `cfg`: the input image
+    /// is smaller than 4×4 or `width == 0`.
     pub fn build(self, cfg: &ModelConfig) -> Network {
-        assert!(cfg.width > 0, "model width must be positive");
-        assert!(
-            cfg.in_shape.1 >= 4 && cfg.in_shape.2 >= 4,
-            "input must be at least 4x4, got {}x{}",
-            cfg.in_shape.1,
-            cfg.in_shape.2
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let mut rng = Rng::seed_from(cfg.seed ^ 0x5EED_0000 ^ (self as u64) << 32);
         let body = match self {
             ModelKind::ConvNet => build_convnet(cfg, &mut rng),

@@ -7,7 +7,7 @@
 //! trained classifiers can thus be checkpointed to disk and reloaded
 //! bit-exactly.
 
-use crate::models::{ModelConfig, ModelKind};
+use crate::models::{InvalidConfig, ModelConfig, ModelKind};
 use crate::Network;
 use tdfm_json::{FromJson, JsonError, ToJson, Value};
 
@@ -101,6 +101,8 @@ impl FromJson for SavedModel {
 /// Errors returned when restoring a saved model.
 #[derive(Debug)]
 pub enum RestoreError {
+    /// The snapshot's configuration cannot build any architecture.
+    InvalidConfig(InvalidConfig),
     /// The snapshot's parameter count does not match the rebuilt network
     /// (e.g. the snapshot was produced by an incompatible version).
     ParameterMismatch {
@@ -123,6 +125,7 @@ pub enum RestoreError {
 impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RestoreError::InvalidConfig(e) => write!(f, "snapshot config is invalid: {e}"),
             RestoreError::ParameterMismatch { expected, found } => write!(
                 f,
                 "snapshot has {found} parameter tensors, architecture expects {expected}"
@@ -166,6 +169,9 @@ impl SavedModel {
     /// Returns [`RestoreError`] when the snapshot does not match the
     /// architecture the recipe builds.
     pub fn restore(&self) -> Result<Network, RestoreError> {
+        self.config
+            .validate()
+            .map_err(RestoreError::InvalidConfig)?;
         let mut net = self.kind.build(&self.config);
         let mut params = net.params_mut();
         if params.len() != self.params.len() {
@@ -289,6 +295,38 @@ mod tests {
             saved2.restore(),
             Err(RestoreError::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn snapshot_with_zero_width_is_rejected() {
+        let (cfg, mut net, _) = trained_net();
+        let mut saved = SavedModel::capture(ModelKind::ConvNet, cfg, &mut net);
+        saved.config.width = 0;
+        let back = SavedModel::from_json(&saved.to_json()).unwrap();
+        assert!(matches!(
+            back.restore(),
+            Err(RestoreError::InvalidConfig(InvalidConfig::ZeroWidth))
+        ));
+    }
+
+    #[test]
+    fn snapshot_with_input_below_4x4_is_rejected() {
+        let (cfg, mut net, _) = trained_net();
+        let mut saved = SavedModel::capture(ModelKind::ConvNet, cfg, &mut net);
+        saved.config.in_shape = (1, 3, 8);
+        let back = SavedModel::from_json(&saved.to_json()).unwrap();
+        let err = back.restore().err().unwrap();
+        assert!(matches!(
+            err,
+            RestoreError::InvalidConfig(InvalidConfig::InputTooSmall {
+                height: 3,
+                width: 8
+            })
+        ));
+        assert_eq!(
+            err.to_string(),
+            "snapshot config is invalid: input must be at least 4x4, got 3x8"
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * [`parallel`] — a scoped-thread data-parallel runtime used by the
 //!   convolution/matmul kernels and by ensemble training.
 //! * [`ops`] — panel-packed, register-tiled matrix multiplication,
-//!   block-lowered convolution (forward/backward, with strides, padding and
-//!   groups for depthwise convolutions), max/average pooling, reductions
-//!   and softmax.
+//!   direct convolution with eight samples in the SIMD lanes
+//!   (forward/backward, with strides, padding and groups for depthwise
+//!   convolutions), max/average pooling, reductions and softmax.
 //! * [`simd`] — runtime-dispatched AVX2/SSE2/scalar kernels behind every
 //!   hot loop, byte-identical across levels (`TDFM_SIMD` overrides).
 //! * [`Scratch`] — a reusable buffer arena threaded through the kernels so

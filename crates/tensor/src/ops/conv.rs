@@ -1,57 +1,69 @@
-//! 2-D convolution lowered a block of samples at a time, with strides,
-//! zero padding and groups.
+//! 2-D convolution computed directly, eight samples at a time in the eight
+//! SIMD lanes, with strides, zero padding and groups.
 //!
 //! `groups == in_channels` yields the depthwise convolutions MobileNet is
 //! built from (Table III of the paper); `groups == 1` is an ordinary dense
 //! convolution.
 //!
-//! # Block lowering
+//! # Lane layout
 //!
-//! The batch is cut into blocks of consecutive samples. For each block and
-//! group, the samples' zero-padded input planes are copied straight into
-//! the [`NR`]-wide column panels the packed GEMM reads: panel row
-//! `p = (c·kh + ki)·kw + kj` is a kernel tap, and the columns run over the
-//! block's samples and output pixels. One GEMM per group and block then
-//! computes the forward pass (`[og × kdim] · [kdim × block·oh·ow]`), and
-//! one more the input gradient (`wᵀ · gy`, folded back onto each sample's
-//! planes). No im2col matrix is built and nothing is packed twice. A block
-//! holds as many samples as keep its packed matrix under [`BLOCK_FLOATS`]
-//! (64 KiB), and at least one; that bound is a constant, not a setting.
+//! The batch is cut into blocks of [`LANES`] = 8 consecutive samples (the
+//! last one ragged, its unused lanes zero). A block's input is copied once
+//! into zero-padded `[C][H+2p][W+2p][8]` planes and its output gradient
+//! into `[O][OH·OW][8]`: lane `l` belongs to sample `s0 + l`. Each pass is
+//! then a plain loop over tiles of eight *items*, each one `[f32; 8]`
+//! accumulator: (output channel, pixel) items sum over the taps for the
+//! forward pass; (tap, pixel) items, tap-major, sum over the group's
+//! output channels and land on zeroed padded planes for the input
+//! gradient; (output channel, tap) items sum over the pixels, per block,
+//! for the weight gradient. Items run over all groups in one flat order,
+//! so tiles stay full on small planes and depthwise convolutions. No tap
+//! panel is built and nothing is folded back. The bodies are written once
+//! over `[f32; 8]` and compiled for AVX2 and for the baseline target
+//! ([`crate::simd::run_lanes`]); only the 8×8 transposes in and out of
+//! the lane layout are intrinsics.
+//!
+//! Two geometries take a shorter road through the same bodies. A 1×1
+//! unpadded forward pass whose output planes hold whole octets of pixels
+//! puts eight pixels of one sample in the lanes: NCHW data is then the
+//! lane layout, so nothing is transposed. A weight gradient over
+//! one-pixel planes (one group, taps in whole octets) adds each sample's
+//! single product straight to the accumulator, eight taps per vector,
+//! with no transpose (the bits match; see `OnePixelWeightGrad`).
 //!
 //! # Fold order
 //!
-//! Every output element is summed in one fixed order, whatever the block
-//! size, SIMD level or thread count:
+//! Every output element is summed in one fixed order, whatever the SIMD
+//! level or thread count:
 //!
 //! * forward: the taps in ascending `(c, ki, kj)` order from `+0.0`,
-//!   padding taps included as `0.0` products, then the bias;
-//! * input gradient: each tap's column, summed over the group's output
+//!   padding taps included as `0·w` products, then the bias;
+//! * input gradient: each tap's value, summed over the group's output
 //!   channels in ascending order from `+0.0`, added onto a zeroed input
 //!   plane in ascending tap order;
 //! * weight and bias gradients: each sample's partial sum over its output
-//!   pixels, from `+0.0`, added to the accumulator in sample order (one
-//!   accumulating GEMM per sample; when an output plane is one pixel, one
-//!   GEMM over the samples gives the same bits).
+//!   pixels in ascending order from `+0.0`, added to the accumulator in
+//!   sample order.
 //!
-//! Kernel threads split the forward pass and the input gradient over
-//! sample blocks, and the weight gradient over disjoint ranges of its tap
-//! panels, never over the sample fold. The results are therefore the same
-//! bits at every thread count.
-//!
-//! All temporaries (packed panels, GEMM products, gradient accumulators)
-//! come from a [`Scratch`] arena, so steady-state training reuses the same
-//! buffers batch after batch.
+//! Lanes cannot change a bit: lane `l` only meets lane `l` of another
+//! vector, so a vector operation is eight independent scalar operations in
+//! that order. The weight gradient's fold over samples transposes a tile
+//! of partial sums (a data move) and adds sample `l`'s before sample
+//! `l + 1`'s, eight vector adds. A ragged block's unused lanes are never
+//! stored or folded. Kernel threads split the forward pass and the input
+//! gradient over lane blocks and the weight gradient over ranges of its
+//! items, never over the sample fold: the same bits at every thread
+//! count. Temporaries come from a [`Scratch`] arena.
+#![allow(
+    unsafe_code,
+    reason = "the lane kernels' inner loops load without bounds checks; each kernel asserts its largest index once per call"
+)]
 
-use super::gemm::{gemm_packed_block, packed_len, transpose_into, NR};
 use crate::parallel::{num_threads, parallel_chunks_mut};
 use crate::scratch::Scratch;
+use crate::simd::{lanes_to_rows, rows_to_lanes, run_lanes, transpose8, LaneKernel, Lanes, LANES};
 use crate::Tensor;
-use std::ops::Range;
 use tdfm_obs::OpTimer;
-
-/// Most floats one block's packed matrix holds (16 Ki floats, 64 KiB)
-/// unless a single sample needs more.
-const BLOCK_FLOATS: usize = 16 * 1024;
 
 /// Stride / padding / groups configuration of one convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,9 +125,11 @@ pub struct ConvGrads {
 }
 
 /// The geometry of one convolution call, with the derived sizes every
-/// kernel below needs.
+/// kernel below needs. Offsets into lane planes count [`Lanes`] vectors.
+#[derive(Clone, Copy)]
 struct ConvDims {
     n: usize,
+    c: usize,
     h: usize,
     w: usize,
     o: usize,
@@ -141,75 +155,113 @@ struct ConvDims {
 }
 
 impl ConvDims {
-    /// Samples per block when each sample contributes `rows` packed rows
-    /// of `ohow` columns: as many as stay under [`BLOCK_FLOATS`], at least
-    /// one, and no more than an even share of the batch per kernel thread.
-    /// The block size never changes a result bit, only the work split.
-    fn block_samples(&self, rows: usize) -> usize {
-        let fit = BLOCK_FLOATS / (rows * self.ohow);
-        fit.min(self.n.div_ceil(num_threads())).max(1)
+    /// The taps' offsets into one group's padded planes, in ascending
+    /// `(c, ki, kj)` order.
+    fn taps(&self) -> Window<'_> {
+        Window::new(self, (self.kh, self.kw), self.kdim, 0)
     }
 
-    /// The taps' offsets into a sample's padded planes.
-    fn taps(&self) -> Taps<'_> {
-        Taps {
-            d: self,
-            left: self.kdim,
-            ki: 0,
-            kj: 0,
-            offset: 0,
+    /// Where each input element sits in the padded planes, in NCHW order
+    /// over one sample.
+    fn interior(&self) -> Window<'_> {
+        Window::new(
+            self,
+            (self.h, self.w),
+            self.sample_in,
+            self.pad * (self.pw + 1),
+        )
+    }
+
+    /// One more than the largest padded-plane index a window reads: the
+    /// last group's planes, at the last pixel's corner, plus the last tap.
+    fn x_span(&self) -> usize {
+        let last_pixel = ((self.oh - 1) * self.pw + self.ow - 1) * self.stride;
+        let last_tap = (self.cg - 1) * self.pplane + (self.kh - 1) * self.pw + self.kw - 1;
+        (self.groups - 1) * self.cg * self.pplane + last_pixel + last_tap + 1
+    }
+
+    /// Whether the forward pass puts eight pixels of one sample in the
+    /// lanes instead of eight samples: a 1×1 unpadded convolution whose
+    /// output planes hold whole octets of pixels, where NCHW data (at
+    /// stride 1) is already the lane layout and needs no transposes.
+    fn pixel_lanes(&self) -> bool {
+        self.kdim == self.cg && self.pad == 0 && self.ohow.is_multiple_of(LANES)
+    }
+
+    /// Copies the pixels a 1×1 unpadded convolution reads from one
+    /// sample's planes `x` into `buf`, plane after plane, and returns them.
+    fn subsample<'b>(&self, x: &[f32], buf: &'b mut [f32]) -> &'b [f32] {
+        let buf = &mut buf[..self.c * self.ohow];
+        for (plane, src) in buf
+            .chunks_exact_mut(self.ohow)
+            .zip(x.chunks_exact(self.h * self.w))
+        {
+            for (row, i) in plane
+                .chunks_exact_mut(self.ow)
+                .zip((0..).step_by(self.stride))
+            {
+                for (v, j) in row.iter_mut().zip((0..).step_by(self.stride)) {
+                    *v = src[i * self.w + j];
+                }
+            }
+        }
+        buf
+    }
+
+    /// The geometry those pixel lanes see: each plane is `ohow / 8`
+    /// vectors of eight pixels.
+    fn octets(&self) -> ConvDims {
+        let planes = self.ohow / LANES;
+        ConvDims {
+            h: planes,
+            w: 1,
+            oh: planes,
+            ow: 1,
+            ohow: planes,
+            stride: 1,
+            sample_in: self.c * planes,
+            sample_out: self.o * planes,
+            pw: 1,
+            pplane: planes,
+            ..*self
         }
     }
 
-    /// One group's `[cg, h, w]` planes of sample `s`, as an offset into the
-    /// input.
-    fn group_input(&self, s: usize, g: usize) -> usize {
-        s * self.sample_in + g * self.cg * self.h * self.w
+    /// Vectors in one block's padded input planes.
+    fn block_in(&self) -> usize {
+        self.c * self.pplane
+    }
+
+    /// Vectors in one block's output (or output gradient).
+    fn block_out(&self) -> usize {
+        self.o * self.ohow
     }
 }
 
 fn check_dims(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> ConvDims {
-    assert_eq!(input.shape().rank(), 4, "conv input must be NCHW");
-    assert_eq!(
-        weight.shape().rank(),
-        4,
-        "conv weight must be [O, C/g, KH, KW]"
+    let &[n, c, h, w] = input.shape().dims() else {
+        panic!("conv input must be NCHW");
+    };
+    let &[o, cg, kh, kw] = weight.shape().dims() else {
+        panic!("conv weight must be [O, C/g, KH, KW]");
+    };
+    let groups = spec.groups;
+    assert!(groups > 0, "groups must be positive");
+    let divides = c.is_multiple_of(groups) && o.is_multiple_of(groups);
+    assert!(
+        divides,
+        "channels {c} -> {o} not divisible by groups {groups}"
     );
-    let (n, c, h, w) = (
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    );
-    let (o, cg, kh, kw) = (
-        weight.shape().dim(0),
-        weight.shape().dim(1),
-        weight.shape().dim(2),
-        weight.shape().dim(3),
-    );
-    assert!(spec.groups > 0, "groups must be positive");
-    assert_eq!(
-        c % spec.groups,
-        0,
-        "in_channels {c} not divisible by groups {}",
-        spec.groups
-    );
-    assert_eq!(
-        o % spec.groups,
-        0,
-        "out_channels {o} not divisible by groups {}",
-        spec.groups
-    );
-    assert_eq!(
-        cg,
-        c / spec.groups,
+    assert!(
+        cg == c / groups,
         "weight channel dim {cg} != C/groups {}",
-        c / spec.groups
+        c / groups
     );
     let oh = conv_out_dim(h, kh, spec.stride, spec.pad);
     let ow = conv_out_dim(w, kw, spec.stride, spec.pad);
     ConvDims {
         n,
+        c,
         h,
         w,
         o,
@@ -231,234 +283,490 @@ fn check_dims(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> ConvDims {
     }
 }
 
-/// Zeroes the lanes at and past `jw` of every `NR`-wide row of a panel.
-fn zero_tail_lanes(panel: &mut [f32], jw: usize) {
-    if jw < NR {
-        for row in panel.chunks_exact_mut(NR) {
-            row[jw..].fill(0.0);
-        }
-    }
-}
-
-/// Fills one `NR`-wide panel row with `src[a + t]` for each lane offset
-/// `a` in `at`. The packers hand out strictly increasing offsets (and a
-/// smaller one in unused tail lanes), so a last lane exactly `NR - 1` past
-/// the first means one contiguous run: a plain copy.
-fn gather(row: &mut [f32], src: &[f32], at: &[usize; NR], t: usize) {
-    if at[NR - 1] == at[0] + NR - 1 {
-        row.copy_from_slice(&src[at[0] + t..at[0] + t + NR]);
-    } else {
-        for (v, &a) in row.iter_mut().zip(at) {
-            *v = src[a + t];
-        }
-    }
-}
-
-/// Each tap's offset into one sample's zero-padded group planes, in
-/// ascending `(c, ki, kj)` order.
-struct Taps<'d> {
+/// The indices of a `rows × cols` window in consecutive padded planes,
+/// row by row and plane by plane, from index `at`: a kernel's taps, or
+/// the interior of the input planes.
+struct Window<'d> {
     d: &'d ConvDims,
+    shape: (usize, usize),
     left: usize,
-    ki: usize,
-    kj: usize,
-    offset: usize,
+    i: usize,
+    j: usize,
+    at: usize,
 }
 
-impl Iterator for Taps<'_> {
+impl<'d> Window<'d> {
+    fn new(d: &'d ConvDims, shape: (usize, usize), left: usize, at: usize) -> Self {
+        let (i, j) = (0, 0);
+        Window {
+            d,
+            shape,
+            left,
+            i,
+            j,
+            at,
+        }
+    }
+}
+
+impl Iterator for Window<'_> {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
         self.left = self.left.checked_sub(1)?;
-        let d = self.d;
-        let offset = self.offset;
-        (self.kj, self.offset) = (self.kj + 1, self.offset + 1);
-        if self.kj == d.kw {
-            (self.ki, self.kj, self.offset) = (self.ki + 1, 0, self.offset + d.pw - d.kw);
-            if self.ki == d.kh {
-                (self.ki, self.offset) = (0, self.offset + d.pplane - d.kh * d.pw);
+        let (d, (rows, cols), at) = (self.d, self.shape, self.at);
+        (self.j, self.at) = (self.j + 1, self.at + 1);
+        if self.j == cols {
+            // Past the window's right edge to its next row; past its
+            // bottom edge to the next plane.
+            (self.i, self.j, self.at) = (self.i + 1, 0, self.at + d.pw - cols);
+            if self.i == rows {
+                (self.i, self.at) = (0, self.at + d.pplane - rows * d.pw);
             }
         }
-        Some(offset)
+        Some(at)
     }
 }
 
-/// Input planes in which every tap reads in bounds: padded row `i`,
-/// column `j` of channel `c` of block sample `sl` is
-/// `data[base + sl·sample + c·padded_plane + i·(w + 2·pad) + j]`.
-struct Planes<'a> {
-    data: &'a [f32],
-    base: usize,
-    sample: usize,
+/// Walks the output pixels in row-major order, plane after plane;
+/// `corner` is the current pixel's window corner in a padded plane.
+#[derive(Clone, Copy, Default)]
+struct PixelWalk {
+    oi: usize,
+    oj: usize,
+    corner: usize,
 }
 
-/// Group `g`'s planes of the `samples` samples from `s0` on. Unpadded
-/// convolutions read the input itself; padded ones get a copy in `buf`
-/// with the zero border made explicit.
-fn padded_planes<'a>(
-    x: &'a [f32],
-    d: &ConvDims,
-    (g, s0, samples): (usize, usize, usize),
-    buf: Option<&'a mut [f32]>,
-) -> Planes<'a> {
-    let Some(buf) = buf else {
-        return Planes {
-            data: x,
-            base: d.group_input(s0, g),
-            sample: d.sample_in,
-        };
-    };
-    let (pad, pw, plane) = (d.pad, d.pw, d.pplane);
-    let buf = &mut buf[..samples * d.cg * plane];
-    for (i, dst) in buf.chunks_exact_mut(plane).enumerate() {
-        let at = d.group_input(s0 + i / d.cg, g) + i % d.cg * d.h * d.w;
-        let rows = x[at..at + d.h * d.w].chunks_exact(d.w);
-        dst[..pad * pw].fill(0.0);
-        for (row, src) in dst[pad * pw..(pad + d.h) * pw]
-            .chunks_exact_mut(pw)
-            .zip(rows)
-        {
-            row[..pad].fill(0.0);
-            row[pad..pad + d.w].copy_from_slice(src);
-            row[pad + d.w..].fill(0.0);
+impl PixelWalk {
+    /// Steps to the next pixel; returns whether that completed a plane.
+    #[inline(always)]
+    fn advance(&mut self, d: &ConvDims) -> bool {
+        (self.oj, self.corner) = (self.oj + 1, self.corner + d.stride);
+        if self.oj < d.ow {
+            return false;
         }
-        dst[(pad + d.h) * pw..].fill(0.0);
-    }
-    Planes {
-        data: buf,
-        base: 0,
-        sample: d.cg * plane,
+        (self.oi, self.oj) = (self.oi + 1, 0);
+        self.corner = self.oi * d.stride * d.pw;
+        if self.oi < d.oh {
+            return false;
+        }
+        *self = Self::default();
+        true
     }
 }
 
-/// Packs the column matrix of a block's planes, `cols` columns, into
-/// `NR`-wide panels of `kdim` rows: row `p` (tap `(c, ki, kj)`), column
-/// `sl·ohow + oi·ow + oj` holds padded input
-/// `(c, oi·stride + ki, oj·stride + kj)` of block sample `sl`. Lanes past
-/// `cols` are zero.
-fn pack_columns(src: &Planes, d: &ConvDims, cols: usize, packed: &mut [f32]) {
-    let (mut sl, mut oi, mut oj) = (0, 0, 0);
-    for (pj, panel) in packed.chunks_exact_mut(d.kdim * NR).enumerate() {
-        let jw = NR.min(cols - pj * NR);
-        // Each lane's top-left tap; lanes past `cols` read `base` and are
-        // zeroed below.
-        let mut at = [src.base; NR];
-        for a in &mut at[..jw] {
-            *a = src.base + sl * src.sample + (oi * d.pw + oj) * d.stride;
-            oj += 1;
-            if oj == d.ow {
-                (oi, oj) = (oi + 1, 0);
-                if oi == d.oh {
-                    (sl, oi) = (sl + 1, 0);
-                }
-            }
-        }
-        for (row, t) in panel.chunks_exact_mut(NR).zip(d.taps()) {
-            gather(row, src.data, &at, t);
-        }
-        zero_tail_lanes(panel, jw);
-    }
-}
-
-/// Packs the transposed column matrix of `samples` consecutive samples'
-/// planes, for the taps `span` only, into `NR`-wide panels of
-/// `samples·ohow` rows: lane `l` of panel `q`, row `sl·ohow + oi·ow + oj`
-/// holds tap `span.start + q·NR + l` of sample `sl` at output pixel
-/// `(oi, oj)`. Lanes past the last tap are zero.
-fn pack_taps(src: &Planes, d: &ConvDims, span: Range<usize>, samples: usize, packed: &mut [f32]) {
-    let rows = samples * d.ohow;
-    let mut taps = d.taps().skip(span.start).take(span.len());
-    for panel in packed.chunks_exact_mut(rows * NR) {
-        let mut at = [src.base; NR];
-        let mut lanes = 0;
-        for (a, t) in at.iter_mut().zip(taps.by_ref()) {
-            (*a, lanes) = (src.base + t, lanes + 1);
-        }
-        for (sl, sample_rows) in panel.chunks_exact_mut(d.ohow * NR).enumerate() {
-            for (oi, out_row) in sample_rows.chunks_exact_mut(d.ow * NR).enumerate() {
-                for (oj, px) in out_row.chunks_exact_mut(NR).enumerate() {
-                    gather(
-                        px,
-                        src.data,
-                        &at,
-                        sl * src.sample + (oi * d.pw + oj) * d.stride,
-                    );
-                }
-            }
-        }
-        zero_tail_lanes(panel, lanes);
-    }
-}
-
-/// Packs group `g`'s output gradient over the samples from `s0` on into
-/// `NR`-wide panels of `og` rows: row `r`, column `(s - s0)·ohow + pix`
-/// holds `gy[s, g·og + r, pix]`. Lanes past `cols` are zero.
-fn pack_grads(gy: &[f32], d: &ConvDims, (g, s0): (usize, usize), cols: usize, packed: &mut [f32]) {
-    let base = s0 * d.sample_out + g * d.og * d.ohow;
-    let (mut sl, mut pix) = (0, 0);
-    for (pj, panel) in packed.chunks_exact_mut(d.og * NR).enumerate() {
-        let jw = NR.min(cols - pj * NR);
-        let mut at = [base; NR];
-        for a in &mut at[..jw] {
-            *a = base + sl * d.sample_out + pix;
-            pix += 1;
-            if pix == d.ohow {
-                (sl, pix) = (sl + 1, 0);
-            }
-        }
-        for (r, row) in panel.chunks_exact_mut(NR).enumerate() {
-            gather(row, gy, &at, r * d.ohow);
-        }
-        zero_tail_lanes(panel, jw);
-    }
-}
-
-/// Folds one sample's input-gradient columns back onto its group planes
-/// `gx` (`[cg, h, w]`). Tap `p`'s columns start at `col[p·ld + off]`; each
-/// tap's contributions are added onto zero in ascending tap order.
-/// Padded convolutions fold into the padded planes `gpad` and keep their
-/// interior.
-fn fold_columns(
-    col: &[f32],
-    (ld, off): (usize, usize),
-    d: &ConvDims,
-    gpad: Option<&mut [f32]>,
-    gx: &mut [f32],
+/// Transposes `samples` rows of `m` floats, row `l` starting at
+/// `src[l·stride]`, into `m` lane vectors: the `k`-th goes to `dst` at the
+/// `k`-th index of `at`, with element `k` of row `l` in lane `l` and
+/// zeros in the lanes past `samples`.
+#[inline(always)]
+fn to_lanes(
+    src: &[f32],
+    (stride, samples, m): (usize, usize, usize),
+    mut at: impl Iterator<Item = usize>,
+    dst: &mut [Lanes],
 ) {
-    let Some(gpad) = gpad else {
-        fold_taps(col, (ld, off), d, gx);
-        return;
-    };
-    let (pad, pw) = (d.pad, d.pw);
-    let gpad = &mut gpad[..d.cg * d.pplane];
-    fold_taps(col, (ld, off), d, gpad);
-    for (dst, src) in gx
-        .chunks_exact_mut(d.h * d.w)
-        .zip(gpad.chunks_exact(d.pplane))
-    {
-        for (row, src) in dst
-            .chunks_exact_mut(d.w)
-            .zip(src[pad * pw..].chunks_exact(pw))
-        {
-            row.copy_from_slice(&src[pad..pad + d.w]);
+    for k0 in (0..m).step_by(LANES) {
+        let width = LANES.min(m - k0);
+        let mut idx = [0; LANES];
+        idx.iter_mut()
+            .zip(at.by_ref().take(width))
+            .for_each(|(i, a)| *i = a);
+        if width == LANES && samples == LANES {
+            rows_to_lanes(&src[k0..], stride, idx, dst);
+            continue;
+        }
+        for (k, &i) in idx[..width].iter().enumerate() {
+            let mut v = [0.0; LANES];
+            for (l, v) in v[..samples].iter_mut().enumerate() {
+                *v = src[l * stride + k0 + k];
+            }
+            dst[i] = v;
         }
     }
 }
 
-/// The fold itself, onto planes of padded width `w + 2·pad`.
-fn fold_taps(col: &[f32], (ld, off): (usize, usize), d: &ConvDims, acc: &mut [f32]) {
-    acc.fill(0.0);
-    for (p, t) in d.taps().enumerate() {
-        let src = &col[p * ld + off..p * ld + off + d.ohow];
-        for (oi, src_row) in src.chunks_exact(d.ow).enumerate() {
-            let at = t + oi * d.stride * d.pw;
-            if d.stride == 1 {
-                for (a, &v) in acc[at..at + d.ow].iter_mut().zip(src_row) {
-                    *a += v;
+/// The inverse of [`to_lanes`]: lanes `0..samples` of the `m` vectors at
+/// the indices `at` of `src` become rows of `m` floats, row `l` starting at
+/// `dst[l·stride]`.
+#[inline(always)]
+fn from_lanes(
+    src: &[Lanes],
+    mut at: impl Iterator<Item = usize>,
+    (stride, samples, m): (usize, usize, usize),
+    dst: &mut [f32],
+) {
+    for k0 in (0..m).step_by(LANES) {
+        let width = LANES.min(m - k0);
+        let mut idx = [0; LANES];
+        idx.iter_mut()
+            .zip(at.by_ref().take(width))
+            .for_each(|(i, a)| *i = a);
+        if width == LANES {
+            lanes_to_rows(src, idx, samples, &mut dst[k0..], stride);
+            continue;
+        }
+        for (k, &i) in idx[..width].iter().enumerate() {
+            for (l, &v) in src[i][..samples].iter().enumerate() {
+                dst[l * stride + k0 + k] = v;
+            }
+        }
+    }
+}
+
+/// Copies the `samples` samples from `s0` on into one block's zero-padded
+/// lane planes `xb`.
+#[inline(always)]
+fn pack_input(x: &[f32], d: &ConvDims, (s0, samples): (usize, usize), xb: &mut [Lanes]) {
+    if d.pad > 0 {
+        xb.fill([0.0; LANES]);
+    }
+    let (src, dims) = (&x[s0 * d.sample_in..], (d.sample_in, samples, d.sample_in));
+    // Unpadded planes are contiguous: a range walks them fastest.
+    if d.pad > 0 {
+        to_lanes(src, dims, d.interior(), xb);
+    } else {
+        to_lanes(src, dims, 0..d.sample_in, xb);
+    }
+}
+
+/// `v[i]` without a bounds check, for the kernels' inner loops.
+///
+/// # Safety
+///
+/// `i < v.len()`.
+#[inline(always)]
+unsafe fn unchecked<T: Copy>(v: &[T], i: usize) -> T {
+    debug_assert!(i < v.len());
+    // SAFETY: the caller guarantees `i < v.len()`.
+    unsafe { *v.get_unchecked(i) }
+}
+
+/// Copies every lane block of the input `x` into `xl`, as the forward pass
+/// does, and of the output gradient `gy` into `gyl`.
+struct PackBlocks<'a>(
+    &'a ConvDims,
+    (&'a [f32], &'a [f32]),
+    &'a mut [Lanes],
+    &'a mut [Lanes],
+);
+
+impl LaneKernel for PackBlocks<'_> {
+    #[inline(always)]
+    fn lane_loop(self) {
+        let Self(d, (x, gy), xl, gyl) = self;
+        let blocks = xl
+            .chunks_exact_mut(d.block_in())
+            .zip(gyl.chunks_exact_mut(d.block_out()));
+        for (b, (xb, gyb)) in blocks.enumerate() {
+            let (s0, samples) = (b * LANES, LANES.min(d.n - b * LANES));
+            pack_input(x, d, (s0, samples), xb);
+            let dims = (d.sample_out, samples, d.sample_out);
+            to_lanes(&gy[s0 * d.sample_out..], dims, 0..d.sample_out, gyb);
+        }
+    }
+}
+
+/// The forward pass of one lane block: packs the samples from `s0` on of
+/// the input `x` into the padded planes `xb`, then writes their outputs
+/// `y`. Item `i = oc·ohow + pix` is element `i` of every sample's output,
+/// so a tile's transposed sums are eight contiguous outputs per sample.
+struct Forward<'a>(
+    &'a ConvDims,
+    (&'a [f32], usize),
+    (&'a [f32], Option<&'a [f32]>),
+    &'a mut [Lanes],
+    &'a mut [f32],
+);
+
+impl LaneKernel for Forward<'_> {
+    #[inline(always)]
+    fn lane_loop(self) {
+        let Self(d, (x, s0), operands, xb, y) = self;
+        if d.pixel_lanes() {
+            // NCHW data already holds eight pixels of one sample per lane
+            // vector, in the layout of `d.octets()`; at a stride above 1,
+            // once the pixels the windows read are gathered into `xb`.
+            let (xs, od) = (x[s0 * d.sample_in..].chunks_exact(d.sample_in), d.octets());
+            for (xs, ys) in xs.zip(y.chunks_exact_mut(d.sample_out)) {
+                let xs = if d.stride == 1 {
+                    xs
+                } else {
+                    d.subsample(xs, xb.as_flattened_mut())
+                };
+                let ys = ys.as_chunks_mut().0;
+                forward_tiles(&od, operands, xs.as_chunks().0, |i0, width, acc| {
+                    ys[i0..i0 + width].copy_from_slice(&acc[..width]);
+                });
+            }
+            return;
+        }
+        let samples = y.len() / d.sample_out;
+        pack_input(x, d, (s0, samples), xb);
+        forward_tiles(d, operands, xb, |i0, width, acc| {
+            from_lanes(acc, 0..width, (d.sample_out, samples, width), &mut y[i0..]);
+        });
+    }
+}
+
+/// The forward pass over lane planes `xb` laid out as `d` describes:
+/// hands each tile's first item, width and sums to `store`.
+#[inline(always)]
+fn forward_tiles(
+    d: &ConvDims,
+    (wt, bias): (&[f32], Option<&[f32]>),
+    xb: &[Lanes],
+    mut store: impl FnMut(usize, usize, &[Lanes; LANES]),
+) {
+    assert!(d.o * d.kdim <= wt.len() && d.x_span() <= xb.len());
+    // The next item's output channel, that channel's index in its
+    // group, its group's planes, and its pixel.
+    let (mut oc, mut r, mut planes, mut px) = (0, 0, 0, PixelWalk::default());
+    for i0 in (0..d.sample_out).step_by(LANES) {
+        let width = LANES.min(d.sample_out - i0);
+        // Unused slots read item 0's operands; their sums are dropped.
+        let (mut w_at, mut x_at, mut oc_at) = ([0; LANES], [0; LANES], [0; LANES]);
+        for j in 0..width {
+            (w_at[j], x_at[j], oc_at[j]) = (oc * d.kdim, planes + px.corner, oc);
+            if px.advance(d) {
+                (oc, r) = (oc + 1, r + 1);
+                if r == d.og {
+                    (r, planes) = (0, planes + d.cg * d.pplane);
                 }
+            }
+        }
+        let mut acc = [[0.0; LANES]; LANES];
+        if oc_at[0] == oc_at[width - 1] {
+            // One output channel: one weight per tap for the tile.
+            for (p, t) in d.taps().enumerate() {
+                // SAFETY: `w_at[0] + p < o·kdim`, asserted above.
+                let w = unsafe { unchecked(wt, w_at[0] + p) };
+                for (acc, &x) in acc.iter_mut().zip(&x_at) {
+                    // SAFETY: `x + t < x_span`, asserted above.
+                    let x = unsafe { unchecked(xb, x + t) };
+                    for (a, x) in acc.iter_mut().zip(x) {
+                        *a += w * x;
+                    }
+                }
+            }
+        } else {
+            for (p, t) in d.taps().enumerate() {
+                for ((acc, &w), &x) in acc.iter_mut().zip(&w_at).zip(&x_at) {
+                    // SAFETY: `w + p < o·kdim` and `x + t < x_span`,
+                    // asserted above.
+                    let (w, x) = unsafe { (unchecked(wt, w + p), unchecked(xb, x + t)) };
+                    for (a, x) in acc.iter_mut().zip(x) {
+                        *a += w * x;
+                    }
+                }
+            }
+        }
+        if let Some(bias) = bias {
+            for (acc, &oc) in acc.iter_mut().zip(&oc_at) {
+                acc.iter_mut().for_each(|v| *v += bias[oc]);
+            }
+        }
+        store(i0, width, &acc);
+    }
+}
+
+/// The input gradient `gx` of one lane block, from the weights `wt` and
+/// the block's output gradient `gyb`, summed onto the zeroed padded planes
+/// `gpad`.
+struct InputGrad<'a>(
+    &'a ConvDims,
+    &'a [f32],
+    &'a [Lanes],
+    &'a mut [Lanes],
+    &'a mut [f32],
+);
+
+impl LaneKernel for InputGrad<'_> {
+    #[inline(always)]
+    fn lane_loop(self) {
+        let Self(d, wt, gyb, gpad, gx) = self;
+        assert!(d.o * d.kdim <= wt.len() && d.block_out() <= gyb.len());
+        gpad.fill([0.0; LANES]);
+        // The next item's group, tap index and offset, and pixel.
+        let (mut g, mut t, mut pix, mut px) = (0, 0, 0, PixelWalk::default());
+        let mut taps = d.taps();
+        let mut tap = taps.next().unwrap_or(0);
+        let items = d.groups * d.kdim * d.ohow;
+        for i0 in (0..items).step_by(LANES) {
+            let width = LANES.min(items - i0);
+            // Each item's first weight, first output gradient and position
+            // in the padded planes.
+            let mut items_at = [(0, 0, 0); LANES];
+            for item in &mut items_at[..width] {
+                *item = (
+                    g * d.og * d.kdim + t,
+                    g * d.og * d.ohow + pix,
+                    g * d.cg * d.pplane + tap + px.corner,
+                );
+                pix += 1;
+                if px.advance(d) {
+                    (t, pix) = (t + 1, 0);
+                    tap = taps.next().unwrap_or_else(|| {
+                        (g, t, taps) = (g + 1, 0, d.taps());
+                        taps.next().unwrap_or(0)
+                    });
+                }
+            }
+            let mut acc = [[0.0; LANES]; LANES];
+            for r in 0..d.og {
+                for (acc, &(w, gy, _)) in acc.iter_mut().zip(&items_at) {
+                    // SAFETY: `w + r·kdim < o·kdim` and `gy + r·ohow <
+                    // o·ohow`, asserted above.
+                    let (w, gy) = unsafe {
+                        (
+                            unchecked(wt, w + r * d.kdim),
+                            unchecked(gyb, gy + r * d.ohow),
+                        )
+                    };
+                    for (a, gy) in acc.iter_mut().zip(gy) {
+                        *a += w * gy;
+                    }
+                }
+            }
+            for (acc, &(_, _, dst)) in acc.iter().zip(&items_at[..width]) {
+                gpad[dst].iter_mut().zip(acc).for_each(|(g, v)| *g += v);
+            }
+        }
+        let dims = (d.sample_in, gx.len() / d.sample_in, d.sample_in);
+        if d.pad > 0 {
+            from_lanes(gpad, d.interior(), dims, gx);
+        } else {
+            from_lanes(gpad, 0..d.sample_in, dims, gx);
+        }
+    }
+}
+
+/// The weight gradient `gw` of the items from `first` on, item
+/// `oc·kdim + tap`, over every block of the lane-packed input `xl` and
+/// output gradient `gyl`.
+struct WeightGrad<'a>(
+    &'a ConvDims,
+    (&'a [Lanes], &'a [Lanes]),
+    usize,
+    &'a mut [f32],
+);
+
+impl LaneKernel for WeightGrad<'_> {
+    #[inline(always)]
+    fn lane_loop(self) {
+        let Self(d, (xl, gyl), first, gw) = self;
+        assert!(d.x_span() <= d.block_in());
+        // The next item's output channel, its group's planes, and its tap.
+        let (mut oc, mut taps) = (first / d.kdim, d.taps());
+        let mut planes = oc / d.og * d.cg * d.pplane;
+        let mut tap = taps.nth(first % d.kdim).unwrap_or(0);
+        for out in gw.chunks_mut(LANES) {
+            let (mut gy_at, mut x_at) = ([0; LANES], [0; LANES]);
+            for (gy, x) in gy_at.iter_mut().zip(&mut x_at).take(out.len()) {
+                (*gy, *x) = (oc * d.ohow, planes + tap);
+                tap = taps.next().unwrap_or_else(|| {
+                    oc += 1;
+                    planes = oc / d.og * d.cg * d.pplane;
+                    taps = d.taps();
+                    taps.next().unwrap_or(0)
+                });
+            }
+            let mut acc = [0.0; LANES];
+            let blocks = xl
+                .chunks_exact(d.block_in())
+                .zip(gyl.chunks_exact(d.block_out()));
+            for (b, (xb, gyb)) in blocks.enumerate() {
+                let (mut part, mut px) = ([[0.0; LANES]; LANES], PixelWalk::default());
+                for pix in 0..d.ohow {
+                    for ((part, &gy), &x) in part.iter_mut().zip(&gy_at).zip(&x_at) {
+                        // SAFETY: `gy + pix < o·ohow` and `x + corner <
+                        // x_span`, asserted above.
+                        let (gy, x) =
+                            unsafe { (unchecked(gyb, gy + pix), unchecked(xb, x + px.corner)) };
+                        for ((p, gy), x) in part.iter_mut().zip(gy).zip(x) {
+                            *p += gy * x;
+                        }
+                    }
+                    px.advance(d);
+                }
+                // part[l] becomes sample l's partials of the eight items.
+                transpose8(&mut part);
+                for sample in &part[..LANES.min(d.n - b * LANES)] {
+                    acc.iter_mut().zip(sample).for_each(|(a, v)| *a += v);
+                }
+            }
+            if out.len() == LANES {
+                out.copy_from_slice(&acc);
             } else {
-                for (oj, &v) in src_row.iter().enumerate() {
-                    acc[at + oj * d.stride] += v;
+                out.iter_mut().zip(acc).for_each(|(o, a)| *o = a);
+            }
+        }
+    }
+}
+
+/// Each sample's tap row when every output plane is one pixel (one
+/// group): `rows[s·kdim + t]` is tap `t` of sample `s`, from the
+/// lane-packed input `xl`.
+struct TapRows<'a>(&'a ConvDims, &'a [Lanes], &'a mut [f32]);
+
+impl LaneKernel for TapRows<'_> {
+    #[inline(always)]
+    fn lane_loop(self) {
+        let Self(d, xl, rows) = self;
+        for (b, xb) in xl.chunks_exact(d.block_in()).enumerate() {
+            let (s0, samples) = (b * LANES, LANES.min(d.n - b * LANES));
+            let mut taps = d.taps();
+            for t0 in (0..d.kdim).step_by(LANES) {
+                let mut at = [0; LANES];
+                at.iter_mut().zip(taps.by_ref()).for_each(|(a, t)| *a = t);
+                lanes_to_rows(xb, at, samples, &mut rows[s0 * d.kdim + t0..], d.kdim);
+            }
+        }
+    }
+}
+
+/// The weight gradient `gw` of the items from `first` on when every
+/// output plane is one pixel. Each sample's partial sum is then one
+/// product `p`, and `+0.0 + p` differs from `p` only for `p = -0.0`,
+/// which leaves an accumulator that starts at `+0.0` (and so is never
+/// `-0.0`) unchanged either way: adding the products straight to the
+/// accumulator in sample order gives the fold's bits without a transpose.
+/// Lanes run over eight taps of one output channel, from the tap rows
+/// `rows` and the output gradient `gy`, eight tiles at a time.
+struct OnePixelWeightGrad<'a>(&'a ConvDims, (&'a [Lanes], &'a [f32]), usize, &'a mut [f32]);
+
+impl LaneKernel for OnePixelWeightGrad<'_> {
+    #[inline(always)]
+    fn lane_loop(self) {
+        let Self(d, (rows, gy), first, gw) = self;
+        let tiles = d.kdim / LANES;
+        assert!(d.n * tiles <= rows.len() && d.n * d.o <= gy.len());
+        for (i, out) in gw.chunks_mut(LANES * LANES).enumerate() {
+            // Each tile's output channel and first tap tile; unused slots
+            // read item 0's operands and are dropped.
+            let (mut oc, mut t) = ([0; LANES], [0; LANES]);
+            for (j, (oc, t)) in oc
+                .iter_mut()
+                .zip(&mut t)
+                .take(out.len() / LANES)
+                .enumerate()
+            {
+                let tile = (first + (i * LANES + j) * LANES) / LANES;
+                (*oc, *t) = (tile / tiles, tile % tiles);
+            }
+            let mut acc = [[0.0; LANES]; LANES];
+            for s in 0..d.n {
+                for ((acc, &oc), &t) in acc.iter_mut().zip(&oc).zip(&t) {
+                    // SAFETY: `oc < o` and `t < kdim / 8`, asserted above.
+                    let (g, x) =
+                        unsafe { (unchecked(gy, s * d.o + oc), unchecked(rows, s * tiles + t)) };
+                    for (a, x) in acc.iter_mut().zip(x) {
+                        *a += g * x;
+                    }
                 }
+            }
+            for (out, acc) in out.chunks_exact_mut(LANES).zip(&acc) {
+                out.copy_from_slice(acc);
             }
         }
     }
@@ -489,47 +797,12 @@ pub fn conv2d_forward_with(
     if let Some(b) = bias {
         assert_eq!(b.shape().dims(), &[d.o], "bias must be [out_channels]");
     }
-    let (x, wt) = (input.data(), weight.data());
-    let bias = bias.map(Tensor::data);
+    let operands = (weight.data(), bias.map(Tensor::data));
     let mut out = scratch.tensor_uninit(&[d.n, d.o, d.oh, d.ow]);
-    let bs = d.block_samples(d.kdim.max(d.og));
-    parallel_chunks_mut(out.data_mut(), bs * d.sample_out, d.kdim, |blk, y| {
-        let samples = y.len() / d.sample_out;
-        let cols = samples * d.ohow;
-        let mut packed = scratch.take(packed_len(d.kdim, cols));
-        // When each sample's columns fill whole panels (or there is one
-        // sample), each sample's product lands straight in its NCHW
-        // planes; otherwise the block's product is scattered to them.
-        let whole_panels = samples == 1 || d.ohow.is_multiple_of(NR);
-        let mut product = (!whole_panels).then(|| scratch.take(d.og * cols));
-        let mut pad_buf = (d.pad > 0).then(|| scratch.take(samples * d.cg * d.pplane));
-        for g in 0..d.groups {
-            let planes = padded_planes(x, &d, (g, blk * bs, samples), pad_buf.as_deref_mut());
-            pack_columns(&planes, &d, cols, &mut packed);
-            let w_g = &wt[g * d.og * d.kdim..(g + 1) * d.og * d.kdim];
-            let y_g = g * d.og * d.ohow;
-            let Some(product) = product.as_deref_mut() else {
-                let per_sample = packed_len(d.kdim, d.ohow);
-                for (sl, panels) in packed.chunks_exact(per_sample).enumerate() {
-                    let at = sl * d.sample_out + y_g;
-                    let y_s = &mut y[at..at + d.og * d.ohow];
-                    gemm_packed_block(w_g, d.og, d.kdim, d.ohow, panels, y_s, false);
-                }
-                continue;
-            };
-            gemm_packed_block(w_g, d.og, d.kdim, cols, &packed, product, false);
-            for (r, row) in product.chunks_exact(cols).enumerate() {
-                for (sl, src) in row.chunks_exact(d.ohow).enumerate() {
-                    let at = sl * d.sample_out + y_g + r * d.ohow;
-                    y[at..at + d.ohow].copy_from_slice(src);
-                }
-            }
-        }
-        if let Some(b) = bias {
-            for (i, plane) in y.chunks_exact_mut(d.ohow).enumerate() {
-                crate::simd::add_scalar(plane, b[i % d.o]);
-            }
-        }
+    parallel_chunks_mut(out.data_mut(), LANES * d.sample_out, d.kdim, |blk, y| {
+        let mut xb = scratch.take(d.block_in() * LANES);
+        let xb = xb.as_chunks_mut().0;
+        run_lanes(Forward(&d, (input.data(), blk * LANES), operands, xb, y));
     });
     out
 }
@@ -559,156 +832,59 @@ pub fn conv2d_backward_with(
         &[d.n, d.o, d.oh, d.ow],
         "grad_output shape mismatch"
     );
-    let gy = grad_output.data();
-    let grad_input = input_grad(&d, weight.data(), gy, input.shape().dims(), scratch);
-    let grad_weight = weight_grad(&d, input.data(), gy, weight.shape().dims(), scratch);
-    let mut grad_bias = scratch.tensor_zeroed(&[d.o]);
-    for gys in gy.chunks_exact(d.sample_out) {
-        for (gb, plane) in grad_bias
-            .data_mut()
-            .iter_mut()
-            .zip(gys.chunks_exact(d.ohow))
-        {
-            *gb += plane.iter().sum::<f32>();
+    let (x, wt, gy) = (input.data(), weight.data(), grad_output.data());
+    // Both gradients read every block's lanes: pack the batch once.
+    let blocks = d.n.div_ceil(LANES);
+    let mut xl = scratch.take(blocks * d.block_in() * LANES);
+    let mut gyl = scratch.take(blocks * d.block_out() * LANES);
+    let (xl, gyl) = (xl.as_chunks_mut().0, gyl.as_chunks_mut().0);
+    run_lanes(PackBlocks(&d, (x, gy), &mut *xl, &mut *gyl));
+    let (xl, gyl) = (&*xl, &*gyl);
+
+    // The input gradient, one lane block per task.
+    let mut grad_input = scratch.tensor_uninit(input.shape().dims());
+    parallel_chunks_mut(
+        grad_input.data_mut(),
+        LANES * d.sample_in,
+        d.kdim,
+        |b, gx| {
+            let gyb = &gyl[b * d.block_out()..][..d.block_out()];
+            let mut gpad = scratch.take(d.block_in() * LANES);
+            run_lanes(InputGrad(&d, wt, gyb, gpad.as_chunks_mut().0, gx));
+        },
+    );
+
+    // The weight gradient, split over ranges of whole tiles of its items
+    // so every kernel thread can own one. The split decides who computes
+    // which items, never the order of any sum.
+    let tiles = (d.o * d.kdim).div_ceil(LANES);
+    let range = tiles.div_ceil(num_threads().clamp(1, tiles.max(1))).max(1) * LANES;
+    let one_pixel = d.ohow == 1 && d.groups == 1 && d.kdim.is_multiple_of(LANES);
+    let mut rows = scratch.take(if one_pixel { d.n * d.kdim } else { 0 });
+    if one_pixel {
+        run_lanes(TapRows(&d, xl, &mut rows));
+    }
+    let rows = rows.as_chunks().0;
+    let mut grad_weight = scratch.tensor_uninit(weight.shape().dims());
+    parallel_chunks_mut(grad_weight.data_mut(), range, d.n * d.ohow, |i, gw| {
+        if one_pixel {
+            run_lanes(OnePixelWeightGrad(&d, (rows, gy), i * range, gw));
+        } else {
+            run_lanes(WeightGrad(&d, (xl, gyl), i * range, gw));
         }
+    });
+
+    // Plane `i` is channel `i mod o` of sample `i / o`: partials in sample
+    // order.
+    let mut grad_bias = scratch.tensor_zeroed(&[d.o]);
+    for (i, plane) in gy.chunks_exact(d.ohow).enumerate() {
+        grad_bias.data_mut()[i % d.o] += plane.iter().sum::<f32>();
     }
     ConvGrads {
         grad_input,
         grad_weight,
         grad_bias,
     }
-}
-
-/// `w_gᵀ · gy_g` per group and sample block, folded back onto each
-/// sample's input planes.
-fn input_grad(d: &ConvDims, wt: &[f32], gy: &[f32], dims: &[usize], scratch: &Scratch) -> Tensor {
-    // Every block shares the transposed weights: build them once.
-    let mut wt_t = scratch.take(d.o * d.kdim);
-    for g in 0..d.groups {
-        let (a, b) = (g * d.og * d.kdim, (g + 1) * d.og * d.kdim);
-        transpose_into(&wt[a..b], d.og, d.kdim, &mut wt_t[a..b]);
-    }
-    let wt_t = &wt_t[..];
-    let mut grad_input = scratch.tensor_uninit(dims);
-    let group_in = d.cg * d.h * d.w;
-    let bs = d.block_samples(d.kdim.max(d.og));
-    parallel_chunks_mut(
-        grad_input.data_mut(),
-        bs * d.sample_in,
-        d.kdim,
-        |blk, gx| {
-            let samples = gx.len() / d.sample_in;
-            let cols = samples * d.ohow;
-            let mut packed = scratch.take(packed_len(d.og, cols));
-            // As in the forward pass: when each sample's columns fill whole
-            // panels, multiply and fold one sample at a time, so the column
-            // matrix holds one sample, not the block.
-            let chunk = if samples == 1 || d.ohow.is_multiple_of(NR) {
-                d.ohow
-            } else {
-                cols
-            };
-            let mut col = scratch.take(d.kdim * chunk);
-            let mut gpad = (d.pad > 0).then(|| scratch.take(d.cg * d.pplane));
-            for g in 0..d.groups {
-                pack_grads(gy, d, (g, blk * bs), cols, &mut packed);
-                let wt_g = &wt_t[g * d.kdim * d.og..(g + 1) * d.kdim * d.og];
-                let chunk_samples = chunk / d.ohow;
-                for (ci, panels) in packed.chunks_exact(packed_len(d.og, chunk)).enumerate() {
-                    gemm_packed_block(wt_g, d.kdim, d.og, chunk, panels, &mut col, false);
-                    for j in 0..chunk_samples {
-                        let at = (ci * chunk_samples + j) * d.sample_in + g * group_in;
-                        let gx_g = &mut gx[at..at + group_in];
-                        fold_columns(&col, (chunk, j * d.ohow), d, gpad.as_deref_mut(), gx_g);
-                    }
-                }
-            }
-        },
-    );
-    grad_input
-}
-
-/// `gw_g += gy_g · col_sᵀ` for every sample `s` in order, one per-sample
-/// GEMM each, split over `(group, tap-panel range)` items.
-fn weight_grad(d: &ConvDims, x: &[f32], gy: &[f32], dims: &[usize], scratch: &Scratch) -> Tensor {
-    // Cut each group's tap panels into ranges so every kernel thread can
-    // own at least one item; a range's accumulator is `og` rows of its
-    // taps. The split decides who computes which taps, never the order
-    // of any sum.
-    let panels = d.kdim.div_ceil(NR);
-    let ranges = num_threads().div_ceil(d.groups).min(panels);
-    let range_panels = panels.div_ceil(ranges);
-    let ranges = panels.div_ceil(range_panels);
-    let item = d.og * range_panels * NR;
-    let span = |idx: usize| {
-        let t0 = idx % ranges * range_panels * NR;
-        t0..(t0 + range_panels * NR).min(d.kdim)
-    };
-    let mut acc = scratch.take(d.groups * ranges * item);
-    parallel_chunks_mut(&mut acc, item, d.n * d.ohow, |idx, acc| {
-        let (g, span) = (idx / ranges, span(idx));
-        let acc = &mut acc[..d.og * span.len()];
-        if d.ohow == 1 && d.n > 0 {
-            one_pixel_weight_grad(d, x, gy, (g, span), scratch, acc);
-            return;
-        }
-        acc.fill(0.0);
-        let mut packed = scratch.take(packed_len(d.ohow, span.len()));
-        let mut pad_buf = (d.pad > 0).then(|| scratch.take(d.cg * d.pplane));
-        for s in 0..d.n {
-            let planes = padded_planes(x, d, (g, s, 1), pad_buf.as_deref_mut());
-            pack_taps(&planes, d, span.start..span.end, 1, &mut packed);
-            let at = s * d.sample_out + g * d.og * d.ohow;
-            let gy_g = &gy[at..at + d.og * d.ohow];
-            gemm_packed_block(gy_g, d.og, d.ohow, span.len(), &packed, acc, true);
-        }
-    });
-    let mut grad_weight = scratch.tensor_uninit(dims);
-    let gw = grad_weight.data_mut();
-    for (idx, acc) in acc.chunks_exact(item).enumerate() {
-        let (g, span) = (idx / ranges, span(idx));
-        for (r, src) in acc[..d.og * span.len()]
-            .chunks_exact(span.len())
-            .enumerate()
-        {
-            let at = (g * d.og + r) * d.kdim;
-            gw[at + span.start..at + span.end].copy_from_slice(src);
-        }
-    }
-    grad_weight
-}
-
-/// The weight gradient of group `g`, taps `span`, when each output plane
-/// is a single pixel: one GEMM whose inner dimension runs over the
-/// samples, `acc = Σ_s gy[s]ᵀ · col_s` from `+0.0`.
-///
-/// The per-sample partial sum is then one product `p` added to `+0.0`,
-/// and the fold `((+0.0 + (0.0 + p₀)) + (0.0 + p₁)) + …` is bit for bit the
-/// chain `((0.0 + p₀) + p₁) + …`: `0.0 + p` differs from `p` only for
-/// `p = -0.0`, and adding `±0.0` to an accumulator that is never `-0.0`
-/// (it starts at `+0.0`, and a sum is `-0.0` only when both terms are)
-/// gives the same value.
-fn one_pixel_weight_grad(
-    d: &ConvDims,
-    x: &[f32],
-    gy: &[f32],
-    (g, span): (usize, Range<usize>),
-    scratch: &Scratch,
-    acc: &mut [f32],
-) {
-    let mut pad_buf = (d.pad > 0).then(|| scratch.take(d.n * d.cg * d.pplane));
-    let planes = padded_planes(x, d, (g, 0, d.n), pad_buf.as_deref_mut());
-    let width = span.len();
-    let mut packed = scratch.take(packed_len(d.n, width));
-    pack_taps(&planes, d, span, d.n, &mut packed);
-    // gy_t[r, s] = gy[s, g·og + r]: the group's gradients, sample-minor.
-    let mut gy_t = scratch.take(d.og * d.n);
-    for (r, row) in gy_t.chunks_exact_mut(d.n).enumerate() {
-        for (s, v) in row.iter_mut().enumerate() {
-            *v = gy[s * d.sample_out + g * d.og + r];
-        }
-    }
-    gemm_packed_block(&gy_t, d.og, d.n, width, &packed, acc, false);
 }
 
 #[cfg(test)]
@@ -954,7 +1130,7 @@ mod tests {
             (3, 2, 3, 4, 3, 1, 0, 1), // 1x1 output, no padding
             (4, 3, 4, 5, 3, 2, 1, 1), // 2x2 output, stride 2, pad 1
             (2, 3, 4, 4, 3, 1, 1, 1), // 4x4 output
-            (3, 2, 5, 3, 3, 1, 1, 1), // 5x5: ohow not a multiple of NR
+            (3, 2, 5, 3, 3, 1, 1, 1), // 5x5: ohow not a multiple of 8
             (3, 2, 7, 3, 3, 2, 0, 1), // stride 2, pad 0
             (4, 4, 5, 4, 3, 1, 1, 4), // depthwise
             (2, 4, 5, 6, 3, 1, 1, 2), // grouped
@@ -970,29 +1146,41 @@ mod tests {
 
     #[test]
     fn batches_spanning_several_blocks_match_the_reference() {
-        // (8, 8, 8, ...): 72 taps x 64 pixels a sample, three a block.
-        // (120, 16, 1, ...): 144 taps x 1 pixel a sample, 113 a block.
-        for (i, geometry) in [(8, 8, 8, 4, 3, 1, 1, 1), (120, 16, 1, 4, 3, 1, 1, 1)]
-            .into_iter()
-            .enumerate()
-        {
-            let (n, c, side, _, k, stride, pad, groups) = geometry;
-            let ohow = conv_out_dim(side, k, stride, pad).pow(2);
-            assert!(
-                n * (c / groups) * k * k * ohow > BLOCK_FLOATS,
-                "{geometry:?}"
-            );
-            check_against_reference(geometry, 3100 + i as u64, Data::Normal);
+        // Four whole 8-sample blocks and a ragged fifth of three samples.
+        let geometry = (35, 8, 8, 4, 3, 1, 1, 1);
+        assert!(geometry.0 > 4 * LANES && geometry.0 % LANES != 0);
+        check_against_reference(geometry, 3100, Data::Normal);
+    }
+
+    #[test]
+    fn lane_block_edges_match_the_reference() {
+        // Batches below, at and just past one block, and over several
+        // blocks ending ragged, for each kind of convolution the models
+        // use: dense 3x3, one-pixel planes with 144 taps, depthwise at
+        // stride 2, pointwise, and a pointwise projection at stride 2.
+        let kinds: [Geometry; 5] = [
+            (0, 3, 8, 4, 3, 1, 1, 1),
+            (0, 16, 1, 16, 3, 1, 1, 1),
+            (0, 8, 5, 8, 3, 2, 1, 8),
+            (0, 4, 4, 8, 1, 1, 0, 1),
+            (0, 4, 8, 8, 1, 2, 0, 1),
+        ];
+        for (i, kind) in kinds.into_iter().enumerate() {
+            for (j, n) in [1, 7, 8, 9, 17, 33].into_iter().enumerate() {
+                let geometry = (n, kind.1, kind.2, kind.3, kind.4, kind.5, kind.6, kind.7);
+                check_against_reference(geometry, 3400 + (10 * i + j) as u64, Data::Normal);
+            }
         }
     }
 
     #[test]
     fn signed_zero_products_fold_like_the_reference() {
-        // The one-pixel weight gradient folds samples in one GEMM chain
-        // instead of adding per-sample partials; `-0.0` products are where
-        // the two could part ways.
-        let sweep: [Geometry; 4] = [
+        // `-0.0` products are where folding a sum in another order, or
+        // skipping the `+0.0` a partial starts from (as the one-pixel
+        // weight gradient does), would show.
+        let sweep: [Geometry; 5] = [
             (12, 4, 1, 3, 3, 1, 1, 1),
+            (11, 8, 1, 4, 3, 1, 1, 1), // one pixel, whole tiles of taps
             (9, 3, 3, 4, 3, 1, 0, 1),
             (10, 4, 1, 4, 1, 1, 0, 2),
             (6, 2, 4, 3, 3, 1, 1, 1),

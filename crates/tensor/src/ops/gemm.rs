@@ -1,8 +1,8 @@
-//! Shared GEMM building blocks: panel packing + a register-tiled microkernel.
+//! GEMM building blocks of the matmul variants: panel packing + a
+//! register-tiled microkernel.
 //!
-//! The matmul variants and the block-lowered convolution all reduce to
-//! `C[m,n] (+)= A[m,k] · B[k,n]`. This module implements that product two
-//! ways with **bit-identical** results:
+//! Every matmul variant reduces to `C[m,n] (+)= A[m,k] · B[k,n]`. This
+//! module implements that product two ways with **bit-identical** results:
 //!
 //! * a *packed* path — `B` is repacked into [`NR`]-wide column panels
 //!   (contiguous per `p` step, zero-padded at the right edge) and an

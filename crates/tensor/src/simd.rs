@@ -326,6 +326,107 @@ fn relu_backward_scalar(g: &[f32], mask: &[u32], out: &mut [f32]) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Lane kernels: loop bodies written once over `[f32; 8]`, each lane an
+// independent scalar computation (the convolution puts one sample in each
+// lane). The body is compiled twice, for AVX2 and for the baseline target;
+// neither form fuses a multiply and an add, so both give the same bits.
+// ---------------------------------------------------------------------------
+
+/// Lanes of one [`Lanes`] vector.
+pub(crate) const LANES: usize = 8;
+
+/// One value per lane.
+pub(crate) type Lanes = [f32; LANES];
+
+/// A loop body over [`Lanes`] that [`run_lanes`] compiles per SIMD level.
+pub(crate) trait LaneKernel {
+    /// Runs the body. Implementations mark it `#[inline(always)]`, so it is
+    /// compiled into [`run_lanes`]'s AVX2 instance with AVX2 enabled.
+    fn lane_loop(self);
+}
+
+/// Runs `kernel` compiled for AVX2 when that level is dispatched, and as
+/// baseline code otherwise.
+pub(crate) fn run_lanes(kernel: impl LaneKernel) {
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: simd_level() returns Avx2 only when AVX2 was detected.
+        SimdLevel::Avx2 => unsafe { x86::run_lanes_avx2(kernel) },
+        _ => kernel.lane_loop(),
+    }
+}
+
+/// Transposes an 8×8 tile in place: `t[i][j]` and `t[j][i]` swap. A data
+/// move, so every level gives the same bits.
+#[inline(always)]
+pub(crate) fn transpose8(t: &mut [Lanes; LANES]) {
+    let rows = *t;
+    lanes_to_rows(
+        &rows,
+        [0, 1, 2, 3, 4, 5, 6, 7],
+        LANES,
+        t.as_flattened_mut(),
+        LANES,
+    );
+}
+
+/// Transposes eight rows of eight floats, row `l` at `src[l·stride..]`,
+/// into eight lane vectors: vector `k` (element `k` of every row) goes to
+/// `dst[at[k]]`.
+///
+/// # Panics
+///
+/// Panics if a row or an index is out of bounds.
+#[inline(always)]
+pub(crate) fn rows_to_lanes(src: &[f32], stride: usize, at: [usize; LANES], dst: &mut [Lanes]) {
+    assert!((LANES - 1) * stride + LANES <= src.len() && at.iter().all(|&i| i < dst.len()));
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: simd_level() returns Avx2 only when AVX2 was detected;
+        // the bounds were asserted above.
+        SimdLevel::Avx2 => unsafe { x86::rows_to_lanes_avx2(src, stride, at, dst) },
+        _ => {
+            for (k, &i) in at.iter().enumerate() {
+                for (l, v) in dst[i].iter_mut().enumerate() {
+                    *v = src[l * stride + k];
+                }
+            }
+        }
+    }
+}
+
+/// The inverse of [`rows_to_lanes`] for the first `rows` rows: lane `l`
+/// of the vectors `src[at[k]]` becomes row `l`, `dst[l·stride..][..8]`.
+///
+/// # Panics
+///
+/// Panics if `rows > 8`, or if a row or an index is out of bounds.
+#[inline(always)]
+pub(crate) fn lanes_to_rows(
+    src: &[Lanes],
+    at: [usize; LANES],
+    rows: usize,
+    dst: &mut [f32],
+    stride: usize,
+) {
+    assert!(rows <= LANES && at.iter().all(|&i| i < src.len()));
+    assert!(rows == 0 || (rows - 1) * stride + LANES <= dst.len());
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: simd_level() returns Avx2 only when AVX2 was detected;
+        // the bounds were asserted above.
+        SimdLevel::Avx2 => unsafe { x86::lanes_to_rows_avx2(src, at, rows, dst, stride) },
+        _ => {
+            for l in 0..rows {
+                for (k, &i) in at.iter().enumerate() {
+                    dst[l * stride + k] = src[i][l];
+                }
+            }
+        }
+    }
+}
+
 /// The x86-64 vector bodies. Every function replicates its scalar
 /// counterpart lane-wise with unaligned loads/stores (the Scratch arena
 /// hands out 32-byte-aligned buffers, which makes these loads fast, but
@@ -382,6 +483,107 @@ mod x86 {
         debug_assert!(i + 4 <= s.len());
         // SAFETY: caller guarantees i+4 <= s.len(); storeu is unaligned.
         unsafe { _mm_storeu_ps(s.as_mut_ptr().add(i), v) }
+    }
+
+    /// [`super::LaneKernel::lane_loop`], inlined here and compiled with AVX2.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run_lanes_avx2(kernel: impl super::LaneKernel) {
+        kernel.lane_loop();
+    }
+
+    /// The 8×8 transpose of eight registers, as three rounds of
+    /// shuffles: interleave row pairs, then pairs of pairs, then swap
+    /// 128-bit halves.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose_regs(r: [__m256; 8]) -> [__m256; 8] {
+        let a = [
+            _mm256_unpacklo_ps(r[0], r[1]),
+            _mm256_unpackhi_ps(r[0], r[1]),
+            _mm256_unpacklo_ps(r[2], r[3]),
+            _mm256_unpackhi_ps(r[2], r[3]),
+            _mm256_unpacklo_ps(r[4], r[5]),
+            _mm256_unpackhi_ps(r[4], r[5]),
+            _mm256_unpacklo_ps(r[6], r[7]),
+            _mm256_unpackhi_ps(r[6], r[7]),
+        ];
+        let b = [
+            _mm256_shuffle_ps::<0x44>(a[0], a[2]),
+            _mm256_shuffle_ps::<0xEE>(a[0], a[2]),
+            _mm256_shuffle_ps::<0x44>(a[1], a[3]),
+            _mm256_shuffle_ps::<0xEE>(a[1], a[3]),
+            _mm256_shuffle_ps::<0x44>(a[4], a[6]),
+            _mm256_shuffle_ps::<0xEE>(a[4], a[6]),
+            _mm256_shuffle_ps::<0x44>(a[5], a[7]),
+            _mm256_shuffle_ps::<0xEE>(a[5], a[7]),
+        ];
+        [
+            _mm256_permute2f128_ps::<0x20>(b[0], b[4]),
+            _mm256_permute2f128_ps::<0x20>(b[1], b[5]),
+            _mm256_permute2f128_ps::<0x20>(b[2], b[6]),
+            _mm256_permute2f128_ps::<0x20>(b[3], b[7]),
+            _mm256_permute2f128_ps::<0x31>(b[0], b[4]),
+            _mm256_permute2f128_ps::<0x31>(b[1], b[5]),
+            _mm256_permute2f128_ps::<0x31>(b[2], b[6]),
+            _mm256_permute2f128_ps::<0x31>(b[3], b[7]),
+        ]
+    }
+
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported, that every row
+    /// `src[l·stride..][..8]` is in bounds and that every `at[k] <
+    /// dst.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rows_to_lanes_avx2(
+        src: &[f32],
+        stride: usize,
+        at: [usize; super::LANES],
+        dst: &mut [super::Lanes],
+    ) {
+        let mut r = [_mm256_setzero_ps(); super::LANES];
+        for (l, v) in r.iter_mut().enumerate() {
+            // SAFETY: row l is in bounds (this fn's contract).
+            *v = unsafe { ld256(src, l * stride) };
+        }
+        for (v, &i) in transpose_regs(r).iter().zip(&at) {
+            // SAFETY: i < dst.len() (this fn's contract); a lane vector is
+            // eight floats.
+            unsafe { _mm256_storeu_ps(dst.as_mut_ptr().add(i).cast(), *v) };
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported, that `rows <= 8`, that every
+    /// `at[k] < src.len()` and that rows `0..rows` of `dst` are in bounds.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn lanes_to_rows_avx2(
+        src: &[super::Lanes],
+        at: [usize; super::LANES],
+        rows: usize,
+        dst: &mut [f32],
+        stride: usize,
+    ) {
+        let mut r = [_mm256_setzero_ps(); super::LANES];
+        for (v, &i) in r.iter_mut().zip(&at) {
+            // SAFETY: i < src.len() (this fn's contract).
+            *v = unsafe { _mm256_loadu_ps(src.as_ptr().add(i).cast()) };
+        }
+        for (l, v) in transpose_regs(r).iter().enumerate().take(rows) {
+            // SAFETY: row l < rows is in bounds (this fn's contract).
+            unsafe { st256(dst, l * stride, *v) };
+        }
     }
 
     /// # Safety

@@ -221,8 +221,10 @@ echo "== kernel-thread drift gate: a lone cell trains the same bits at 1 and 4 t
 # its kernels instead (conv forward/backward, matmul, pooling). Train one
 # smoke cell per model at 1 and at 4 threads and require identical
 # results: the kernels must fold every sum in the same order at any
-# budget (DESIGN.md §2.1a).
-for model in ConvNet Vgg11; do
+# budget (DESIGN.md §2.1a). The convolution weight gradient's item ranges
+# follow the budget, and MobileNet (depthwise, pointwise) and ResNet18
+# (strided, one-pixel planes) split differently from the plain stacks.
+for model in ConvNet Vgg11 MobileNet ResNet18; do
     cat > "$drift_dir/cell-$model.json" <<EOF
 [{"dataset": "Gtsrb", "model": "$model", "technique": "Baseline",
   "fault_plan": {"specs": [{"kind": "Mislabelling", "percent": 30.0}]},
