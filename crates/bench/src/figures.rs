@@ -17,16 +17,11 @@
 //!   aggregator × fault-rate AD heatmap (the Byzantine-robustness
 //!   picture: Mean's row heats up with the victim rate, the robust rows
 //!   stay cold).
-//! * An array of [`ScalingCurve`]s (`training_step --scaling-out`) renders
-//!   a throughput-vs-threads speedup chart, one series per workload. This
-//!   one plots *measurements*, so unlike the result figures it is a CI
-//!   artefact, not a committed drift-gated SVG.
 //!
 //! Everything downstream of the parsed JSON is a pure function, so the
 //! committed SVGs are byte-identical across regenerations, machines and
 //! `TDFM_THREADS` settings — CI drift-gates them like result JSONs.
 
-use crate::harness::ScalingCurve;
 use std::collections::BTreeMap;
 use tdfm_core::{ExperimentResult, ModelFaultResult, ShardFaultResult};
 use tdfm_obs::{Heatmap, LineChart, Series};
@@ -35,7 +30,7 @@ use tdfm_obs::{Heatmap, LineChart, Series};
 ///
 /// Returns `(file name, svg document)` pairs in deterministic order. The
 /// document must be a JSON array of experiment results, model-fault
-/// results, shard-fault results or scaling curves.
+/// results or shard-fault results.
 ///
 /// # Errors
 ///
@@ -57,14 +52,9 @@ pub fn render_figures(text: &str) -> Result<Vec<(String, String)>, String> {
             return Ok(shard_fault_figures(&results));
         }
     }
-    if let Ok(curves) = tdfm_json::from_str::<Vec<ScalingCurve>>(text) {
-        if !curves.is_empty() {
-            return Ok(scaling_figures(&curves));
-        }
-    }
     Err(
         "not a recognised results document (expected a non-empty JSON array of \
-         experiment results, model-fault results, shard-fault results or scaling curves)"
+         experiment results, model-fault results or shard-fault results)"
             .to_string(),
     )
 }
@@ -329,54 +319,6 @@ fn shard_fault_figures(results: &[ShardFaultResult]) -> Vec<(String, String)> {
     vec![("shard_faults_aggregators.svg".to_string(), heatmap.render())]
 }
 
-fn scaling_figures(curves: &[ScalingCurve]) -> Vec<(String, String)> {
-    // Speedup relative to the single-thread cell, so curves of workloads
-    // with very different absolute cost share one readable axis. The
-    // dashed ideal-scaling diagonal comes from the measured thread counts.
-    let simd = curves
-        .iter()
-        .map(|c| c.simd.as_str())
-        .find(|s| !s.is_empty())
-        .unwrap_or("unknown");
-    let mut threads: Vec<u32> = curves
-        .iter()
-        .flat_map(|c| c.points.iter().map(|p| p.threads))
-        .collect();
-    threads.sort_unstable();
-    threads.dedup();
-    let mut series: Vec<Series> = curves
-        .iter()
-        .map(|c| Series {
-            label: c.name.clone(),
-            err: Vec::new(),
-            points: c
-                .speedups()
-                .into_iter()
-                .map(|(t, s)| (f64::from(t), s))
-                .collect(),
-        })
-        .collect();
-    series.push(Series {
-        label: "ideal".to_string(),
-        err: Vec::new(),
-        points: threads
-            .iter()
-            .map(|&t| (f64::from(t), f64::from(t)))
-            .collect(),
-    });
-    let chart = LineChart {
-        title: format!("Training-step speedup vs worker threads ({simd})"),
-        x_label: "worker threads (TDFM_THREADS)".to_string(),
-        y_label: "speedup over 1 thread (min_seconds)".to_string(),
-        x_ticks: threads
-            .iter()
-            .map(|&t| (f64::from(t), t.to_string()))
-            .collect(),
-        series,
-    };
-    vec![("scaling_threads.svg".to_string(), chart.render())]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,38 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_curves_render_a_speedup_chart() {
-        use crate::harness::{ScalingCurve, ScalingPoint};
-        let point = |threads, min_seconds| ScalingPoint {
-            threads,
-            mean_seconds: min_seconds,
-            min_seconds,
-        };
-        let curves = vec![
-            ScalingCurve {
-                name: "ConvNet".to_string(),
-                simd: "avx2".to_string(),
-                points: vec![point(1, 0.040), point(2, 0.024), point(4, 0.016)],
-            },
-            ScalingCurve {
-                name: "ResNet18".to_string(),
-                simd: "avx2".to_string(),
-                points: vec![point(1, 0.200), point(2, 0.110), point(4, 0.070)],
-            },
-        ];
-        let text = tdfm_json::to_string(&curves);
-        let figures = render_figures(&text).unwrap();
-        assert_eq!(figures.len(), 1);
-        let (name, svg) = &figures[0];
-        assert_eq!(name, "scaling_threads.svg");
-        assert!(svg.contains("speedup vs worker threads (avx2)"));
-        for label in ["ConvNet", "ResNet18", "ideal"] {
-            assert!(svg.contains(label), "missing series {label}");
-        }
-        assert_eq!(render_figures(&text).unwrap(), figures);
-    }
-
-    #[test]
     fn unrecognised_documents_are_rejected() {
         for text in ["[]", "{\"not\": \"an array\"}", "definitely not json"] {
             let err = render_figures(text).unwrap_err();
@@ -650,7 +560,6 @@ mod tests {
                 "experiment results",
                 "model-fault results",
                 "shard-fault results",
-                "scaling curves",
             ] {
                 assert!(err.contains(kind), "{err}");
             }

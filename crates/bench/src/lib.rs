@@ -25,13 +25,10 @@
 //! [`write_manifest`]; a failed write makes the binary exit non-zero.
 //!
 //! [`figures`] turns those result documents into SVG charts (`tdfm
-//! figures`). [`harness`] and [`compare`] back the `benches/` wall-clock
-//! micro-benchmarks and the `training_step --compare` gate; the A/B perf
-//! gate over the benchmark in `perfbench/` is `scripts/bench_ab.py`.
+//! figures`). Performance is measured by the benchmark in `perfbench/`,
+//! outside this workspace, and gated by `scripts/bench_ab.py`.
 
-pub mod compare;
 pub mod figures;
-pub mod harness;
 
 use std::path::PathBuf;
 use tdfm_data::Scale;

@@ -12,8 +12,9 @@ same benchmark code. Builds each side once, then runs alternating pairs of
 metric the gate takes each pair's worse-by ratio (change against base,
 oriented by the metric's `better`) and fails when the median ratio exceeds
 1 + bound. It also fails when a change-side run exits non-zero, prints no
-result document, or reports `correct: false` or failed units. Base-side
-failures are printed but do not fail the gate. Exits 0 on PASS, 1 on FAIL.
+result document, reports `correct: false` or failed units, or lacks a
+positive value of an end-to-end metric. Base-side failures are printed but
+do not fail the gate. Exits 0 on PASS, 1 on FAIL.
 """
 
 import json
@@ -45,7 +46,7 @@ def parse_run(exit_status, stdout):
     return {"exit": exit_status, "doc": doc}
 
 
-def run_problem(run):
+def run_problem(run, end_to_end):
     """Why a run's result cannot be trusted, or None."""
     doc = run["doc"]
     if run["exit"] != 0:
@@ -56,6 +57,10 @@ def run_problem(run):
         return "correct: false"
     if doc.get("failed", 0) > 0:
         return f"{doc['failed']} failed units"
+    for m in end_to_end:
+        v = value(run, m["name"])
+        if not isinstance(v, (int, float)) or not v > 0:
+            return f"{m['name']} is {v}, not a positive value"
     return None
 
 
@@ -79,7 +84,7 @@ def decide(end_to_end, results):
     rows, failures = [], []
     for workload, pairs in results.items():
         for i, (_, change) in enumerate(pairs, start=1):
-            problem = run_problem(change)
+            problem = run_problem(change, end_to_end)
             if problem:
                 failures.append(f"{workload}: change run of pair {i}: {problem}")
         for m in end_to_end:
@@ -127,7 +132,7 @@ def run(root, bench, workload, seed):
         bench["command"] + args, cwd=root, env=side_env(root), capture_output=True, text=True
     )
     result = parse_run(proc.returncode, proc.stdout)
-    if run_problem(result):
+    if run_problem(result, bench["end_to_end"]):
         sys.stdout.write(proc.stdout[-2000:] + proc.stderr[-2000:])
     return result
 
@@ -154,7 +159,7 @@ def main(argv):
                 print(
                     f"run {workload} pair {pair} seed {pair} {side}: {cells} "
                     f"attempted={doc.get('attempted')} failed={doc.get('failed')} "
-                    f"({run_problem(r) or 'ok'})",
+                    f"({run_problem(r, bench['end_to_end']) or 'ok'})",
                     flush=True,
                 )
             results[workload].append((runs["base"], runs["change"]))

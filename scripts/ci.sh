@@ -87,28 +87,6 @@ echo "== full test suite with the SIMD kernels disabled (TDFM_SIMD=off) =="
 # already built, so this re-runs execution only.
 TDFM_SIMD=off cargo test -q --workspace
 
-echo "== bench regression gate: training_step --compare (+ scaling) =="
-# Re-runs the trainer bench suite — including the elementwise/reduction
-# kernel cells and the multi-thread scaling cells (TDFM_THREADS 1/2/4) —
-# and diffs it against the committed baseline. The gate fails only on a
-# broad slowdown: the geometric mean of the per-benchmark
-# current/baseline ratios (over min_seconds) must stay within the
-# threshold. The threshold is deliberately generous because CI runners
-# differ from the machine the baseline was recorded on; local runs can
-# tighten it (e.g. TDFM_BENCH_THRESHOLD=0.10) when chasing a specific
-# regression. The scaling cells come back as a scaling-curve JSON, kept
-# (with its rendered throughput-vs-threads SVG) as a CI artefact — the
-# curve plots this runner's measurements, so unlike the result figures it
-# is not drift-gated.
-cargo bench -q -p tdfm-bench --bench training_step -- \
-    --compare "$PWD/results/BENCH_trainer.json" \
-    --threshold "${TDFM_BENCH_THRESHOLD:-0.50}" \
-    --scaling-out "$smoke_dir/scaling.json"
-test -s "$smoke_dir/scaling.json"
-./target/release/tdfm figures "$smoke_dir/scaling.json" \
-    --out "$smoke_dir/figures-scaling" > /dev/null
-test -s "$smoke_dir/figures-scaling/scaling_threads.svg"
-
 echo "== A/B perf gate: decision-rule tests =="
 # The gate itself (scripts/bench_ab.py) needs a base revision; its
 # decision rule is tested here on canned result documents.
@@ -214,30 +192,6 @@ TDFM_SIMD=off TDFM_THREADS=4 TDFM_SCALE=smoke TDFM_RESULTS="$drift_dir" \
     ./target/release/shard_faults > /dev/null
 ./target/release/tdfm diff-results \
     results/shard_faults.json "$drift_dir/shard_faults.json"
-
-echo "== kernel-thread drift gate: a lone cell trains the same bits at 1 and 4 threads =="
-# The grids above spread their thread budget over many cells, so each
-# kernel runs on one thread. A sweep of one cell hands the whole budget to
-# its kernels instead (conv forward/backward, matmul, pooling). Train one
-# smoke cell per model at 1 and at 4 threads and require identical
-# results: the kernels must fold every sum in the same order at any
-# budget (DESIGN.md §2.1a). The convolution weight gradient's item ranges
-# follow the budget, and MobileNet (depthwise, pointwise) and ResNet18
-# (strided, one-pixel planes) split differently from the plain stacks.
-for model in ConvNet Vgg11 MobileNet ResNet18; do
-    cat > "$drift_dir/cell-$model.json" <<EOF
-[{"dataset": "Gtsrb", "model": "$model", "technique": "Baseline",
-  "fault_plan": {"specs": [{"kind": "Mislabelling", "percent": 30.0}]},
-  "scale": "Smoke", "repetitions": 1, "seed": 0}]
-EOF
-    for threads in 1 4; do
-        TDFM_THREADS=$threads ./target/release/tdfm sweep \
-            --config "$drift_dir/cell-$model.json" \
-            --output "$drift_dir/cell-$model-t$threads.json" > /dev/null
-    done
-    ./target/release/tdfm diff-results \
-        "$drift_dir/cell-$model-t1.json" "$drift_dir/cell-$model-t4.json"
-done
 
 echo "== figure drift gate: committed SVGs reproduce byte-identically =="
 # Figures are pure functions of the committed result JSONs, so they must

@@ -66,6 +66,21 @@ class DecideTest(unittest.TestCase):
             ["w: change run of pair 3: no result document", "w: change run of pair 5: exit status 101"],
         )
 
+    def test_a_change_run_missing_an_end_to_end_metric_fails(self):
+        missing = run()
+        del missing["doc"]["metrics"]["units_per_s"]
+        self.assertEqual(
+            verdict([missing] * 5)[1],
+            [f"w: change run of pair {i}: units_per_s is None, not a positive value" for i in range(1, 6)],
+        )
+
+    def test_a_zero_end_to_end_value_fails(self):
+        changes = [run()] * 5
+        changes[1] = run(units=0.0)
+        self.assertEqual(
+            verdict(changes)[1], ["w: change run of pair 2: units_per_s is 0.0, not a positive value"]
+        )
+
     def test_base_side_pin_failures_do_not_fail_the_gate(self):
         self.assertEqual(verdict([run()] * 5, base=run(correct=False, failed=3))[1], [])
 
