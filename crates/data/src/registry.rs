@@ -255,6 +255,34 @@ mod tests {
         assert_eq!(tt.train.image_shape().0, 1);
     }
 
+    /// FNV-1a over the bits of every image and label of both splits.
+    fn digest(tt: &TrainTest) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for ds in [&tt.train, &tt.test] {
+            let floats = ds.images().data().iter().map(|v| v.to_bits());
+            for w in floats.chain(ds.labels().iter().copied()) {
+                for b in w.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Every result and benchmark pin rests on these bits: prototypes,
+    /// background fields, distractors and pixel noise.
+    #[test]
+    fn tiny_datasets_match_their_pins() {
+        for (kind, pin) in [
+            (DatasetKind::Cifar10, 0x3d98_8676_3cc2_f3da_u64),
+            (DatasetKind::Gtsrb, 0x4674_641d_51b0_e3e2),
+            (DatasetKind::Pneumonia, 0x68c5_742c_3446_7a95),
+        ] {
+            let got = digest(&kind.generate(Scale::Tiny, 0));
+            assert_eq!(got, pin, "{kind}: digest {got:#018x}");
+        }
+    }
+
     #[test]
     fn seeds_change_samples_not_structure() {
         let a = DatasetKind::Cifar10.generate(Scale::Tiny, 10);

@@ -185,8 +185,10 @@ impl SynthSpec {
         }
         // Pixel noise and a mild brightness jitter.
         let brightness = rng.normal() * 0.05;
-        for x in img.iter_mut() {
-            *x += rng.normal() * self.sample_noise + brightness;
+        let mut noise = vec![0.0; img.len()];
+        rng.fill_normal(&mut noise, self.sample_noise);
+        for (x, n) in img.iter_mut().zip(&noise) {
+            *x += n + brightness;
         }
         img
     }
@@ -203,8 +205,9 @@ pub fn smooth_field(
 ) -> Vec<f32> {
     let g = grid.max(2);
     let mut out = vec![0.0f32; channels * side * side];
+    let mut lattice = vec![0.0f32; g * g];
     for c in 0..channels {
-        let lattice: Vec<f32> = (0..g * g).map(|_| rng.normal() * amplitude).collect();
+        rng.fill_normal(&mut lattice, amplitude);
         let plane = &mut out[c * side * side..(c + 1) * side * side];
         for i in 0..side {
             for j in 0..side {

@@ -657,6 +657,56 @@ mod tests {
         }
     }
 
+    /// Parameter and state digests of fresh builds at the smoke configs
+    /// of the 43-class and the 10-class datasets: the initial weights
+    /// every trained result starts from.
+    #[test]
+    fn fresh_builds_match_their_pins() {
+        // In `ModelKind::ALL` order.
+        let pins: [(usize, [u64; 7]); 2] = [
+            (
+                43,
+                [
+                    0x2a12_715b_1827_0899,
+                    0xa5a3_b0b1_b04f_7f90,
+                    0xdbd9_3043_79bf_ff2c,
+                    0xfb79_18a1_6298_421e,
+                    0x4512_0639_5b5a_7099,
+                    0x37e3_1a68_3c06_01d5,
+                    0x6d56_fab8_1121_67d7,
+                ],
+            ),
+            (
+                10,
+                [
+                    0x48c6_0404_f81e_25e2,
+                    0x044d_d389_7592_14d4,
+                    0x65d5_7bd2_1d6a_7ec5,
+                    0x8949_ee31_a402_dcc5,
+                    0x7921_fe4d_1357_9555,
+                    0x264d_b24f_69c8_28ce,
+                    0xf263_8714_492d_a173,
+                ],
+            ),
+        ];
+        for (classes, pins) in pins {
+            let cfg = ModelConfig {
+                in_shape: (3, 8, 8),
+                classes,
+                width: 4,
+                seed: 0,
+            };
+            for (kind, pin) in ModelKind::ALL.into_iter().zip(pins) {
+                let (params, state) = bits(&mut kind.build(&cfg));
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                for b in params.iter().chain(&state).flat_map(|w| w.to_le_bytes()) {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+                assert_eq!(h, pin, "{kind}/{classes}: digest {h:#018x}");
+            }
+        }
+    }
+
     #[test]
     fn registry_matches_table_iii_names() {
         let names: Vec<&str> = ModelKind::ALL.iter().map(|k| k.info().name).collect();

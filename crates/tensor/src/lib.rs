@@ -36,6 +36,7 @@
 
 mod align;
 pub mod bitops;
+mod mathf;
 pub mod ops;
 pub mod parallel;
 pub mod rng;

@@ -813,7 +813,10 @@ pub fn conv2d_forward_with(
 /// the gradients w.r.t. input, weights and bias, in the fold order of the
 /// module docs: the same bits at every thread count.
 ///
-/// Draws every temporary from `scratch`.
+/// Draws every temporary from `scratch`. Two op timers split the time:
+/// `conv2d_backward_input` (packing both operands into lane blocks, then
+/// the input gradient) and `conv2d_backward_weight` (weight and bias
+/// gradients).
 ///
 /// # Panics
 ///
@@ -825,7 +828,7 @@ pub fn conv2d_backward_with(
     spec: Conv2dSpec,
     scratch: &Scratch,
 ) -> ConvGrads {
-    let _t = OpTimer::start("conv2d_backward");
+    let timer = OpTimer::start("conv2d_backward_input");
     let d = check_dims(input, weight, spec);
     assert_eq!(
         grad_output.shape().dims(),
@@ -853,6 +856,9 @@ pub fn conv2d_backward_with(
             run_lanes(InputGrad(&d, wt, gyb, gpad.as_chunks_mut().0, gx));
         },
     );
+
+    drop(timer);
+    let _t = OpTimer::start("conv2d_backward_weight");
 
     // The weight gradient, split over ranges of whole tiles of its items
     // so every kernel thread can own one. The split decides who computes

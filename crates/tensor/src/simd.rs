@@ -18,7 +18,10 @@
 //! sees precisely the roundings that scalar element `j` would. Reductions
 //! whose scalar form is a *serial* fold (dot products, softmax sums) are
 //! left scalar, because distributing them over lanes reassociates the sum.
-//! See DESIGN.md §2.1a.
+//! Box–Muller's lane kernel (`Rng::fill_normal`) follows the same rule in
+//! `f64`: its ports of glibc's `logf` and `cosf` (`crate::mathf`) keep
+//! every multiply and add separate, as glibc's SSE2 build does, instead of
+//! calling the host libm. See DESIGN.md §2.1a.
 //!
 //! # NaN discipline
 //!
@@ -130,7 +133,7 @@ pub fn simd_name() -> &'static str {
     simd_level().name()
 }
 
-/// Overrides the dispatch level in-process (tests, bench scaling cells).
+/// Overrides the dispatch level in-process (the SIMD equivalence tests).
 ///
 /// `Some(level)` forces that level — clamped to the hardware's best, so
 /// forcing `Avx2` on a machine without it silently degrades (the

@@ -73,7 +73,8 @@ impl Tensor {
     /// Samples i.i.d. `N(0, std^2)` entries using the provided RNG.
     pub fn randn(dims: &[usize], std: f32, rng: &mut Rng) -> Self {
         let shape = Shape::new(dims);
-        let data = (0..shape.numel()).map(|_| rng.normal() * std).collect();
+        let mut data = vec![0.0; shape.numel()];
+        rng.fill_normal(&mut data, std);
         Self { shape, data }
     }
 
