@@ -2,9 +2,9 @@
 //!
 //! Only the TOML subset the config actually needs is parsed: `# comments`,
 //! `[section]` / `[section.sub-name]` headers, and (possibly multi-line)
-//! `key = ["string", ...]` arrays. Anything else is a hard error — a typo
-//! in the committed scoping file must fail CI, not silently widen or
-//! narrow a rule.
+//! `key = ["string", ...]` arrays. Anything else, an unknown rule id
+//! included, is a hard error that names its line: a typo in the committed
+//! scoping file must fail CI, not silently widen or narrow a rule.
 //!
 //! Semantics: a rule applies to a file iff its `include` list is empty or
 //! some entry prefix-matches the workspace-relative path, AND no `exclude`
@@ -64,7 +64,18 @@ impl Config {
             let line = line.as_str();
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 let name = name.trim();
-                if name != "files" && !name.starts_with("rules.") {
+                if let Some(rule) = name.strip_prefix("rules.") {
+                    if !crate::rules::is_known_rule(rule) {
+                        return Err(format!(
+                            "lint.toml:{lineno}: unknown rule `{rule}` (known: {})",
+                            crate::rules::all_rules()
+                                .iter()
+                                .map(|r| r.id())
+                                .collect::<Vec<_>>()
+                                .join(", ")
+                        ));
+                    }
+                } else if name != "files" {
                     return Err(format!(
                         "lint.toml:{lineno}: unknown section `[{name}]` (expected `[files]` or `[rules.<id>]`)"
                     ));
@@ -186,9 +197,73 @@ exclude = ["crates/bench/",] # trailing comma + comment
     fn rejects_typos_loudly() {
         assert!(Config::parse("[fils]\nexclude = []").is_err());
         assert!(Config::parse("[files]\nexclud = []").is_err());
-        assert!(Config::parse("[rules.x]\ninclude = \"not-an-array\"").is_err());
-        assert!(Config::parse("[rules.x]\ninclude = [unquoted]").is_err());
+        assert!(Config::parse("[rules.sparsity-skip]\ninclude = \"not-an-array\"").is_err());
+        assert!(Config::parse("[rules.sparsity-skip]\ninclude = [unquoted]").is_err());
         assert!(Config::parse("loose = []").is_err());
+    }
+
+    #[test]
+    fn unknown_rule_is_rejected_at_its_header() {
+        let err = Config::parse("[files]\nexclude = []\n\n[rules.no-such-rule]\ninclude = []")
+            .expect_err("unknown rule id");
+        assert!(
+            err.starts_with("lint.toml:4: unknown rule `no-such-rule` (known: nan-laundering,"),
+            "{err}"
+        );
+    }
+
+    /// Byte deletions, insertions and duplicated runs applied to the
+    /// committed `lint.toml` from a fixed seed: the parser never panics,
+    /// and every rejection starts with `lint.toml:<line>:` for a line that
+    /// exists in the mutated text.
+    #[test]
+    fn mutated_lint_toml_never_panics_and_every_error_names_a_line() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint.toml");
+        let base = std::fs::read(path).expect("committed lint.toml");
+        assert!(Config::parse(std::str::from_utf8(&base).expect("UTF-8")).is_ok());
+        // The bytes the format is made of, so mutations hit its syntax.
+        const INSERTS: &[u8] = b"[]=\",# .\nrules-x";
+        let mut state = 0x5EED_u64;
+        let mut below = |n: usize| {
+            // xorshift64
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut rejected = 0;
+        for _ in 0..3000 {
+            let mut bytes = base.clone();
+            for _ in 0..1 + below(3) {
+                let at = below(bytes.len());
+                match below(3) {
+                    0 => {
+                        bytes.remove(at);
+                    }
+                    1 => bytes.insert(at, INSERTS[below(INSERTS.len())]),
+                    _ => {
+                        let end = (at + 1 + below(24)).min(bytes.len());
+                        let run = bytes[at..end].to_vec();
+                        bytes.splice(at..at, run);
+                    }
+                }
+            }
+            let text = String::from_utf8(bytes).expect("ASCII mutations of ASCII stay UTF-8");
+            let Err(err) = Config::parse(&text) else {
+                continue;
+            };
+            rejected += 1;
+            let line = err
+                .strip_prefix("lint.toml:")
+                .and_then(|rest| rest.split_once(": "))
+                .and_then(|(line, _)| line.parse::<usize>().ok());
+            assert!(
+                line.is_some_and(|l| (1..=text.lines().count()).contains(&l)),
+                "error without a valid line: {err}\n--- input ---\n{text}"
+            );
+        }
+        // Most of the file is comments, where a mutation changes nothing.
+        assert!(rejected > 300, "only {rejected} of 3000 mutants rejected");
     }
 
     #[test]
@@ -198,7 +273,7 @@ exclude = ["crates/bench/",] # trailing comma + comment
         )
         .expect("multi-line array parses");
         assert_eq!(cfg.rules["hot-path-alloc"].include, vec!["a.rs", "b.rs"]);
-        assert!(Config::parse("[rules.x]\ninclude = [\n\"a.rs\",").is_err());
+        assert!(Config::parse("[rules.hot-path-alloc]\ninclude = [\n\"a.rs\",").is_err());
     }
 
     #[test]

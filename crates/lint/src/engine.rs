@@ -1,12 +1,11 @@
 //! Walks the workspace, prepares per-file analysis units (token stream,
-//! AST, test regions, suppressions), builds the workspace call graph,
-//! runs every applicable rule — per-file passes on scope-selected files
-//! plus one workspace pass per rule — and applies the inline-suppression
-//! and test-code filters to every diagnostic, wherever it was emitted.
+//! AST, test regions, suppressions), collects the names of every workspace
+//! fn, runs every rule on its scope-selected files, and applies the
+//! inline-suppression and test-code filters to every diagnostic.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::lexer::{lex, TokKind, Token};
@@ -20,6 +19,8 @@ pub struct FileCtx<'a> {
     pub tokens: &'a [Token<'a>],
     /// The parsed (lossless) syntax tree over `tokens`.
     pub ast: &'a File,
+    /// The name of every fn defined anywhere in the linted workspace.
+    pub workspace_fns: &'a BTreeSet<&'a str>,
 }
 
 impl FileCtx<'_> {
@@ -78,10 +79,10 @@ impl FileCtx<'_> {
 
 /// One fully-analysed file: source, tokens, AST, and the engine-level
 /// metadata (test regions, suppressions) the filters need.
-pub struct FileUnit<'a> {
-    pub path: &'a str,
-    pub tokens: Vec<Token<'a>>,
-    pub ast: File,
+struct FileUnit<'a> {
+    path: &'a str,
+    tokens: Vec<Token<'a>>,
+    ast: File,
     test_regions: Vec<(usize, usize)>,
     is_test_file: bool,
     suppressions: Vec<Suppression>,
@@ -107,43 +108,22 @@ impl<'a> FileUnit<'a> {
     }
 
     /// The borrowed view rules receive.
-    pub fn ctx(&'a self) -> FileCtx<'a> {
+    fn ctx(&'a self, workspace_fns: &'a BTreeSet<&'a str>) -> FileCtx<'a> {
         FileCtx {
             path: self.path,
             tokens: &self.tokens,
             ast: &self.ast,
+            workspace_fns,
         }
     }
 
     /// Is the byte at `offset` inside test code?
-    pub fn in_test_code(&self, offset: usize) -> bool {
+    fn in_test_code(&self, offset: usize) -> bool {
         self.is_test_file
             || self
                 .test_regions
                 .iter()
                 .any(|&(s, e)| offset >= s && offset < e)
-    }
-}
-
-/// The whole-workspace view for interprocedural rules: every unit plus
-/// the call graph over them. Unit indices and [`CallGraph`] file indices
-/// coincide.
-pub struct WorkspaceCtx<'a> {
-    pub units: &'a [FileUnit<'a>],
-    pub graph: CallGraph,
-}
-
-impl<'a> WorkspaceCtx<'a> {
-    /// The [`FileCtx`] view of unit `i`.
-    pub fn ctx(&'a self, i: usize) -> FileCtx<'a> {
-        self.units[i].ctx()
-    }
-
-    /// Is the fn node `f` (by callgraph index) defined in test code?
-    pub fn fn_in_test_code(&self, f: usize) -> bool {
-        let node = &self.graph.fns[f];
-        let unit = &self.units[node.file];
-        unit.in_test_code(unit.tokens[node.name_tok].start)
     }
 }
 
@@ -333,9 +313,8 @@ pub struct LintReport {
     pub files_checked: usize,
 }
 
-/// Lints a set of files as one workspace: per-file rule passes run on
-/// scope-selected files, each rule's workspace pass runs once over the
-/// call graph, and the suppression/test-code filters apply to every
+/// Lints a set of files as one workspace: each rule runs on the files its
+/// scope selects, and the suppression/test-code filters apply to every
 /// diagnostic based on the file it landed in. A suppression that silences
 /// nothing is itself a `bad-suppression` finding, like an unfulfilled
 /// `#[expect]`. `files` are `(workspace-relative path, source)` pairs.
@@ -344,14 +323,11 @@ pub fn lint_files(files: &[(String, String)], config: &Config) -> Vec<Diagnostic
         .iter()
         .map(|(path, src)| FileUnit::build(path, src))
         .collect();
-    let pairs: Vec<(&[Token<'_>], &File)> = units
+    let workspace_fns: BTreeSet<&str> = units
         .iter()
-        .map(|u| (u.tokens.as_slice(), &u.ast))
+        .flat_map(|u| u.ast.fns())
+        .map(|f| f.name.as_str())
         .collect();
-    let ws = WorkspaceCtx {
-        units: &units,
-        graph: CallGraph::build(&pairs),
-    };
 
     let mut raw: Vec<(bool, Diagnostic)> = Vec::new(); // (applies_in_tests, diag)
     for rule in all_rules() {
@@ -363,10 +339,9 @@ pub fn lint_files(files: &[(String, String)], config: &Config) -> Vec<Diagnostic
         let mut found = Vec::new();
         for unit in &units {
             if scope.selects(unit.path) {
-                rule.check(&unit.ctx(), &mut found);
+                rule.check(&unit.ctx(&workspace_fns), &mut found);
             }
         }
-        rule.check_workspace(&ws, &scope, &mut found);
         raw.extend(found.into_iter().map(|d| (rule.applies_in_tests(), d)));
     }
 
@@ -421,7 +396,8 @@ pub fn lint_files(files: &[(String, String)], config: &Config) -> Vec<Diagnostic
 }
 
 /// Lints one file's source text. `path` must be workspace-relative with
-/// `/` separators. (Single-element [`lint_files`] — no cross-file edges.)
+/// `/` separators. (Single-element [`lint_files`]: the file is the whole
+/// workspace.)
 pub fn lint_source(path: &str, src: &str, config: &Config) -> Vec<Diagnostic> {
     lint_files(&[(path.to_string(), src.to_string())], config)
 }
@@ -481,8 +457,8 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Lints every workspace `.rs` file under `root` as one unit (the call
-/// graph spans all of them).
+/// Lints every workspace `.rs` file under `root` as one unit (the fn
+/// names `lock-held-across-call` looks up span all of them).
 pub fn lint_workspace(root: &Path, config: &Config) -> Result<LintReport, String> {
     let paths = collect_files(root, config)?;
     let mut files = Vec::with_capacity(paths.len());
@@ -571,29 +547,5 @@ mod tests {
         let diags = lint_str("crates/nn/src/x.rs", src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, "bad-suppression");
-    }
-
-    #[test]
-    fn multi_file_lint_spans_the_call_graph() {
-        // An allocation one call deep: the kernel file is in
-        // hot-path-alloc's scope, the helper file is not — only the
-        // interprocedural pass can flag the helper's allocation.
-        let files = vec![
-            (
-                "crates/tensor/src/ops/gemm.rs".to_string(),
-                "pub fn kernel(n: usize) { helper_scratch(n); }".to_string(),
-            ),
-            (
-                "crates/tensor/src/helper.rs".to_string(),
-                "pub fn helper_scratch(n: usize) -> Vec<f32> { Vec::with_capacity(n) }".to_string(),
-            ),
-        ];
-        let diags = lint_files(&files, &Config::default());
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == "hot-path-alloc" && d.file == "crates/tensor/src/helper.rs"),
-            "{diags:?}"
-        );
     }
 }

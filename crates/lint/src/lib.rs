@@ -9,7 +9,7 @@
 //! |---|---|
 //! | `nan-laundering` | `f32::max(NaN, 0.0) == 0.0` hiding poisoned activations (PR 3's ReLU/max-pool fix) |
 //! | `sparsity-skip` | the `a == 0.0` GEMM skip that turned `0 * NaN` into `0` (PR 3) |
-//! | `hot-path-alloc` | heap allocation in — or *reachable from* — the packed kernels (PR 3's `Scratch` arena) |
+//! | `hot-path-alloc` | heap allocation in the packed kernel files (PR 3's `Scratch` arena; `zero_alloc.rs` counts the rest at runtime) |
 //! | `nondeterministic-time` | wall-clock reads leaking into golden outputs (PR 1's `normalize_timings`) |
 //! | `partial-cmp-sort` | NaN-incoherent sort comparators (PR 6's suspect-ranking fix) |
 //! | `lock-held-across-call` | workspace calls made under a held mutex guard |
@@ -35,14 +35,13 @@
 //!    opaque). Every node's span re-concatenates byte-identically to the
 //!    input — property-tested over the whole workspace in
 //!    `tests/parser_roundtrip.rs`.
-//! 3. **Semantics** — a workspace [`callgraph`] (name-based with impl
-//!    qualifiers and a std-prelude denylist) and name-based [`dataflow`]
-//!    helpers ("is this binding hash-typed?"). Rules run per file (AST
-//!    visitors) and once per workspace ([`rules::Rule::check_workspace`])
-//!    for interprocedural findings like an allocation two calls below a
-//!    kernel.
+//! 3. **Semantics** — name-based [`dataflow`] helpers ("is this binding
+//!    hash-typed?") and the name of every workspace fn
+//!    ([`engine::FileCtx::workspace_fns`]). Every rule runs per file, as
+//!    an AST visitor or a token matcher.
 //!
-//! Path scoping comes from the committed `lint.toml` ([`config`]);
+//! Path scoping comes from each rule's default, overridden where the
+//! committed `lint.toml` ([`config`]) says so;
 //! one-off sites use inline suppressions with a mandatory reason, and a
 //! suppression that silences nothing is reported:
 //!
@@ -53,7 +52,6 @@
 //! Run it as `tdfm lint [--json] [--sarif <path>]`; it exits non-zero on
 //! any finding.
 
-pub mod callgraph;
 pub mod config;
 pub mod dataflow;
 pub mod diag;
@@ -88,17 +86,5 @@ pub fn run(root: &Path, config_path: Option<&Path>) -> Result<LintReport, String
         }
         None => Config::default(),
     };
-    for rule_id in config.rules.keys() {
-        if !rules::is_known_rule(rule_id) {
-            return Err(format!(
-                "lint.toml configures unknown rule `{rule_id}` (known: {})",
-                rules::all_rules()
-                    .iter()
-                    .map(|r| r.id())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-    }
     lint_workspace(root, &config)
 }

@@ -1,13 +1,13 @@
 //! A lightweight, lossless recursive-descent parser over [`crate::lexer`].
 //!
 //! PR 4's rules matched flat token patterns, which capped what they could
-//! express: `hot-path-alloc` could not see an allocation one call deep,
-//! and concurrency hazards (an unjoined spawn, a guard held across a
-//! call) are properties of *structure*, not of token windows. This parser
-//! recovers exactly the structure the rules need — items, function
-//! signatures, blocks, call / method-call / loop / closure expressions —
-//! and nothing more: types, patterns and operator precedence stay as raw
-//! token runs.
+//! express: a guard held across a call is a property of block
+//! *structure*, and a method call may span lines or carry a turbofish.
+//! This parser recovers exactly the structure the rules need — items,
+//! function signatures, blocks, call / method-call / loop / closure
+//! expressions — and nothing more: types, patterns and operator
+//! precedence stay as raw token runs, and `mod`, `impl` and `trait`
+//! blocks are one kind of item, a list of nested items.
 //!
 //! Two invariants make it safe to build rules on:
 //!
@@ -63,16 +63,11 @@ pub struct Item {
 #[derive(Debug)]
 pub enum ItemKind {
     Fn(FnItem),
-    /// Inline `mod name { ... }`; out-of-line `mod name;` is Verbatim.
-    Mod {
-        items: Vec<Item>,
-    },
-    /// `impl ... { ... }` — only the contained items are modelled.
-    Impl {
-        items: Vec<Item>,
-    },
-    /// `trait ... { ... }` — default method bodies are parsed.
-    Trait {
+    /// An inline `mod name { ... }`, `impl ... { ... }` or
+    /// `trait ... { ... }`: only the contained items are modelled (trait
+    /// default method bodies included). Out-of-line `mod name;` is
+    /// Verbatim.
+    Nested {
         items: Vec<Item>,
     },
     /// Anything else (struct/enum/use/const/static/type/macro/attr soup):
@@ -84,8 +79,6 @@ pub enum ItemKind {
 #[derive(Debug)]
 pub struct FnItem {
     pub name: String,
-    /// Token index of the name identifier.
-    pub name_tok: usize,
     /// Span of the parameter list including both parentheses.
     pub params: Span,
     /// The body block (`ExprKind::Block`), absent for trait declarations.
@@ -171,7 +164,7 @@ impl Item {
                     body.walk(f);
                 }
             }
-            ItemKind::Mod { items } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
+            ItemKind::Nested { items } => {
                 for it in items {
                     it.walk_exprs(f);
                 }
@@ -194,7 +187,7 @@ impl Item {
                     });
                 }
             }
-            ItemKind::Mod { items } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
+            ItemKind::Nested { items } => {
                 for it in items {
                     it.collect_fns(out);
                 }
@@ -270,7 +263,7 @@ fn emit_item(tokens: &[Token<'_>], item: &Item, out: &mut String) {
                 None => emit_tokens(tokens, item.span.lo, item.span.hi, out),
             };
         }
-        ItemKind::Mod { items } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
+        ItemKind::Nested { items } => {
             emit_span_with_items(tokens, item.span, items, out);
         }
         ItemKind::Verbatim => emit_tokens(tokens, item.span.lo, item.span.hi, out),
@@ -327,7 +320,7 @@ pub fn check_spans(tokens: &[Token<'_>], file: &File) -> Result<(), String> {
                     check_expr(body)?;
                 }
             }
-            ItemKind::Mod { items } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
+            ItemKind::Nested { items } => {
                 let mut pos = item.span.lo;
                 for it in items {
                     if it.span.lo < pos || it.span.hi > item.span.hi {
@@ -559,7 +552,7 @@ impl<'a, 't> Parser<'a, 't> {
                         let close = self.skip_balanced(open, hi);
                         let items = self.parse_items(open + 1, close.saturating_sub(1));
                         Item {
-                            kind: ItemKind::Mod { items },
+                            kind: ItemKind::Nested { items },
                             span: Span::new(start, close),
                         }
                     }
@@ -583,13 +576,8 @@ impl<'a, 't> Parser<'a, 't> {
                 }
                 let close = self.skip_balanced(open, hi);
                 let items = self.parse_items(open + 1, close.saturating_sub(1));
-                let kind = if self.text(kw) == "impl" {
-                    ItemKind::Impl { items }
-                } else {
-                    ItemKind::Trait { items }
-                };
                 Item {
-                    kind,
+                    kind: ItemKind::Nested { items },
                     span: Span::new(start, close),
                 }
             }
@@ -648,8 +636,7 @@ impl<'a, 't> Parser<'a, 't> {
     /// Parses `fn name <generics>? (params) -> ret where? { body }` with
     /// `kw` at the `fn` keyword and `start` at the item's first token.
     fn parse_fn(&mut self, start: usize, kw: usize, hi: usize) -> Item {
-        let name_tok = self.sig_at(kw + 1, hi);
-        let (name, mut j) = match name_tok {
+        let (name, mut j) = match self.sig_at(kw + 1, hi) {
             Some(n) if self.kind(n) == TokKind::Ident => (self.text(n).to_string(), n + 1),
             _ => (String::new(), kw + 1),
         };
@@ -677,12 +664,7 @@ impl<'a, 't> Parser<'a, 't> {
             (None, (stop + 1).min(hi))
         };
         Item {
-            kind: ItemKind::Fn(FnItem {
-                name,
-                name_tok: name_tok.unwrap_or(kw),
-                params,
-                body,
-            }),
+            kind: ItemKind::Fn(FnItem { name, params, body }),
             span: Span::new(start, end),
         }
     }

@@ -8,26 +8,143 @@
 //!
 //! For each `let g = <expr>.lock()...;` binding, the statements after it
 //! in the same block — up to an explicit `drop(g)` or the block's end —
-//! are scanned. A call is flagged when the call graph can point it at
-//! workspace code:
-//! * a free/path call that resolves to at least one workspace fn, or
-//! * a method call whose name is non-ubiquitous
-//!   ([`crate::callgraph::is_ubiquitous`]) and names a workspace fn.
+//! are scanned. A call is flagged when its final path segment (free or
+//! path call) or its method name is not on the std-prelude denylist
+//! ([`UBIQUITOUS`]) and some fn anywhere in the workspace has that name
+//! ([`FileCtx::workspace_fns`]).
 //!
 //! Methods *on the guard itself* (`g.push(..)`) are the point of holding
 //! the lock and stay quiet, as do std-only calls (`v.len()`, `drop`).
-//! This is a workspace rule: it needs the graph, so it runs in
-//! [`Rule::check_workspace`].
 
 use super::Rule;
-use crate::callgraph::{is_ubiquitous, last_segment};
 use crate::config::Scope;
 use crate::dataflow::first_ident;
 use crate::diag::Diagnostic;
-use crate::engine::{FileCtx, WorkspaceCtx};
-use crate::parser::{Expr, ExprKind};
+use crate::engine::FileCtx;
+use crate::lexer::{TokKind, Token};
+use crate::parser::{Expr, ExprKind, Span};
 
 pub struct LockHeldAcrossCall;
+
+/// Method/terminal-segment names so common in std that a name-only match
+/// would call unrelated code a workspace call (`.max(`, `Vec::new`,
+/// `std::mem::take`). Must stay sorted: [`is_ubiquitous`] binary-searches
+/// it.
+const UBIQUITOUS: &[&str] = &[
+    "abs",
+    "all",
+    "any",
+    "as_mut",
+    "as_ref",
+    "as_slice",
+    "borrow",
+    "borrow_mut",
+    "capacity",
+    "ceil",
+    "chain",
+    "clamp",
+    "clear",
+    "clone",
+    "clone_from",
+    "cmp",
+    "collect",
+    "contains",
+    "count",
+    "default",
+    "drain",
+    "drop",
+    "entry",
+    "eq",
+    "exp",
+    "expect",
+    "extend",
+    "filter",
+    "find",
+    "first",
+    "floor",
+    "flush",
+    "fmt",
+    "fold",
+    "from",
+    "get",
+    "get_mut",
+    "hash",
+    "insert",
+    "into",
+    "into_iter",
+    "is_empty",
+    "iter",
+    "iter_mut",
+    "join",
+    "keys",
+    "last",
+    "len",
+    "ln",
+    "load",
+    "lock",
+    "map",
+    "max",
+    "min",
+    "ne",
+    "new",
+    "next",
+    "parse",
+    "partial_cmp",
+    "pop",
+    "position",
+    "powf",
+    "powi",
+    "product",
+    "push",
+    "push_str",
+    "read",
+    "recv",
+    "remove",
+    "replace",
+    "reserve",
+    "resize",
+    "rev",
+    "round",
+    "scope",
+    "send",
+    "skip",
+    "sort",
+    "spawn",
+    "split",
+    "sqrt",
+    "store",
+    "sum",
+    "swap",
+    "take",
+    "to_string",
+    "to_vec",
+    "trim",
+    "unwrap",
+    "values",
+    "write",
+    "zip",
+];
+
+/// Is `name` on the std-prelude denylist?
+fn is_ubiquitous(name: &str) -> bool {
+    UBIQUITOUS.binary_search(&name).is_ok()
+}
+
+/// The terminal path segment of a callee span: the last identifier token.
+fn last_segment<'a>(tokens: &[Token<'a>], callee: Span) -> Option<(&'a str, usize)> {
+    let mut found = None;
+    for (i, t) in tokens
+        .iter()
+        .enumerate()
+        .take(callee.hi.min(tokens.len()))
+        .skip(callee.lo)
+    {
+        if t.kind == TokKind::Ident {
+            found = Some((t.text, i));
+        }
+    }
+    found
+}
 
 const SUGGESTION: &str = "shrink the critical section: copy what you need out of the guard and `drop(guard)` before the call (or scope the guard in its own block); if the callee provably takes no lock and is fast, add `// tdfm-lint: allow(lock-held-across-call, <reason>)`";
 
@@ -67,7 +184,7 @@ fn is_drop_of(ctx: &FileCtx<'_>, stmt: &Expr, guard: &str) -> bool {
         return false;
     }
     (callee.hi..stmt.span.hi.min(ctx.tokens.len()))
-        .find(|&i| ctx.tokens[i].kind == crate::lexer::TokKind::Ident)
+        .find(|&i| ctx.tokens[i].kind == TokKind::Ident)
         .map(|i| ctx.tokens[i].text)
         == Some(guard)
 }
@@ -88,37 +205,20 @@ impl Rule for LockHeldAcrossCall {
         }
     }
 
-    fn check(&self, _ctx: &FileCtx<'_>, _out: &mut Vec<Diagnostic>) {
-        // Needs the call graph: all work happens in check_workspace.
-    }
-
-    fn check_workspace(&self, ws: &WorkspaceCtx<'_>, scope: &Scope, out: &mut Vec<Diagnostic>) {
-        for (i, unit) in ws.units.iter().enumerate() {
-            if !scope.selects(unit.path) {
-                continue;
-            }
-            let ctx = ws.ctx(i);
-            for func in ctx.ast.fns() {
-                let Some(body) = &func.body else { continue };
-                body.walk(&mut |block| {
-                    if !matches!(block.kind, ExprKind::Block) {
-                        return;
-                    }
-                    self.check_block(ws, &ctx, block, out);
-                });
-            }
+    fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
+        for func in ctx.ast.fns() {
+            let Some(body) = &func.body else { continue };
+            body.walk(&mut |block| {
+                if matches!(block.kind, ExprKind::Block) {
+                    self.check_block(ctx, block, out);
+                }
+            });
         }
     }
 }
 
 impl LockHeldAcrossCall {
-    fn check_block(
-        &self,
-        ws: &WorkspaceCtx<'_>,
-        ctx: &FileCtx<'_>,
-        block: &Expr,
-        out: &mut Vec<Diagnostic>,
-    ) {
+    fn check_block(&self, ctx: &FileCtx<'_>, block: &Expr, out: &mut Vec<Diagnostic>) {
         for (si, stmt) in block.children.iter().enumerate() {
             let ExprKind::Let {
                 name: Some(guard), ..
@@ -134,7 +234,7 @@ impl LockHeldAcrossCall {
                     break;
                 }
                 later.walk(&mut |e| {
-                    if let Some(anchor) = self.workspace_call(ws, ctx, e, guard) {
+                    if let Some(anchor) = workspace_call(ctx, e, guard) {
                         out.push(ctx.diag(
                             anchor,
                             self.id(),
@@ -146,42 +246,31 @@ impl LockHeldAcrossCall {
             }
         }
     }
+}
 
-    /// The anchor token if `e` is a call the graph links to workspace code
-    /// (and not a use of the guard itself).
-    fn workspace_call(
-        &self,
-        ws: &WorkspaceCtx<'_>,
-        ctx: &FileCtx<'_>,
-        e: &Expr,
-        guard: &str,
-    ) -> Option<usize> {
-        match &e.kind {
-            ExprKind::Call { callee } => {
-                let (name, tok) = last_segment(ctx.tokens, *callee)?;
-                // `is_ubiquitous` also covers `drop`; without it,
-                // `std::mem::take(..)` under a guard would resolve to any
-                // workspace method that happens to be named `take`.
-                if is_ubiquitous(name) || ws.graph.defs_named(name).is_empty() {
-                    return None;
-                }
-                Some(tok)
-            }
-            ExprKind::MethodCall {
-                method, method_tok, ..
-            } => {
-                if is_ubiquitous(method) || ws.graph.defs_named(method).is_empty() {
-                    return None;
-                }
-                // Methods on the guard are the point of holding the lock.
-                let recv = e.children.first()?;
-                if first_ident(ctx.tokens, recv.span) == Some(guard) {
-                    return None;
-                }
-                Some(*method_tok)
-            }
-            _ => None,
+/// The anchor token if `e` is a call whose name some workspace fn has (and
+/// not a use of the guard itself).
+fn workspace_call(ctx: &FileCtx<'_>, e: &Expr, guard: &str) -> Option<usize> {
+    let is_workspace_fn = |name: &str| !is_ubiquitous(name) && ctx.workspace_fns.contains(name);
+    match &e.kind {
+        ExprKind::Call { callee } => {
+            let (name, tok) = last_segment(ctx.tokens, *callee)?;
+            // `is_ubiquitous` also covers `drop`; without it,
+            // `std::mem::take(..)` under a guard would count as a call of
+            // any workspace method that happens to be named `take`.
+            is_workspace_fn(name).then_some(tok)
         }
+        ExprKind::MethodCall {
+            method, method_tok, ..
+        } => {
+            if !is_workspace_fn(method) {
+                return None;
+            }
+            // Methods on the guard are the point of holding the lock.
+            let recv = e.children.first()?;
+            (first_ident(ctx.tokens, recv.span) != Some(guard)).then_some(*method_tok)
+        }
+        _ => None,
     }
 }
 
@@ -191,7 +280,15 @@ mod tests {
     use crate::config::Config;
     use crate::engine::lint_files;
 
-    /// Two files: the callee definitions give the graph something to link.
+    #[test]
+    fn denylist_is_sorted_for_binary_search() {
+        let mut sorted = UBIQUITOUS.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, UBIQUITOUS);
+    }
+
+    /// Two files: the callee definitions are the workspace fns a call under
+    /// the guard can name.
     fn diags(caller_src: &str) -> Vec<Diagnostic> {
         let files = vec![
             ("crates/obs/src/sink.rs".to_string(), caller_src.to_string()),

@@ -2,24 +2,20 @@
 //! previous PR fixed by hand — see `DESIGN.md` §"Static analysis" for the
 //! rule ↔ historical-bug table.
 //!
-//! Rules see two levels of structure:
-//!
-//! * **Per-file** ([`Rule::check`]): a [`FileCtx`] carrying the lossless
-//!   token stream *and* the parsed AST ([`crate::parser`]). Call-shaped
-//!   rules query AST nodes (method calls resolve through turbofish and
-//!   multi-line chains); genuinely lexical rules (comparison
-//!   patterns, sort comparators) still walk tokens. Because macros and
-//!   `static`/`const` items are opaque to the parser, migrated rules
-//!   rescan those regions lexically ([`opaque_sig`]) so nothing that the
-//!   token-window engine caught is lost.
-//! * **Workspace** ([`Rule::check_workspace`]): a [`WorkspaceCtx`] with
-//!   every file's unit plus the call graph — `hot-path-alloc` follows
-//!   calls out of the kernels, `lock-held-across-call` asks which callees
-//!   are workspace-defined.
+//! Every rule runs once per scope-selected file ([`Rule::check`]) on a
+//! [`FileCtx`] carrying the lossless token stream *and* the parsed AST
+//! ([`crate::parser`]). Call-shaped rules query AST nodes (method calls
+//! resolve through turbofish and multi-line chains); genuinely lexical
+//! rules (comparison patterns, sort comparators) still walk tokens.
+//! Because macros and `static`/`const` items are opaque to the parser,
+//! migrated rules rescan those regions lexically ([`opaque_sig`]) so
+//! nothing that the token-window engine caught is lost. The one fact a
+//! rule needs from other files, whether some workspace fn has a given
+//! name (`lock-held-across-call`), is [`FileCtx::workspace_fns`].
 
 use crate::config::Scope;
 use crate::diag::Diagnostic;
-use crate::engine::{FileCtx, WorkspaceCtx};
+use crate::engine::FileCtx;
 use crate::lexer::TokKind;
 use crate::parser::{ExprKind, Item, ItemKind, Span};
 
@@ -31,8 +27,7 @@ mod partial_cmp_sort;
 mod sparsity_skip;
 mod unordered_float_reduce;
 
-/// One lint rule: an id, a default path scope, and checks at file and
-/// workspace granularity.
+/// One lint rule: an id, a default path scope, and a per-file check.
 pub trait Rule {
     /// Stable kebab-case id used in diagnostics, suppressions and
     /// `lint.toml` sections.
@@ -49,12 +44,6 @@ pub trait Rule {
     /// Emits raw findings for one scope-selected file; the engine applies
     /// test-code and suppression filtering afterwards.
     fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>);
-    /// Runs once per lint over the whole workspace (call graph included).
-    /// `scope` is the rule's effective scope; rules that fan out across
-    /// files apply it themselves. Default: nothing.
-    fn check_workspace(&self, ws: &WorkspaceCtx<'_>, scope: &Scope, out: &mut Vec<Diagnostic>) {
-        let _ = (ws, scope, out);
-    }
 }
 
 /// Every shipped rule, in diagnostic-stable order.
@@ -118,7 +107,7 @@ fn opaque_sig(ctx: &FileCtx<'_>, include_verbatim: bool) -> Vec<usize> {
     fn verbatim_spans(item: &Item, out: &mut Vec<Span>) {
         match &item.kind {
             ItemKind::Verbatim => out.push(item.span),
-            ItemKind::Mod { items } | ItemKind::Impl { items } | ItemKind::Trait { items } => {
+            ItemKind::Nested { items } => {
                 for it in items {
                     verbatim_spans(it, out);
                 }

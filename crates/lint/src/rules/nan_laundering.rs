@@ -21,6 +21,12 @@
 //!   kernel bug. A model-fault run whose loss went NaN must not produce a
 //!   results file that merely looks sparse; each such site needs an
 //!   explicit allow with its compatibility rationale.
+//!
+//! Scope: the numeric kernels (`crates/tensor/src/ops/`) and the layers
+//! and losses (`crates/nn/src/layers/`, `crates/nn/src/loss/`), the only
+//! code where a laundered NaN does real damage, plus `crates/json/src/`
+//! for the null-encoding variant: serialising non-finite floats as JSON
+//! null hides a poisoned run in its own results file.
 
 use super::{matches_texts, opaque_sig, scope, Rule};
 use crate::config::Scope;

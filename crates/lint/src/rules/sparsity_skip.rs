@@ -2,7 +2,8 @@
 //! seed GEMM skipped multiplications when `a == 0.0`, which turned
 //! `0 * NaN` (IEEE: NaN) into an untouched `0` and silently erased
 //! injected faults; PR 3 removed the skip and pinned tests on it. This
-//! rule keeps the whole class out of `ops/`.
+//! rule keeps the whole class out of the numeric kernels: its scope is
+//! `crates/tensor/src/ops/`.
 
 use super::{scope, tok, Rule};
 use crate::config::Scope;

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use tdfm_lint::rules::all_rules;
-use tdfm_lint::{lint_files, lint_source, Config, Scope};
+use tdfm_lint::{lint_source, Config, Scope};
 
 fn fixtures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../lint-fixtures")
@@ -112,44 +112,6 @@ fn unordered_float_reduce_fixture_flags_the_hash_order_sum() {
     check(
         "unordered_float_reduce.rs",
         &[("unordered-float-reduce", 5, 20)],
-    );
-}
-
-/// The interprocedural case needs two files and an asymmetric scope: the
-/// rule covers only the caller ("kernel") file, and the allocation in the
-/// helper is found through the call graph, with the chain in the message.
-#[test]
-fn hot_path_alloc_crosses_files_through_the_call_graph() {
-    let read = |name: &str| {
-        let path = fixtures_dir().join(name);
-        let src = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
-        (format!("lint-fixtures/{name}"), src)
-    };
-    let files = vec![
-        read("hot_path_alloc_caller.rs"),
-        read("hot_path_alloc_helper.rs"),
-    ];
-    let mut config = fixture_config();
-    config.rules.insert(
-        "hot-path-alloc".to_string(),
-        Scope {
-            include: vec!["lint-fixtures/hot_path_alloc_caller.rs".to_string()],
-            exclude: vec![],
-        },
-    );
-    let diags: Vec<_> = lint_files(&files, &config)
-        .into_iter()
-        .filter(|d| d.rule == "hot-path-alloc")
-        .collect();
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    let d = &diags[0];
-    assert_eq!(d.file, "lint-fixtures/hot_path_alloc_helper.rs");
-    assert_eq!((d.line, d.col), (10, 5));
-    assert!(
-        d.message.contains("kernel -> pack_input -> buffer"),
-        "chain missing from message: {}",
-        d.message
     );
 }
 

@@ -6,7 +6,7 @@
 //!
 //! Three layers of evidence:
 //!  1. every `.rs` file in this workspace round-trips (the property the
-//!     call graph and dataflow rules stand on),
+//!     rules and dataflow helpers stand on),
 //!  2. hand-written nasty cases (struct literals vs blocks, closures vs
 //!     bit-or, match or-patterns, nested items, macro soup),
 //!  3. a deterministic xorshift fragment sweep assembling random

@@ -1,17 +1,24 @@
-//! Proof that the dense/conv hot path allocates nothing per batch.
+//! Proof that every model's training and evaluation passes allocate
+//! nothing once warm.
 //!
-//! A counting global allocator wraps the system allocator; the test warms the
-//! scratch arena with a few forward/backward passes, switches the counter on,
-//! and asserts that further passes perform zero heap allocations, and that
-//! evaluation forwards do not either. It walks two stacks: conv → relu →
-//! max-pool down to a convolution over 1×1 planes, then flatten → dense;
-//! and the convolution kinds of MobileNet and ResNet (depthwise at stride 1
-//! and 2, pointwise, a strided 3×3 convolution and a strided 1×1
-//! projection).
+//! A counting global allocator wraps the system allocator. For each of the
+//! seven `ModelKind`s, on two input shapes and at every SIMD level this
+//! machine has, the test warms a freshly built network's scratch arena
+//! with training passes, switches the counter on, and asserts that further
+//! training passes (forward and backward) and evaluation forwards perform
+//! zero heap allocations.
+//!
+//! Built through `ModelKind::build`, the models reach every kernel the
+//! study trains through: VGG's padded 3×3 convolution over 1×1 planes,
+//! MobileNet's depthwise convolutions at stride 1 and 2 and its pointwise
+//! ones, ResNet's strided 3×3 convolution and strided 1×1 projection, max
+//! and global-average pooling, batch norm, dropout, and the packed GEMM
+//! behind the dense heads. A batch of 10 leaves a ragged lane block.
 //!
 //! The test pins the thread count to 1 so the parallel helpers take their
-//! inline (allocation-free) serial path, and it uses a private scratch arena
-//! so concurrently-running tests cannot donate or steal buffers.
+//! inline (allocation-free) serial path, and it gives each network a
+//! private scratch arena so concurrently-running tests cannot donate or
+//! steal buffers.
 //!
 //! The gate flag and counter live in `tdfm_obs::memory` (shared with run
 //! manifests); only the unavoidable unsafe shim around the `System`
@@ -20,11 +27,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::Arc;
 
-use tdfm_nn::layer::{Layer, Mode};
-use tdfm_nn::layers::{Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sequential};
+use tdfm_nn::models::{ModelConfig, ModelKind};
+use tdfm_nn::{Mode, Network};
 use tdfm_obs::memory;
-use tdfm_tensor::ops::Conv2dSpec;
 use tdfm_tensor::rng::Rng;
+use tdfm_tensor::simd::{available_levels, force_simd};
 use tdfm_tensor::{parallel, Scratch, Tensor};
 
 /// Counts allocations (and growing reallocations) while the
@@ -64,106 +71,83 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Warms `net` with training passes, then requires that training passes
-/// and evaluation forwards allocate nothing.
-fn assert_steady_state_allocates_nothing(
-    name: &str,
-    mut net: Sequential,
-    x: &Tensor,
-    grad: &Tensor,
-) {
-    let arena = Arc::new(Scratch::new());
-    net.bind_scratch(&arena);
-    // Warm up: the first passes fill the scratch arena and size the
-    // per-layer mask/dims buffers.
-    for _ in 0..3 {
-        let y = net.forward(x, Mode::Train);
-        let gx = net.backward(grad);
-        arena.recycle(y);
-        arena.recycle(gx);
-    }
+/// Training passes before counting starts. The arena fills in fewer: the
+/// last pass that allocated was the 13th (ResNet50 on 1×16×16 inputs;
+/// ResNet18 the 10th, every other model the 7th or earlier), the same at
+/// every SIMD level.
+const WARMUP: usize = 16;
 
+/// Samples per pass: one full lane block of eight and a ragged one.
+const BATCH: usize = 10;
+
+/// The input shapes: CIFAR-like colour, and greyscale large enough that
+/// VGG pools down to 1×1 planes one stage earlier.
+const SHAPES: [(usize, usize, usize); 2] = [(3, 8, 8), (1, 16, 16)];
+
+/// Heap allocations made by `passes` calls of `pass`.
+fn allocations(passes: usize, mut pass: impl FnMut()) -> u64 {
     memory::reset_allocations();
     memory::set_counting(true);
-    for _ in 0..2 {
-        let y = net.forward(x, Mode::Train);
-        let gx = net.backward(grad);
-        arena.recycle(y);
-        arena.recycle(gx);
+    for _ in 0..passes {
+        pass();
     }
     memory::set_counting(false);
+    memory::allocations()
+}
 
-    let allocs = memory::allocations();
+/// Warms `net` with training passes, then requires that training passes
+/// and evaluation forwards allocate nothing.
+fn assert_steady_state_allocates_nothing(name: &str, mut net: Network, x: &Tensor) {
+    let arena = Arc::new(Scratch::new());
+    net.bind_scratch(&arena);
+    let grad = Tensor::ones(&[BATCH, net.classes()]);
+    let mut train = || {
+        let y = net.forward(x, Mode::Train);
+        let gx = net.backward(&grad);
+        arena.recycle(y);
+        arena.recycle(gx);
+    };
+    for _ in 0..WARMUP {
+        train();
+    }
+    let allocs = allocations(2, &mut train);
     assert_eq!(
         allocs, 0,
         "{name}: steady-state forward/backward passes performed {allocs} heap allocations"
     );
     assert!(arena.stats().hits > 0, "{name}: arena was never used");
 
-    // Evaluation forwards of the same stack: the first drops the Train
+    // Evaluation forwards of the same network: the first drops the Train
     // caches into the arena, after which inference allocates nothing.
     arena.recycle(net.forward(x, Mode::Eval));
-    memory::reset_allocations();
-    memory::set_counting(true);
-    for _ in 0..2 {
-        let y = net.forward(x, Mode::Eval);
-        arena.recycle(y);
-    }
-    memory::set_counting(false);
-    let allocs = memory::allocations();
+    let allocs = allocations(2, || arena.recycle(net.forward(x, Mode::Eval)));
     assert_eq!(
         allocs, 0,
         "{name}: steady-state evaluation forwards performed {allocs} heap allocations"
     );
 }
 
-/// A spec with the given stride, padding and groups.
-fn spec(stride: usize, pad: usize, groups: usize) -> Conv2dSpec {
-    Conv2dSpec {
-        stride,
-        pad,
-        groups,
-    }
-}
-
-// One test, so no other test allocates while the counter is on.
+// One test, so no other test allocates while the counter is on (and
+// `force_simd`, a process global, changes under no other test).
 #[test]
-fn steady_state_conv_dense_passes_do_not_allocate() {
+fn every_model_trains_and_evaluates_without_allocating() {
     parallel::set_num_threads(1);
-    let mut rng = Rng::seed_from(0x5EED);
-
-    // The last stage is VGG's deep end at smoke scale: a padded 3×3
-    // convolution over 1×1 planes, 36 taps on one pixel.
-    let vgg = Sequential::new()
-        .push(Conv2d::new(1, 2, 3, Conv2dSpec::same(3), &mut rng))
-        .push(ReLU::new())
-        .push(MaxPool2d::new(2, 2))
-        .push(Conv2d::new(2, 4, 3, Conv2dSpec::same(3), &mut rng))
-        .push(ReLU::new())
-        .push(MaxPool2d::new(2, 2))
-        .push(Conv2d::new(4, 4, 3, Conv2dSpec::same(3), &mut rng))
-        .push(ReLU::new())
-        .push(Flatten::new())
-        .push(Dense::new(4, 2, &mut rng));
-    let x = Tensor::randn(&[4, 1, 4, 4], 1.0, &mut rng);
-    assert_steady_state_allocates_nothing("vgg", vgg, &x, &Tensor::ones(&[4, 2]));
-
-    // MobileNet's and ResNet's kinds on 8x8 inputs, over a ragged lane
-    // block of samples: depthwise 3x3 at stride 1, pointwise, depthwise at
-    // stride 2 (to 4x4), a strided 3x3 convolution (to 2x2) and a strided
-    // 1x1 projection (to 1x1).
-    let kinds = Sequential::new()
-        .push(Conv2d::new(4, 4, 3, spec(1, 1, 4), &mut rng))
-        .push(ReLU::new())
-        .push(Conv2d::new(4, 8, 1, spec(1, 0, 1), &mut rng))
-        .push(ReLU::new())
-        .push(Conv2d::new(8, 8, 3, spec(2, 1, 8), &mut rng))
-        .push(ReLU::new())
-        .push(Conv2d::new(8, 8, 3, spec(2, 1, 1), &mut rng))
-        .push(ReLU::new())
-        .push(Conv2d::new(8, 4, 1, spec(2, 0, 1), &mut rng))
-        .push(Flatten::new())
-        .push(Dense::new(4, 2, &mut rng));
-    let x = Tensor::randn(&[10, 4, 8, 8], 1.0, &mut rng);
-    assert_steady_state_allocates_nothing("mobilenet/resnet", kinds, &x, &Tensor::ones(&[10, 2]));
+    for level in available_levels() {
+        force_simd(Some(level));
+        for in_shape in SHAPES {
+            let (c, h, w) = in_shape;
+            let x = Tensor::randn(&[BATCH, c, h, w], 1.0, &mut Rng::seed_from(0x5EED));
+            for kind in ModelKind::ALL {
+                let cfg = ModelConfig {
+                    in_shape,
+                    classes: 10,
+                    width: 4,
+                    seed: 7,
+                };
+                let name = format!("{kind} on {c}x{h}x{w} at {level:?}");
+                assert_steady_state_allocates_nothing(&name, kind.build(&cfg), &x);
+            }
+        }
+    }
+    force_simd(None);
 }

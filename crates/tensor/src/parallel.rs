@@ -210,7 +210,6 @@ fn fan_out<I: Send>(work: usize, items: impl Iterator<Item = I>, f: impl Fn(I) +
         items.for_each(f);
         return;
     }
-    // tdfm-lint: allow(hot-path-alloc, per-region fan-out work list: O(chunks) entries built once, not per element)
     let items: Vec<I> = items.collect();
     let items = Mutex::new(items);
     std::thread::scope(|scope| {

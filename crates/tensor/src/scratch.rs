@@ -190,7 +190,6 @@ impl Scratch {
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                // tdfm-lint: allow(hot-path-alloc, pool miss: the one allocation the scratch arena exists to amortise)
                 vec![0.0; len]
             }
         }
@@ -244,7 +243,6 @@ impl Scratch {
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                // tdfm-lint: allow(hot-path-alloc, pool miss: the one allocation the scratch arena exists to amortise)
                 vec![0; len]
             }
         };
