@@ -5,28 +5,18 @@
 //! 2. Knowledge-distillation alpha — the "garbage in, garbage out"
 //!    crossover as teacher weight grows.
 //! 3. Label-correction clean fraction gamma.
-//! 4. Label smoothing alpha, and relaxation vs classic smoothing.
+//! 4. Label smoothing alpha.
+//! 5. Noise model: uniform vs pair-flip mislabelling.
+//!
+//! Every cell is a plain [`ExperimentConfig`] whose technique carries the
+//! ablated parameter, so the whole study is one `run_grid` call and each
+//! row is labelled from its own config.
 
 use tdfm_bench::{ad_cell, banner};
-use tdfm_core::technique::{
-    Ensemble, LabelCorrection, LabelSmoothing, Mitigation, SelfDistillation,
-};
 use tdfm_core::{ExperimentConfig, Runner, TechniqueKind};
 use tdfm_data::{DatasetKind, Scale};
 use tdfm_inject::{FaultKind, FaultPlan};
 use tdfm_nn::models::ModelKind;
-
-fn config(scale: Scale, technique: TechniqueKind, percent: f32) -> ExperimentConfig {
-    ExperimentConfig {
-        dataset: DatasetKind::Gtsrb,
-        model: ModelKind::ConvNet,
-        technique,
-        fault_plan: FaultPlan::single(FaultKind::Mislabelling, percent),
-        scale,
-        repetitions: scale.repetitions(),
-        seed: 4,
-    }
-}
 
 fn main() {
     let scale = Scale::from_env();
@@ -35,83 +25,67 @@ fn main() {
         scale,
         "DESIGN.md §4",
     );
-    let runner = Runner::new();
-
-    // Every ablation cell pairs a config with a custom technique; one
-    // run_grid_with call fans the whole study across the thread budget.
-    let mut labelled: Vec<(String, ExperimentConfig, Box<dyn Mitigation>)> = vec![
+    let cell = |technique, fault, percent| ExperimentConfig {
+        dataset: DatasetKind::Gtsrb,
+        model: ModelKind::ConvNet,
+        technique,
+        fault_plan: FaultPlan::single(fault, percent),
+        scale,
+        repetitions: scale.repetitions(),
+        seed: 4,
+    };
+    let mislabel = |technique| cell(technique, FaultKind::Mislabelling, 30.0);
+    let sections: [(&str, Vec<ExperimentConfig>); 5] = [
         (
-            "1. Ensemble diversity|  heterogeneous (paper)".to_string(),
-            config(scale, TechniqueKind::Ensemble, 30.0),
-            Box::new(Ensemble::paper_default()),
+            "1. Ensemble diversity: heterogeneous (paper) vs homogeneous",
+            vec![
+                mislabel(TechniqueKind::Ensemble),
+                mislabel(TechniqueKind::ensemble(&[ModelKind::ConvNet; 5])),
+            ],
         ),
         (
-            "|  homogeneous 5xConvNet".to_string(),
-            config(scale, TechniqueKind::Ensemble, 30.0),
-            Box::new(Ensemble::homogeneous(ModelKind::ConvNet, 5)),
+            "2. KD teacher weight alpha (50% mislabelling)",
+            [0.3, 0.7, 0.9]
+                .map(|alpha| {
+                    let kd = TechniqueKind::knowledge_distillation(alpha, 4.0);
+                    cell(kd, FaultKind::Mislabelling, 50.0)
+                })
+                .to_vec(),
+        ),
+        (
+            "3. LC clean fraction gamma",
+            [0.05, 0.2]
+                .map(|gamma| mislabel(TechniqueKind::label_correction(gamma)))
+                .to_vec(),
+        ),
+        (
+            "4. Label smoothing alpha (relaxation)",
+            [0.05, 0.1, 0.4]
+                .map(|alpha| mislabel(TechniqueKind::label_smoothing(alpha)))
+                .to_vec(),
+        ),
+        (
+            "5. Noise model: uniform vs pair-flip mislabelling (baseline)",
+            [FaultKind::Mislabelling, FaultKind::PairFlipMislabelling]
+                .map(|fault| cell(TechniqueKind::Baseline, fault, 30.0))
+                .to_vec(),
         ),
     ];
-    for alpha in [0.3f32, 0.7, 0.9] {
-        let section = if alpha == 0.3 {
-            "2. KD teacher weight alpha (50% mislabelling)"
-        } else {
-            ""
-        };
-        labelled.push((
-            format!("{section}|  alpha {alpha:.1}"),
-            config(scale, TechniqueKind::KnowledgeDistillation, 50.0),
-            Box::new(SelfDistillation::new(alpha, 4.0)),
-        ));
-    }
-    for gamma in [0.05f32, 0.2] {
-        let section = if gamma == 0.05 {
-            "3. LC clean fraction gamma"
-        } else {
-            ""
-        };
-        labelled.push((
-            format!("{section}|  gamma {gamma:.2}"),
-            config(scale, TechniqueKind::LabelCorrection, 30.0),
-            Box::new(LabelCorrection::new(gamma)),
-        ));
-    }
-    for alpha in [0.05f32, 0.1, 0.4] {
-        let section = if alpha == 0.05 {
-            "4. Label smoothing alpha (relaxation)"
-        } else {
-            ""
-        };
-        labelled.push((
-            format!("{section}|  alpha {alpha:.2}"),
-            config(scale, TechniqueKind::LabelSmoothing, 30.0),
-            Box::new(LabelSmoothing::new(alpha)),
-        ));
-    }
-    for fault in [FaultKind::Mislabelling, FaultKind::PairFlipMislabelling] {
-        let section = if fault == FaultKind::Mislabelling {
-            "5. Noise model: uniform vs pair-flip mislabelling (baseline)"
-        } else {
-            ""
-        };
-        labelled.push((
-            format!("{section}|  {:<12}", fault.name()),
-            ExperimentConfig {
-                fault_plan: FaultPlan::single(fault, 30.0),
-                ..config(scale, TechniqueKind::Baseline, 30.0)
-            },
-            TechniqueKind::Baseline.build(),
-        ));
-    }
 
-    let cells: Vec<(&ExperimentConfig, &dyn Mitigation)> =
-        labelled.iter().map(|(_, c, t)| (c, t.as_ref())).collect();
-    let results = runner.run_grid_with(&cells);
-
-    for ((label, _, _), result) in labelled.iter().zip(&results) {
-        let (section, row) = label.split_once('|').expect("label has a section marker");
-        if !section.is_empty() {
-            println!("--- {section} ---");
+    let configs: Vec<ExperimentConfig> = sections.iter().flat_map(|(_, c)| c.clone()).collect();
+    let results = Runner::new().run_grid(&configs);
+    let mut results = results.iter();
+    for (title, cells) in &sections {
+        println!("--- {title} ---");
+        for result in results.by_ref().take(cells.len()) {
+            let technique = result.config.technique;
+            println!(
+                "  {:<4}{:<56}{:<18} AD {}",
+                technique.abbrev(),
+                technique.parameters(),
+                result.fault_label,
+                ad_cell(&result.ad)
+            );
         }
-        println!("{row}: AD {}", ad_cell(&result.ad));
     }
 }

@@ -8,8 +8,8 @@
 //! precision/recall against the injector's ground truth.
 
 use tdfm_bench::{ad_cell, banner};
-use tdfm_core::detect::{DetectAndFilter, NoiseDetector};
-use tdfm_core::technique::{Mitigation, TrainContext};
+use tdfm_core::detect::NoiseDetector;
+use tdfm_core::technique::TrainContext;
 use tdfm_core::{ExperimentConfig, Runner, TechniqueKind};
 use tdfm_data::{DatasetKind, Scale};
 use tdfm_inject::{FaultKind, FaultPlan, Injector};
@@ -52,47 +52,42 @@ fn main() {
     // twelve cells fanned out as one grid.
     println!("\nAD under mislabelling (lower is better):");
     println!("{:<22}{:>15}{:>15}{:>15}", "Technique", "10%", "30%", "50%");
-    let cell_config = |technique, percent| ExperimentConfig {
-        dataset: DatasetKind::Cifar10,
-        model: ModelKind::ConvNet,
-        technique,
-        fault_plan: FaultPlan::single(FaultKind::Mislabelling, percent),
-        scale,
-        repetitions: scale.repetitions().min(2),
-        seed: 13,
-    };
-    let mut grid: Vec<(String, ExperimentConfig, Box<dyn Mitigation>)> = Vec::new();
-    for technique in [
+    let percents = [10.0f32, 30.0, 50.0];
+    let repetitions = scale.repetitions().min(2);
+    let configs: Vec<ExperimentConfig> = [
         TechniqueKind::Baseline,
         TechniqueKind::LabelSmoothing,
         TechniqueKind::Ensemble,
-    ] {
-        for percent in [10.0f32, 30.0, 50.0] {
-            grid.push((
-                technique.full_name().to_string(),
-                cell_config(technique, percent),
-                technique.build(),
-            ));
-        }
-    }
-    for percent in [10.0f32, 30.0, 50.0] {
-        grid.push((
-            "Detect-and-filter".to_string(),
-            // The technique field is the reporting label only.
-            cell_config(TechniqueKind::Baseline, percent),
-            Box::new(DetectAndFilter::default()),
-        ));
-    }
-    let cells: Vec<(&ExperimentConfig, &dyn Mitigation)> =
-        grid.iter().map(|(_, c, t)| (c, t.as_ref())).collect();
-    let results = runner.run_grid_with(&cells);
-    for (row, chunk) in grid.chunks(3).zip(results.chunks(3)) {
-        print!("{:<22}", row[0].0);
-        for result in chunk {
+        TechniqueKind::DetectAndFilter,
+    ]
+    .into_iter()
+    .flat_map(|technique| {
+        percents.map(|percent| ExperimentConfig {
+            dataset: DatasetKind::Cifar10,
+            model: ModelKind::ConvNet,
+            technique,
+            fault_plan: FaultPlan::single(FaultKind::Mislabelling, percent),
+            scale,
+            repetitions,
+            seed: 13,
+        })
+    })
+    .collect();
+    let results = runner.run_grid(&configs);
+    for row in results.chunks(percents.len()) {
+        print!("{:<22}", row[0].config.technique.full_name());
+        for result in row {
             print!("{:>15}", ad_cell(&result.ad));
         }
         println!();
     }
+    // A detector that flags more than half the set leaves the fit on the
+    // full set: such a cell is the baseline under another name.
+    println!(
+        "detect-and-filter fell back to the full training set in {} of {} fits",
+        tdfm_obs::global().counter("df_fallbacks").get(),
+        percents.len() * repetitions
+    );
     println!(
         "\nExpectation: detect-and-filter lands between the baseline and the best\n\
          mitigation — it removes most flipped labels but also some clean samples."

@@ -8,33 +8,32 @@
 //! label errors): out-of-sample predicted probabilities from k-fold
 //! cross-validation, per-class confidence thresholds, and a suspect rule
 //! that flags samples whose given label looks inconsistent with a
-//! confidently predicted other class. [`DetectAndFilter`] turns the
-//! detector into a sixth mitigation: drop the suspects, then retrain —
-//! usable as a baseline against the paper's five techniques.
+//! confidently predicted other class. Detect-and-filter
+//! ([`crate::TechniqueKind::DetectAndFilter`]) turns the detector into a
+//! sixth mitigation: drop the suspects, then retrain — usable as a
+//! baseline against the paper's five techniques.
 
-use crate::technique::{Baseline, FittedModel, Mitigation, TrainContext, EVAL_BATCH};
+use crate::technique::{valid, Baseline, FittedModel, Mitigation, TrainContext, EVAL_BATCH};
 use tdfm_data::LabeledDataset;
 use tdfm_json::json_struct;
 use tdfm_nn::loss::CrossEntropy;
 use tdfm_nn::models::ModelKind;
 use tdfm_nn::trainer::{fit, TargetSource};
+use tdfm_obs::{event, Level};
 use tdfm_tensor::ops::softmax_rows;
 use tdfm_tensor::rng::Rng;
 use tdfm_tensor::Tensor;
 
 /// Confident-learning-style label-noise detector.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseDetector {
-    folds: usize,
-    model: ModelKind,
+    pub(crate) folds: usize,
+    pub(crate) model: ModelKind,
 }
 
 impl Default for NoiseDetector {
     fn default() -> Self {
-        Self {
-            folds: 3,
-            model: ModelKind::ConvNet,
-        }
+        Self::new(3, ModelKind::ConvNet)
     }
 }
 
@@ -45,9 +44,17 @@ impl NoiseDetector {
     /// # Panics
     ///
     /// Panics if `folds < 2`.
-    pub fn new(folds: usize, model: ModelKind) -> Self {
-        assert!(folds >= 2, "cross-validation needs at least two folds");
-        Self { folds, model }
+    pub const fn new(folds: usize, model: ModelKind) -> Self {
+        valid(Self::try_new(folds, model))
+    }
+
+    /// [`NoiseDetector::new`], returning the broken rule on bad input.
+    pub const fn try_new(folds: usize, model: ModelKind) -> Result<Self, &'static str> {
+        if folds >= 2 {
+            Ok(Self { folds, model })
+        } else {
+            Err("cross-validation needs at least two folds")
+        }
     }
 
     /// Computes out-of-sample class probabilities for every training
@@ -225,35 +232,36 @@ impl DetectionReport {
 /// strategy the paper deliberately scoped out, implemented here so the two
 /// philosophies can be compared on the same harness (see the `detector`
 /// bench binary).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DetectAndFilter {
-    detector: NoiseDetector,
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct DetectAndFilter {
+    pub(crate) detector: NoiseDetector,
 }
 
 impl DetectAndFilter {
-    /// Creates the mitigation with a custom detector.
-    pub fn new(detector: NoiseDetector) -> Self {
-        Self { detector }
+    /// `train` without its `suspects`, unless that keeps less than half of
+    /// it: then the full set, counted in the global `df_fallbacks` counter
+    /// (so every run manifest shows it) and logged as a warning.
+    fn filtered(train: &LabeledDataset, suspects: &[usize]) -> LabeledDataset {
+        let flagged: std::collections::HashSet<usize> = suspects.iter().copied().collect();
+        let keep: Vec<usize> = (0..train.len()).filter(|i| !flagged.contains(i)).collect();
+        if keep.len() >= train.len() / 2 {
+            return train.select(&keep);
+        }
+        tdfm_obs::global().counter("df_fallbacks").inc();
+        event!(
+            Level::Warn,
+            "df_fallback",
+            flagged = flagged.len(),
+            samples = train.len()
+        );
+        train.clone()
     }
 }
 
 impl Mitigation for DetectAndFilter {
-    fn name(&self) -> &'static str {
-        "DF"
-    }
-
     fn fit(&self, model: ModelKind, train: &LabeledDataset, ctx: &TrainContext) -> FittedModel {
         let report = self.detector.detect(train, ctx);
-        let flagged: std::collections::HashSet<usize> = report.suspects.iter().copied().collect();
-        let keep: Vec<usize> = (0..train.len()).filter(|i| !flagged.contains(i)).collect();
-        // Never drop everything: fall back to the full set if the detector
-        // went wild.
-        let filtered = if keep.len() >= train.len() / 2 {
-            train.select(&keep)
-        } else {
-            train.clone()
-        };
-        Baseline.fit(model, &filtered, ctx)
+        Baseline.fit(model, &Self::filtered(train, &report.suspects), ctx)
     }
 }
 
@@ -395,6 +403,25 @@ mod tests {
         let tt = DatasetKind::Cifar10.generate(Scale::Tiny, 8);
         let acc = fitted.accuracy(&tt.test);
         assert!(acc > 0.15, "accuracy {acc}");
+    }
+
+    #[test]
+    fn filter_falls_back_to_the_full_set_and_counts_it() {
+        let (faulty, _, _) = setup();
+        let fallbacks = || tdfm_obs::global().counter("df_fallbacks").get();
+        let before = fallbacks();
+        let third: Vec<usize> = (0..faulty.len() / 3).collect();
+        assert_eq!(
+            DetectAndFilter::filtered(&faulty, &third).len(),
+            faulty.len() - third.len()
+        );
+        let most: Vec<usize> = (0..faulty.len() * 2 / 3).collect();
+        assert_eq!(
+            DetectAndFilter::filtered(&faulty, &most).len(),
+            faulty.len()
+        );
+        // Other tests share the global registry, so it may move further.
+        assert!(fallbacks() > before, "the fallback is counted");
     }
 
     #[test]

@@ -23,13 +23,13 @@
 //! and wall time, written out as one [`RunManifest`].
 
 use crate::metrics::{accuracy, accuracy_delta, ConfidenceInterval};
-use crate::technique::{Mitigation, TechniqueKind, TrainContext};
+use crate::technique::{TechniqueKind, TrainContext};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use tdfm_data::{DatasetKind, Scale, TrainTest};
-use tdfm_inject::{split_clean, FaultPlan, FaultRecord, Injector, ProvenanceBuilder};
+use tdfm_inject::{FaultPlan, FaultRecord, Injector, ProvenanceBuilder};
 use tdfm_json::json_struct;
 use tdfm_nn::models::ModelKind;
 use tdfm_obs::{event, span, Level, ManifestCell, ProvenanceRecord, RunManifest};
@@ -147,9 +147,9 @@ struct SharedFit {
     infer_seconds: f64,
 }
 
-/// Key for model-independent techniques: (technique name, dataset, scale,
-/// repetition seed, fault label).
-type SharedKey = (&'static str, DatasetKind, Scale, u64, String);
+/// Key for model-independent techniques: (technique full name, dataset,
+/// scale, repetition seed, fault label).
+type SharedKey = (String, DatasetKind, Scale, u64, String);
 
 /// A cache of `V` values computed at most once per key.
 ///
@@ -312,7 +312,7 @@ impl CellResult for ExperimentResult {
             index,
             dataset: self.config.dataset.name().to_string(),
             model: self.config.model.name().to_string(),
-            technique: self.config.technique.full_name().to_string(),
+            technique: self.config.technique.full_name(),
             fault: self.fault_label.clone(),
             scale: self.config.scale.name().to_string(),
             repetitions: self.config.repetitions,
@@ -449,28 +449,21 @@ impl Runner {
     /// model's test predictions, inject the fault plan into the training
     /// data, fit the technique, and measure accuracy + AD on the test set.
     ///
-    /// # Panics
-    ///
-    /// Panics if `repetitions == 0`.
-    pub fn run(&self, config: &ExperimentConfig) -> ExperimentResult {
-        let technique = config.technique.build();
-        self.run_with(config, technique.as_ref())
-    }
-
-    /// Runs one experiment cell with a caller-provided technique; the
-    /// `config.technique` field is kept for reporting only.
-    ///
     /// Repetitions execute on worker threads (within the current thread
     /// budget) and are collected by index, so the aggregated result is
     /// identical to a sequential run: each repetition is a deterministic
     /// function of its derived seed.
-    fn run_with(&self, config: &ExperimentConfig, technique: &dyn Mitigation) -> ExperimentResult {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `repetitions == 0`.
+    pub fn run(&self, config: &ExperimentConfig) -> ExperimentResult {
         assert!(config.repetitions > 0, "need at least one repetition");
         let reps = run_indexed(config.repetitions, |r| {
             let rep_seed = rep_seed(config.seed, r);
             let _rep_span = span!("repetition", rep = r, seed = rep_seed);
             let started = Instant::now();
-            let result = self.run_repetition(config, technique, rep_seed);
+            let result = self.run_repetition(config, rep_seed);
             self.log
                 .metrics
                 .histogram("repetition_seconds")
@@ -490,49 +483,28 @@ impl Runner {
         }
     }
 
-    fn run_repetition(
-        &self,
-        config: &ExperimentConfig,
-        technique: &dyn Mitigation,
-        rep_seed: u64,
-    ) -> RepetitionResult {
+    fn run_repetition(&self, config: &ExperimentConfig, rep_seed: u64) -> RepetitionResult {
+        let technique = config.technique;
         let data = config.dataset.generate(config.scale, rep_seed);
         let golden = self.golden_entry(config.dataset, config.model, config.scale, rep_seed, &data);
 
         let mut ctx = TrainContext::new(config.scale, rep_seed);
         ctx.tune_for(data.train.len());
-        let injector = Injector::new(rep_seed ^ 0xFA_17);
-        let (faulty_train, injection) = if technique.wants_clean_subset() {
-            // Reserve the clean fraction *before* injection (III-B2).
-            let (clean, rest) = split_clean(&data.train, 0.1, rep_seed ^ 0xC1EA);
-            ctx.clean_subset = Some(clean);
-            injector.apply(&rest, &config.fault_plan)
-        } else {
-            injector.apply(&data.train, &config.fault_plan)
-        };
+        let source = technique.reserve_clean(&data.train, &mut ctx);
+        let (faulty_train, injection) =
+            Injector::new(rep_seed ^ 0xFA_17).apply(&source, &config.fault_plan);
         self.log.add_provenance(
             config.dataset,
             config.model,
-            config.technique.full_name(),
+            &technique.full_name(),
             &config.fault_plan.label(),
             &injection.records,
         );
 
-        let shared_key: Option<SharedKey> = if technique.model_independent() {
-            Some((
-                technique.name(),
-                config.dataset,
-                config.scale,
-                rep_seed,
-                config.fault_plan.label(),
-            ))
-        } else {
-            None
-        };
         let fit_once = || {
             self.log.metrics.counter("technique_fits").inc();
             let t0 = Instant::now();
-            let mut fitted = technique.fit(config.model, &faulty_train, &ctx);
+            let mut fitted = technique.build().fit(config.model, &faulty_train, &ctx);
             let train_seconds = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
             let predictions = fitted.predict(data.test.images());
@@ -543,9 +515,17 @@ impl Runner {
                 infer_seconds,
             }
         };
-        let fit = match shared_key {
-            Some(key) => self.shared.get_or_compute(&key, fit_once),
-            None => Arc::new(fit_once()),
+        let fit = if technique.model_independent() {
+            let key = (
+                technique.full_name(),
+                config.dataset,
+                config.scale,
+                rep_seed,
+                config.fault_plan.label(),
+            );
+            self.shared.get_or_compute(&key, fit_once)
+        } else {
+            Arc::new(fit_once())
         };
 
         RepetitionResult {
@@ -569,32 +549,16 @@ impl Runner {
     /// in its own seeds, so apart from wall-clock timings the output is
     /// byte-identical to calling [`Runner::run`] per cell — see
     /// [`ExperimentResult::normalize_timings`].
-    pub fn run_grid(&self, configs: &[ExperimentConfig]) -> Vec<ExperimentResult> {
-        let techniques: Vec<Box<dyn Mitigation>> =
-            configs.iter().map(|c| c.technique.build()).collect();
-        let cells: Vec<(&ExperimentConfig, &dyn Mitigation)> = configs
-            .iter()
-            .zip(&techniques)
-            .map(|(c, t)| (c, t.as_ref()))
-            .collect();
-        self.run_grid_with(&cells)
-    }
-
-    /// [`Runner::run_grid`] with caller-provided techniques (the ablation
-    /// studies pair each cell with a custom [`Mitigation`]).
     ///
     /// With `TDFM_LOG=info` (or a trace file) each completed cell emits a
     /// `grid_progress` event — `cell 7/40` plus an ETA extrapolated from
     /// the cells finished so far.
-    pub fn run_grid_with(
-        &self,
-        cells: &[(&ExperimentConfig, &dyn Mitigation)],
-    ) -> Vec<ExperimentResult> {
-        let total = cells.len();
+    pub fn run_grid(&self, configs: &[ExperimentConfig]) -> Vec<ExperimentResult> {
+        let total = configs.len();
         let grid_started = Instant::now();
         let completed = AtomicUsize::new(0);
         run_indexed(total, |i| {
-            let (config, technique) = cells[i];
+            let config = &configs[i];
             let _cell_span = span!(
                 "cell",
                 index = i,
@@ -604,7 +568,7 @@ impl Runner {
                 fault = config.fault_plan.label()
             );
             let started = Instant::now();
-            let result = self.run_with(config, technique);
+            let result = self.run(config);
             self.log
                 .metrics
                 .histogram("cell_seconds")
@@ -838,6 +802,64 @@ mod tests {
 
         let back: RunManifest = tdfm_json::from_str(&manifest.to_json()).unwrap();
         assert_eq!(back.provenance, manifest.provenance);
+    }
+
+    #[test]
+    fn every_technique_parameter_reaches_the_cell() {
+        // Pairs of cells that differ in one technique parameter only. A
+        // parameter that the runner drops (a shared-fit key or a clean
+        // split that ignores it) gives both cells the same outcome. GTSRB,
+        // the ablations' dataset: on tiny CIFAR-10 both KD students of
+        // the pair collapse to one class, so equal outcomes there would
+        // not tell a dropped parameter from a degenerate model.
+        let pairs = [
+            (
+                TechniqueKind::Ensemble,
+                TechniqueKind::ensemble(&[ModelKind::ConvNet; 5]),
+            ),
+            (
+                TechniqueKind::label_correction(0.05),
+                TechniqueKind::label_correction(0.2),
+            ),
+            (
+                TechniqueKind::label_smoothing(0.05),
+                TechniqueKind::label_smoothing(0.4),
+            ),
+            (
+                TechniqueKind::knowledge_distillation(0.3, 4.0),
+                TechniqueKind::knowledge_distillation(0.9, 4.0),
+            ),
+            (
+                TechniqueKind::fault_aware(1, 0, 31),
+                TechniqueKind::fault_aware(4, 0, 31),
+            ),
+        ];
+        let configs: Vec<ExperimentConfig> = pairs
+            .iter()
+            .flat_map(|&(a, b)| [a, b])
+            .map(|technique| ExperimentConfig {
+                dataset: DatasetKind::Gtsrb,
+                repetitions: 1,
+                ..tiny_config(technique, 30.0)
+            })
+            .collect();
+        let outcomes: Vec<String> = Runner::new()
+            .run_grid(&configs)
+            .into_iter()
+            .map(|mut result| {
+                result.normalize_timings();
+                tdfm_json::to_string(&result.repetitions)
+            })
+            .collect();
+        for (pair, outcome) in pairs.iter().zip(outcomes.chunks(2)) {
+            assert_ne!(
+                outcome[0],
+                outcome[1],
+                "{} vs {}",
+                pair.0.full_name(),
+                pair.1.full_name()
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use tdfm_inject::model::{
     TensorSelector,
 };
 use tdfm_inject::provenance::weight_provenance;
-use tdfm_inject::{split_clean, ProvenanceBuilder};
+use tdfm_inject::ProvenanceBuilder;
 use tdfm_json::json_struct;
 use tdfm_nn::models::ModelKind;
 use tdfm_obs::{event, Level, ManifestCell, RunManifest};
@@ -134,7 +134,7 @@ impl CellResult for ModelFaultResult {
             index,
             dataset: self.dataset.name().to_string(),
             model: self.model.name().to_string(),
-            technique: self.technique.full_name().to_string(),
+            technique: self.technique.full_name(),
             fault: self.fault_label.clone(),
             scale: self.scale.name().to_string(),
             repetitions: self.repetitions.len(),
@@ -234,13 +234,7 @@ impl ModelFaultRunner {
             ctx.tune_for(data.train.len());
             // Training data stays clean (faults hit the model), but label
             // correction still runs its clean-subset machinery.
-            let train = if technique.wants_clean_subset() {
-                let (clean, rest) = split_clean(&data.train, 0.1, rep_seed ^ 0xC1EA);
-                ctx.clean_subset = Some(clean);
-                rest
-            } else {
-                data.train.clone()
-            };
+            let train = kind.reserve_clean(&data.train, &mut ctx);
             self.log.metrics.counter("technique_fits").inc();
             let mut fitted = technique.fit(sweep.model, &train, &ctx);
             let clean_preds = fitted.predict(data.test.images());
@@ -279,7 +273,7 @@ impl ModelFaultRunner {
             self.log.add_provenance(
                 sweep.dataset,
                 sweep.model,
-                kind.full_name(),
+                &kind.full_name(),
                 &plan.label(),
                 &prov.records(),
             );

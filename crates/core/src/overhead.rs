@@ -53,16 +53,10 @@ pub fn measure_overheads(
     let data = dataset.generate(scale, seed);
     let mut raw = Vec::new();
     for kind in TechniqueKind::ALL {
-        let technique = kind.build();
         let mut ctx = TrainContext::new(scale, seed);
         ctx.tune_for(data.train.len());
-        let train = if technique.wants_clean_subset() {
-            let (clean, rest) = tdfm_inject::split_clean(&data.train, 0.1, seed);
-            ctx.clean_subset = Some(clean);
-            rest
-        } else {
-            data.train.clone()
-        };
+        let train = kind.reserve_clean(&data.train, &mut ctx);
+        let technique = kind.build();
         let t0 = Instant::now();
         let mut fitted = technique.fit(model, &train, &ctx);
         let train_seconds = t0.elapsed().as_secs_f64();

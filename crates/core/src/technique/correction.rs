@@ -33,27 +33,13 @@ use tdfm_tensor::Tensor;
 /// clean set, its capacity degrades with the class count `K` — reproducing
 /// the paper's GTSRB finding — while dataset *size* matters little, also as
 /// reported (Section IV-D).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabelCorrection {
-    gamma: f32,
+    /// Clean-data fraction in `(0, 1)`; the paper uses 0.1.
+    pub(crate) gamma: f32,
 }
 
 impl LabelCorrection {
-    /// Creates the technique; the paper's clean fraction is `gamma = 0.1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < gamma < 1`.
-    pub fn new(gamma: f32) -> Self {
-        assert!(gamma > 0.0 && gamma < 1.0, "gamma must be in (0, 1)");
-        Self { gamma }
-    }
-
-    /// The clean-data fraction.
-    pub fn gamma(&self) -> f32 {
-        self.gamma
-    }
-
     /// Builds the secondary MLP: `2K -> 64 -> K`.
     fn secondary(classes: usize, rng: &mut Rng) -> Network {
         let body = Sequential::new()
@@ -78,10 +64,6 @@ impl LabelCorrection {
 }
 
 impl Mitigation for LabelCorrection {
-    fn name(&self) -> &'static str {
-        "LC"
-    }
-
     fn wants_clean_subset(&self) -> bool {
         true
     }
@@ -196,7 +178,7 @@ mod tests {
         let mut ctx = crate::technique::TrainContext::new(Scale::Tiny, 1);
         ctx.fit.epochs = 12;
         ctx.fit.batch_size = 16;
-        let mut fitted = LabelCorrection::new(0.1).fit(ModelKind::ConvNet, &tt.train, &ctx);
+        let mut fitted = LabelCorrection { gamma: 0.1 }.fit(ModelKind::ConvNet, &tt.train, &ctx);
         let acc = fitted.accuracy(&tt.test);
         assert!(acc > 0.2, "accuracy {acc} not better than 2x random");
     }
@@ -206,7 +188,7 @@ mod tests {
         let (train, test, mut ctx) = tiny_setup();
         let (clean, rest) = split_clean(&train, 0.2, 3);
         ctx.clean_subset = Some(clean);
-        let mut fitted = LabelCorrection::new(0.1).fit(ModelKind::ConvNet, &rest, &ctx);
+        let mut fitted = LabelCorrection { gamma: 0.1 }.fit(ModelKind::ConvNet, &rest, &ctx);
         let _ = fitted.accuracy(&test); // must not panic
     }
 

@@ -18,41 +18,15 @@ use tdfm_nn::trainer::{fit, TargetSource};
 /// targets act as learned label smoothing at low fault rates but become
 /// "garbage in, garbage out" at high mislabelling rates — the crossover the
 /// paper reports in Section IV-B.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelfDistillation {
-    alpha: f32,
-    temperature: f32,
-}
-
-impl SelfDistillation {
-    /// Creates the technique; the paper's configuration is `alpha = 0.7`,
-    /// `T = 4`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= alpha <= 1` and `temperature > 0`.
-    pub fn new(alpha: f32, temperature: f32) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-        assert!(temperature > 0.0, "temperature must be positive");
-        Self { alpha, temperature }
-    }
-
-    /// Teacher-knowledge weight.
-    pub fn alpha(&self) -> f32 {
-        self.alpha
-    }
-
-    /// Distillation temperature.
-    pub fn temperature(&self) -> f32 {
-        self.temperature
-    }
+    /// Teacher-knowledge weight in `[0, 1]`; the paper uses 0.7.
+    pub(crate) alpha: f32,
+    /// Distillation temperature, positive and finite; the paper uses 4.
+    pub(crate) temperature: f32,
 }
 
 impl Mitigation for SelfDistillation {
-    fn name(&self) -> &'static str {
-        "KD"
-    }
-
     fn fit(&self, model: ModelKind, train: &LabeledDataset, ctx: &TrainContext) -> FittedModel {
         // Teacher: ordinary training on the faulty data.
         let mut cfg = ctx.model_config(train);
@@ -87,18 +61,25 @@ impl Mitigation for SelfDistillation {
 mod tests {
     use super::*;
     use crate::technique::test_support::tiny_setup;
+    use crate::technique::TechniqueKind;
 
     #[test]
     fn distillation_learns_tiny_pneumonia() {
         let (train, test, ctx) = tiny_setup();
-        let mut fitted = SelfDistillation::new(0.7, 4.0).fit(ModelKind::ConvNet, &train, &ctx);
+        let mut fitted =
+            TechniqueKind::KnowledgeDistillation
+                .build()
+                .fit(ModelKind::ConvNet, &train, &ctx);
         assert!(fitted.accuracy(&test) > 0.5);
     }
 
     #[test]
     fn student_differs_from_plain_baseline() {
         let (train, test, ctx) = tiny_setup();
-        let mut kd = SelfDistillation::new(0.7, 4.0).fit(ModelKind::ConvNet, &train, &ctx);
+        let mut kd =
+            TechniqueKind::KnowledgeDistillation
+                .build()
+                .fit(ModelKind::ConvNet, &train, &ctx);
         let mut base = super::super::Baseline.fit(ModelKind::ConvNet, &train, &ctx);
         // Different initialisation and criterion: the two models should not
         // be byte-identical in their predictions on every input.

@@ -22,66 +22,27 @@ use tdfm_nn::trainer::{fit, FitConfig, TargetSource};
 /// [`Mitigation::fit`] is ignored — the ensemble's composition is part of
 /// the technique, exactly as in the paper's figures where the "Ens" bar is
 /// the same in every per-model panel.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ensemble {
-    members: Vec<ModelKind>,
+    /// The member architectures, in `members[..len]`; the rest is filler.
+    pub(crate) members: [ModelKind; Ensemble::MAX_MEMBERS],
+    pub(crate) len: usize,
 }
 
 impl Ensemble {
-    /// The paper's 5-model ensemble.
-    pub fn paper_default() -> Self {
-        Self {
-            members: vec![
-                ModelKind::ConvNet,
-                ModelKind::MobileNet,
-                ModelKind::ResNet18,
-                ModelKind::Vgg11,
-                ModelKind::Vgg16,
-            ],
-        }
-    }
-
-    /// An ensemble of `n` copies of one architecture (differing only in
-    /// initialisation) — the diversity-ablation configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn homogeneous(kind: ModelKind, n: usize) -> Self {
-        assert!(n > 0, "ensemble needs at least one member");
-        Self {
-            members: vec![kind; n],
-        }
-    }
-
-    /// A custom member list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty.
-    pub fn with_members(members: Vec<ModelKind>) -> Self {
-        assert!(!members.is_empty(), "ensemble needs at least one member");
-        Self { members }
-    }
+    /// The largest ensemble a spec can hold (the paper's has five).
+    pub const MAX_MEMBERS: usize = 8;
 
     /// The member architectures.
     pub fn members(&self) -> &[ModelKind] {
-        &self.members
+        &self.members[..self.len]
     }
 }
 
 impl Mitigation for Ensemble {
-    fn name(&self) -> &'static str {
-        "Ens"
-    }
-
-    fn model_independent(&self) -> bool {
-        true
-    }
-
     fn fit(&self, _model: ModelKind, train: &LabeledDataset, ctx: &TrainContext) -> FittedModel {
         let targets = TargetSource::Hard(train.labels().to_vec());
-        FittedModel::Ensemble(run_indexed(self.members.len(), |i| {
+        FittedModel::Ensemble(run_indexed(self.len, |i| {
             let mut cfg = ctx.model_config(train);
             // Decorrelate members: distinct init and batch order.
             cfg.seed = ctx.seed ^ ((i as u64 + 1) * 0x9E37_79B9);
@@ -105,10 +66,13 @@ impl Mitigation for Ensemble {
 mod tests {
     use super::*;
     use crate::technique::test_support::tiny_setup;
+    use crate::technique::{Spec, TechniqueKind};
 
     #[test]
     fn paper_default_has_the_five_models() {
-        let e = Ensemble::paper_default();
+        let TechniqueKind(Spec::Ensemble(e)) = TechniqueKind::Ensemble else {
+            panic!("the paper's ensemble is an ensemble");
+        };
         assert_eq!(
             e.members(),
             &[
@@ -126,11 +90,12 @@ mod tests {
         let (train, test, ctx) = tiny_setup();
         // Three members keep the unit test quick; the experiment runner
         // uses the paper's five.
-        let ens = Ensemble::with_members(vec![
+        let ens = TechniqueKind::ensemble(&[
             ModelKind::ConvNet,
             ModelKind::DeconvNet,
             ModelKind::MobileNet,
-        ]);
+        ])
+        .build();
         let mut fitted = ens.fit(ModelKind::ConvNet, &train, &ctx);
         assert_eq!(fitted.member_count(), 3);
         assert!(fitted.accuracy(&test) > 0.5);
@@ -139,7 +104,7 @@ mod tests {
     #[test]
     fn homogeneous_members_differ_by_seed() {
         let (train, test, ctx) = tiny_setup();
-        let ens = Ensemble::homogeneous(ModelKind::ConvNet, 2);
+        let ens = TechniqueKind::ensemble(&[ModelKind::ConvNet; 2]).build();
         let mut fitted = ens.fit(ModelKind::ConvNet, &train, &ctx);
         if let FittedModel::Ensemble(nets) = &mut fitted {
             let a = nets[0].logits(test.images(), 32);
@@ -154,11 +119,12 @@ mod tests {
     fn members_predict_identically_under_any_thread_budget() {
         use tdfm_tensor::parallel::with_inner_threads;
         let (train, test, ctx) = tiny_setup();
-        let ens = Ensemble::with_members(vec![
+        let ens = TechniqueKind::ensemble(&[
             ModelKind::ConvNet,
             ModelKind::DeconvNet,
             ModelKind::MobileNet,
-        ]);
+        ])
+        .build();
         let predict = |threads| {
             with_inner_threads(threads, || {
                 ens.fit(ModelKind::ConvNet, &train, &ctx)
@@ -171,7 +137,7 @@ mod tests {
     #[test]
     fn majority_vote_is_deterministic() {
         let (train, test, ctx) = tiny_setup();
-        let ens = Ensemble::homogeneous(ModelKind::ConvNet, 3);
+        let ens = TechniqueKind::ensemble(&[ModelKind::ConvNet; 3]).build();
         let mut a = ens.fit(ModelKind::ConvNet, &train, &ctx);
         let mut b = ens.fit(ModelKind::ConvNet, &train, &ctx);
         assert_eq!(a.predict(test.images()), b.predict(test.images()));

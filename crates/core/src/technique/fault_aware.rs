@@ -18,57 +18,16 @@ use tdfm_nn::models::ModelKind;
 use tdfm_nn::trainer::{fit_fault_aware, FaultAwareConfig, TargetSource};
 
 /// Trains with transient weight bit-flips injected into every step.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultAwareTraining {
-    flips_per_step: usize,
-    bit_lo: u32,
-    bit_hi: u32,
-}
-
-impl FaultAwareTraining {
-    /// Creates the technique with a full-word (bits 0–31) fault model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flips_per_step == 0`.
-    pub fn new(flips_per_step: usize) -> Self {
-        assert!(flips_per_step > 0, "fault-aware training needs flips");
-        Self {
-            flips_per_step,
-            bit_lo: 0,
-            bit_hi: 31,
-        }
-    }
-
-    /// Restricts injected flips to bit positions `lo..=hi`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo <= hi < 32`.
-    pub fn with_bits(mut self, lo: u32, hi: u32) -> Self {
-        assert!(lo <= hi && hi < 32, "invalid bit range {lo}..={hi}");
-        self.bit_lo = lo;
-        self.bit_hi = hi;
-        self
-    }
-
-    /// The default configuration of the results harness: two simultaneous
-    /// full-word flips per optimisation step.
-    pub fn paper_default() -> Self {
-        Self::new(2)
-    }
-
-    /// Simultaneous flips injected per step.
-    pub fn flips_per_step(&self) -> usize {
-        self.flips_per_step
-    }
+    /// Simultaneous flips injected per step (at least one).
+    pub(crate) flips_per_step: usize,
+    /// Flipped bit positions are drawn from `bit_lo..=bit_hi` (`< 32`).
+    pub(crate) bit_lo: u32,
+    pub(crate) bit_hi: u32,
 }
 
 impl Mitigation for FaultAwareTraining {
-    fn name(&self) -> &'static str {
-        "FAT"
-    }
-
     fn fit(&self, model: ModelKind, train: &LabeledDataset, ctx: &TrainContext) -> FittedModel {
         let mut net = model.build(&ctx.model_config(train));
         let fa = FaultAwareConfig {
@@ -94,11 +53,15 @@ impl Mitigation for FaultAwareTraining {
 mod tests {
     use super::*;
     use crate::technique::test_support::tiny_setup;
+    use crate::technique::TechniqueKind;
 
     #[test]
     fn fault_aware_training_learns_tiny_pneumonia() {
         let (train, test, ctx) = tiny_setup();
-        let mut fitted = FaultAwareTraining::paper_default().fit(ModelKind::ConvNet, &train, &ctx);
+        let mut fitted =
+            TechniqueKind::FaultAwareTraining
+                .build()
+                .fit(ModelKind::ConvNet, &train, &ctx);
         let acc = fitted.accuracy(&test);
         assert!(acc > 0.4, "accuracy {acc}");
         assert_eq!(fitted.member_count(), 1);
@@ -109,7 +72,9 @@ mod tests {
         let (train, test, ctx) = tiny_setup();
         let preds = |_: usize| {
             let mut fitted =
-                FaultAwareTraining::paper_default().fit(ModelKind::ConvNet, &train, &ctx);
+                TechniqueKind::FaultAwareTraining
+                    .build()
+                    .fit(ModelKind::ConvNet, &train, &ctx);
             fitted.predict(test.images())
         };
         assert_eq!(preds(0), preds(1));
@@ -118,12 +83,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs flips")]
     fn zero_flips_rejected() {
-        let _ = FaultAwareTraining::new(0);
+        let _ = TechniqueKind::fault_aware(0, 0, 31);
     }
 
     #[test]
     #[should_panic(expected = "invalid bit range")]
     fn bad_bit_range_rejected() {
-        let _ = FaultAwareTraining::new(1).with_bits(8, 32);
+        let _ = TechniqueKind::fault_aware(1, 8, 32);
     }
 }

@@ -7,14 +7,20 @@ mod ensemble;
 mod fault_aware;
 mod simple;
 
-pub use correction::LabelCorrection;
-pub use distillation::SelfDistillation;
-pub use ensemble::Ensemble;
-pub use fault_aware::FaultAwareTraining;
-pub use simple::{Baseline, LabelSmoothing, RobustLoss};
+// The parametrised techniques are built only through `TechniqueKind`,
+// which checks their parameters.
+pub(crate) use correction::LabelCorrection;
+pub(crate) use distillation::SelfDistillation;
+pub(crate) use ensemble::Ensemble;
+pub(crate) use fault_aware::FaultAwareTraining;
+pub(crate) use simple::LabelSmoothing;
+pub use simple::{Baseline, RobustLoss};
 
+use crate::detect::{DetectAndFilter, NoiseDetector};
+use std::borrow::Cow;
 use tdfm_data::{LabeledDataset, Scale};
-use tdfm_json::json_unit_enum;
+use tdfm_inject::split_clean;
+use tdfm_json::{field, to_string, FromJson, JsonError, ToJson, Value};
 use tdfm_nn::models::{ModelConfig, ModelKind};
 use tdfm_nn::trainer::FitConfig;
 use tdfm_nn::Network;
@@ -177,11 +183,10 @@ impl std::fmt::Debug for FittedModel {
 ///
 /// Implementations train on the *faulty* dataset the experiment runner
 /// hands them (Fig. 2) and return a fitted model; the runner measures AD
-/// against the architecture's golden model.
+/// against the architecture's golden model. What a technique is called,
+/// and whether its fit can be shared across architectures, is answered by
+/// its [`TechniqueKind`].
 pub trait Mitigation: Send + Sync {
-    /// Short name matching the paper's figures (`"LS"`, `"LC"`, ...).
-    fn name(&self) -> &'static str;
-
     /// Trains a protected model of the given architecture.
     fn fit(&self, model: ModelKind, train: &LabeledDataset, ctx: &TrainContext) -> FittedModel;
 
@@ -190,41 +195,80 @@ pub trait Mitigation: Send + Sync {
     fn wants_clean_subset(&self) -> bool {
         false
     }
+}
 
-    /// Whether the fitted model is independent of the `model` argument.
-    ///
-    /// True for ensembles, whose composition is fixed by the technique —
-    /// the experiment runner then shares one fitted ensemble across the
-    /// per-model panels of a figure, exactly as the paper's "Ens" bar is
-    /// identical in every panel.
-    fn model_independent(&self) -> bool {
-        false
+/// Unwraps a parameter check in a `const` constructor, panicking with the
+/// broken rule.
+pub(crate) const fn valid<T: Copy>(checked: Result<T, &'static str>) -> T {
+    match checked {
+        Ok(value) => value,
+        Err(rule) => panic!("{}", rule),
     }
 }
 
-/// The six columns of the paper's figures: the baseline plus the five
-/// mitigation techniques, with the paper's hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TechniqueKind {
-    /// Unprotected model trained with plain cross entropy.
+/// One variant per technique family, carrying the family's parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Spec {
     Baseline,
-    /// Label relaxation with `alpha = 0.1` (Section III-B1).
-    LabelSmoothing,
-    /// Meta label correction with clean fraction `gamma = 0.1` (III-B2).
-    LabelCorrection,
-    /// NCE+RCE active-passive loss with Ma et al.'s recommended
-    /// per-dataset weights (III-B3).
+    LabelSmoothing(LabelSmoothing),
+    LabelCorrection(LabelCorrection),
     RobustLoss,
-    /// Self-distillation with `alpha = 0.7`, `T = 4` (III-B4).
-    KnowledgeDistillation,
-    /// 5-model heterogeneous majority-vote ensemble (III-B5).
-    Ensemble,
-    /// Training under stochastic weight bit-flips — hardens against
-    /// *model* faults (SEUs) instead of data faults.
-    FaultAwareTraining,
+    KnowledgeDistillation(SelfDistillation),
+    Ensemble(Ensemble),
+    FaultAwareTraining(FaultAwareTraining),
+    DetectAndFilter(DetectAndFilter),
 }
 
+/// A technique with every hyperparameter it trains with: one column of the
+/// paper's figures, or an ablation's variant of one.
+///
+/// The paper's columns are associated constants under their variant-style
+/// names (`TechniqueKind::LabelSmoothing` is label smoothing with the
+/// paper's `alpha = 0.1`); the `const fn` constructors build the other
+/// parameter settings, and panic on an out-of-range one. Everything the
+/// experiment runner decides per technique — which clean fraction to
+/// reserve, whether a fit is shared across architectures, the cache and
+/// provenance keys — is read from here, so two cells that differ in one
+/// parameter never share a result.
+///
+/// A paper default serialises as its family name (`"LabelCorrection"`);
+/// any other setting as `{"LabelCorrection": {"gamma": 0.05}}`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TechniqueKind(pub(crate) Spec);
+
+#[allow(
+    non_upper_case_globals,
+    reason = "the paper's columns keep the names they had as enum variants"
+)]
 impl TechniqueKind {
+    /// Unprotected model trained with plain cross entropy.
+    pub const Baseline: Self = Self(Spec::Baseline);
+    /// Label relaxation with `alpha = 0.1` (Section III-B1).
+    pub const LabelSmoothing: Self = Self::label_smoothing(0.1);
+    /// Meta label correction with clean fraction `gamma = 0.1` (III-B2).
+    pub const LabelCorrection: Self = Self::label_correction(0.1);
+    /// NCE+RCE active-passive loss with Ma et al.'s recommended
+    /// per-dataset weights (III-B3).
+    pub const RobustLoss: Self = Self(Spec::RobustLoss);
+    /// Self-distillation with `alpha = 0.7`, `T = 4` (III-B4).
+    pub const KnowledgeDistillation: Self = Self::knowledge_distillation(0.7, 4.0);
+    /// 5-model heterogeneous majority-vote ensemble (III-B5).
+    pub const Ensemble: Self = Self::ensemble(&[
+        ModelKind::ConvNet,
+        ModelKind::MobileNet,
+        ModelKind::ResNet18,
+        ModelKind::Vgg11,
+        ModelKind::Vgg16,
+    ]);
+    /// Training under two full-word weight bit-flips per step — hardens
+    /// against *model* faults (SEUs) instead of data faults.
+    pub const FaultAwareTraining: Self = Self::fault_aware(2, 0, 31);
+    /// Drop the suspects of a 3-fold ConvNet label-noise detector, then
+    /// train the baseline — the detection strategy the paper scoped out
+    /// (Section III-A), not one of its columns.
+    pub const DetectAndFilter: Self =
+        Self::detect_and_filter(NoiseDetector::new(3, ModelKind::ConvNet));
+
     /// The data-fault techniques in the paper's column order. Kept at the
     /// paper's six so results recorded against the original grid are
     /// unchanged; the model-fault study iterates [`TechniqueKind::ALL_EXTENDED`].
@@ -249,56 +293,258 @@ impl TechniqueKind {
         TechniqueKind::FaultAwareTraining,
     ];
 
-    /// Abbreviation used in the paper's tables (`Base`, `LS`, ...).
+    /// Label smoothing (relaxation) with `alpha` in `(0, 1)`.
+    pub const fn label_smoothing(alpha: f32) -> Self {
+        valid(Self(Spec::LabelSmoothing(LabelSmoothing { alpha })).check())
+    }
+
+    /// Label correction reserving the clean fraction `gamma` in `(0, 1)`.
+    pub const fn label_correction(gamma: f32) -> Self {
+        valid(Self(Spec::LabelCorrection(LabelCorrection { gamma })).check())
+    }
+
+    /// Self-distillation with teacher weight `alpha` in `[0, 1]` and a
+    /// positive `temperature`.
+    pub const fn knowledge_distillation(alpha: f32, temperature: f32) -> Self {
+        let kd = SelfDistillation { alpha, temperature };
+        valid(Self(Spec::KnowledgeDistillation(kd)).check())
+    }
+
+    /// A majority-vote ensemble of 1 to 8 `members`, repeats allowed.
+    pub const fn ensemble(members: &[ModelKind]) -> Self {
+        valid(Self::try_ensemble(members))
+    }
+
+    /// Fault-aware training with `flips_per_step > 0` weight bit-flips per
+    /// step in bits `bit_lo..=bit_hi` (`hi < 32`).
+    pub const fn fault_aware(flips_per_step: usize, bit_lo: u32, bit_hi: u32) -> Self {
+        let fat = FaultAwareTraining {
+            flips_per_step,
+            bit_lo,
+            bit_hi,
+        };
+        valid(Self(Spec::FaultAwareTraining(fat)).check())
+    }
+
+    /// Detect-and-filter with the given detector.
+    pub const fn detect_and_filter(detector: NoiseDetector) -> Self {
+        Self(Spec::DetectAndFilter(DetectAndFilter { detector }))
+    }
+
+    const fn try_ensemble(members: &[ModelKind]) -> Result<Self, &'static str> {
+        if members.is_empty() || members.len() > Ensemble::MAX_MEMBERS {
+            return Err("ensemble needs 1 to 8 members");
+        }
+        let len = members.len();
+        let mut kinds = [ModelKind::ConvNet; Ensemble::MAX_MEMBERS];
+        kinds.split_at_mut(len).0.copy_from_slice(members);
+        Ok(Self(Spec::Ensemble(Ensemble {
+            members: kinds,
+            len,
+        })))
+    }
+
+    /// The spec, or the first parameter rule it breaks.
+    const fn check(self) -> Result<Self, &'static str> {
+        let broken = match self.0 {
+            Spec::LabelSmoothing(t) if !(t.alpha > 0.0 && t.alpha < 1.0) => {
+                "alpha must be in (0, 1)"
+            }
+            Spec::LabelCorrection(t) if !(t.gamma > 0.0 && t.gamma < 1.0) => {
+                "gamma must be in (0, 1)"
+            }
+            Spec::KnowledgeDistillation(t) if !(t.alpha >= 0.0 && t.alpha <= 1.0) => {
+                "alpha must be in [0, 1]"
+            }
+            Spec::KnowledgeDistillation(t)
+                if !(t.temperature > 0.0 && t.temperature.is_finite()) =>
+            {
+                "temperature must be positive and finite"
+            }
+            Spec::FaultAwareTraining(t) if t.flips_per_step == 0 => {
+                "fault-aware training needs flips"
+            }
+            Spec::FaultAwareTraining(t) if t.bit_lo > t.bit_hi || t.bit_hi >= 32 => {
+                "invalid bit range"
+            }
+            _ => return Ok(self),
+        };
+        Err(broken)
+    }
+
+    /// `(JSON family name, abbreviation, full name)` of the family.
+    fn names(self) -> (&'static str, &'static str, &'static str) {
+        match self.0 {
+            Spec::Baseline => ("Baseline", "Base", "Baseline"),
+            Spec::LabelSmoothing(_) => ("LabelSmoothing", "LS", "Label Smoothing"),
+            Spec::LabelCorrection(_) => ("LabelCorrection", "LC", "Label Correction"),
+            Spec::RobustLoss => ("RobustLoss", "RL", "Robust Loss"),
+            Spec::KnowledgeDistillation(_) => {
+                ("KnowledgeDistillation", "KD", "Knowledge Distillation")
+            }
+            Spec::Ensemble(_) => ("Ensemble", "Ens", "Ensemble"),
+            Spec::FaultAwareTraining(_) => ("FaultAwareTraining", "FAT", "Fault-Aware Training"),
+            Spec::DetectAndFilter(_) => ("DetectAndFilter", "DF", "Detect-and-Filter"),
+        }
+    }
+
+    /// The family's parameters, as JSON values.
+    fn params(self) -> Vec<(&'static str, Value)> {
+        match self.0 {
+            Spec::Baseline | Spec::RobustLoss => Vec::new(),
+            Spec::LabelSmoothing(t) => vec![("alpha", t.alpha.to_json())],
+            Spec::LabelCorrection(t) => vec![("gamma", t.gamma.to_json())],
+            Spec::KnowledgeDistillation(t) => vec![
+                ("alpha", t.alpha.to_json()),
+                ("temperature", t.temperature.to_json()),
+            ],
+            Spec::Ensemble(t) => vec![("members", t.members().to_json())],
+            Spec::FaultAwareTraining(t) => vec![
+                ("flips_per_step", t.flips_per_step.to_json()),
+                ("bit_lo", t.bit_lo.to_json()),
+                ("bit_hi", t.bit_hi.to_json()),
+            ],
+            Spec::DetectAndFilter(t) => vec![
+                ("folds", t.detector.folds.to_json()),
+                ("probe", t.detector.model.to_json()),
+            ],
+        }
+    }
+
+    /// Whether this is a family's default: a paper column, or
+    /// detect-and-filter's default detector.
+    fn is_default(self) -> bool {
+        Self::ALL_EXTENDED.contains(&self) || self == Self::DetectAndFilter
+    }
+
+    /// Abbreviation used in the paper's tables (`Base`, `LS`, ...); the
+    /// same for every parameter setting of a family.
     pub fn abbrev(self) -> &'static str {
-        match self {
-            TechniqueKind::Baseline => "Base",
-            TechniqueKind::LabelSmoothing => "LS",
-            TechniqueKind::LabelCorrection => "LC",
-            TechniqueKind::RobustLoss => "RL",
-            TechniqueKind::KnowledgeDistillation => "KD",
-            TechniqueKind::Ensemble => "Ens",
-            TechniqueKind::FaultAwareTraining => "FAT",
+        self.names().1
+    }
+
+    /// Every parameter as `name value` (`"alpha 0.7, temperature 4.0"`;
+    /// empty for Base and RL).
+    pub fn parameters(self) -> String {
+        let params = self.params().into_iter();
+        let params = params.map(|(name, v)| format!("{name} {}", to_string(&v).replace('"', "")));
+        params.collect::<Vec<_>>().join(", ")
+    }
+
+    /// Full name. A family default has the family's name (`"Label
+    /// Correction"`); any other setting appends its parameters
+    /// (`"Label Correction (gamma 0.05)"`). Distinct settings have
+    /// distinct full names, so this is the technique part of every cache
+    /// key, provenance key and manifest cell.
+    pub fn full_name(self) -> String {
+        let family = self.names().2;
+        if self.is_default() {
+            family.to_string()
+        } else {
+            format!("{family} ({})", self.parameters())
         }
     }
 
-    /// Full name.
-    pub fn full_name(self) -> &'static str {
-        match self {
-            TechniqueKind::Baseline => "Baseline",
-            TechniqueKind::LabelSmoothing => "Label Smoothing",
-            TechniqueKind::LabelCorrection => "Label Correction",
-            TechniqueKind::RobustLoss => "Robust Loss",
-            TechniqueKind::KnowledgeDistillation => "Knowledge Distillation",
-            TechniqueKind::Ensemble => "Ensemble",
-            TechniqueKind::FaultAwareTraining => "Fault-Aware Training",
-        }
-    }
-
-    /// Instantiates the representative implementation with the paper's
-    /// hyperparameters.
+    /// Instantiates the implementation with this spec's parameters.
     pub fn build(self) -> Box<dyn Mitigation> {
-        match self {
-            TechniqueKind::Baseline => Box::new(Baseline),
-            TechniqueKind::LabelSmoothing => Box::new(LabelSmoothing::new(0.1)),
-            TechniqueKind::LabelCorrection => Box::new(LabelCorrection::new(0.1)),
-            TechniqueKind::RobustLoss => Box::new(RobustLoss::adaptive()),
-            TechniqueKind::KnowledgeDistillation => Box::new(SelfDistillation::new(0.7, 4.0)),
-            TechniqueKind::Ensemble => Box::new(Ensemble::paper_default()),
-            TechniqueKind::FaultAwareTraining => Box::new(FaultAwareTraining::paper_default()),
+        match self.0 {
+            Spec::Baseline => Box::new(Baseline),
+            Spec::LabelSmoothing(t) => Box::new(t),
+            Spec::LabelCorrection(t) => Box::new(t),
+            Spec::RobustLoss => Box::new(RobustLoss),
+            Spec::KnowledgeDistillation(t) => Box::new(t),
+            Spec::Ensemble(t) => Box::new(t),
+            Spec::FaultAwareTraining(t) => Box::new(t),
+            Spec::DetectAndFilter(t) => Box::new(t),
         }
+    }
+
+    /// Whether the fitted model is independent of the cell's architecture.
+    ///
+    /// True for ensembles, whose composition is part of the spec — the
+    /// experiment runner then shares one fitted ensemble across the
+    /// per-model panels of a figure, exactly as the paper's "Ens" bar is
+    /// identical in every panel.
+    pub fn model_independent(self) -> bool {
+        matches!(self.0, Spec::Ensemble(_))
+    }
+
+    /// Reserves the spec's clean fraction of `train` *before* injection
+    /// (label correction, III-B2): the clean subset goes into `ctx`, and
+    /// the rest is returned for fault injection. Every other technique
+    /// gets `train` back whole.
+    pub(crate) fn reserve_clean<'a>(
+        self,
+        train: &'a LabeledDataset,
+        ctx: &mut TrainContext,
+    ) -> Cow<'a, LabeledDataset> {
+        let Spec::LabelCorrection(lc) = self.0 else {
+            return Cow::Borrowed(train);
+        };
+        let (clean, rest) = split_clean(train, lc.gamma, ctx.seed ^ 0xC1EA);
+        ctx.clean_subset = Some(clean);
+        Cow::Owned(rest)
     }
 }
 
-json_unit_enum!(TechniqueKind {
-    Baseline,
-    LabelSmoothing,
-    LabelCorrection,
-    RobustLoss,
-    KnowledgeDistillation,
-    Ensemble,
-    FaultAwareTraining,
-});
+impl ToJson for TechniqueKind {
+    fn to_json(&self) -> Value {
+        let family = self.names().0.to_string();
+        if self.is_default() {
+            return Value::Str(family);
+        }
+        let params = self.params().into_iter();
+        let params = params.map(|(name, v)| (name.to_string(), v)).collect();
+        Value::Object(vec![(family, Value::Object(params))])
+    }
+}
+
+impl FromJson for TechniqueKind {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let (family, params) = match v {
+            Value::Str(family) => (family.as_str(), None),
+            Value::Object(entries) if entries.len() == 1 => {
+                (entries[0].0.as_str(), Some(&entries[0].1))
+            }
+            other => return Err(JsonError::expected("TechniqueKind", other)),
+        };
+        let default = Self::ALL_EXTENDED
+            .into_iter()
+            .chain([Self::DetectAndFilter])
+            .find(|t| t.names().0 == family)
+            .ok_or_else(|| JsonError::msg(format!("unknown technique `{family}`")))?;
+        let Some(p) = params else {
+            return Ok(default);
+        };
+        let err = |rule| JsonError::msg(format!("technique `{family}`: {rule}"));
+        let spec = match default.0 {
+            Spec::Baseline | Spec::RobustLoss => return Err(err("the family has no parameters")),
+            Spec::LabelSmoothing(_) => Spec::LabelSmoothing(LabelSmoothing {
+                alpha: field(p, "alpha")?,
+            }),
+            Spec::LabelCorrection(_) => Spec::LabelCorrection(LabelCorrection {
+                gamma: field(p, "gamma")?,
+            }),
+            Spec::KnowledgeDistillation(_) => Spec::KnowledgeDistillation(SelfDistillation {
+                alpha: field(p, "alpha")?,
+                temperature: field(p, "temperature")?,
+            }),
+            Spec::Ensemble(_) => {
+                return Self::try_ensemble(&field::<Vec<ModelKind>>(p, "members")?).map_err(err)
+            }
+            Spec::FaultAwareTraining(_) => Spec::FaultAwareTraining(FaultAwareTraining {
+                flips_per_step: field(p, "flips_per_step")?,
+                bit_lo: field(p, "bit_lo")?,
+                bit_hi: field(p, "bit_hi")?,
+            }),
+            Spec::DetectAndFilter(_) => Spec::DetectAndFilter(DetectAndFilter {
+                detector: NoiseDetector::try_new(field(p, "folds")?, field(p, "probe")?)
+                    .map_err(err)?,
+            }),
+        };
+        Self(spec).check().map_err(err)
+    }
+}
 
 impl std::fmt::Display for TechniqueKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -349,14 +595,92 @@ mod tests {
     }
 
     #[test]
-    fn build_matches_names() {
-        assert_eq!(TechniqueKind::Baseline.build().name(), "Base");
-        assert_eq!(TechniqueKind::LabelSmoothing.build().name(), "LS");
-        assert_eq!(TechniqueKind::LabelCorrection.build().name(), "LC");
-        assert_eq!(TechniqueKind::RobustLoss.build().name(), "RL");
-        assert_eq!(TechniqueKind::KnowledgeDistillation.build().name(), "KD");
-        assert_eq!(TechniqueKind::Ensemble.build().name(), "Ens");
-        assert_eq!(TechniqueKind::FaultAwareTraining.build().name(), "FAT");
+    fn paper_defaults_keep_their_wire_format_and_names() {
+        let expected = [
+            ("Baseline", "Baseline"),
+            ("LabelSmoothing", "Label Smoothing"),
+            ("LabelCorrection", "Label Correction"),
+            ("RobustLoss", "Robust Loss"),
+            ("KnowledgeDistillation", "Knowledge Distillation"),
+            ("Ensemble", "Ensemble"),
+            ("FaultAwareTraining", "Fault-Aware Training"),
+        ];
+        for (kind, (wire, full)) in TechniqueKind::ALL_EXTENDED.into_iter().zip(expected) {
+            assert_eq!(tdfm_json::to_string(&kind), format!("\"{wire}\""));
+            assert_eq!(kind.full_name(), full);
+            assert_eq!(
+                tdfm_json::from_str::<TechniqueKind>(&format!("\"{wire}\"")).unwrap(),
+                kind
+            );
+        }
+    }
+
+    #[test]
+    fn parameter_settings_round_trip_under_distinct_names() {
+        let specs = [
+            TechniqueKind::label_smoothing(0.4),
+            TechniqueKind::label_correction(0.05),
+            TechniqueKind::knowledge_distillation(0.3, 4.0),
+            TechniqueKind::ensemble(&[ModelKind::ConvNet; 5]),
+            TechniqueKind::fault_aware(4, 0, 31),
+            TechniqueKind::fault_aware(2, 23, 30),
+            TechniqueKind::DetectAndFilter,
+            TechniqueKind::detect_and_filter(NoiseDetector::new(5, ModelKind::DeconvNet)),
+        ];
+        for kind in specs {
+            let json = tdfm_json::to_string(&kind);
+            assert_eq!(
+                tdfm_json::from_str::<TechniqueKind>(&json).unwrap(),
+                kind,
+                "{json}"
+            );
+        }
+        assert_eq!(
+            tdfm_json::to_string(&specs[1]),
+            r#"{"LabelCorrection":{"gamma":0.05}}"#
+        );
+        assert_eq!(specs[1].full_name(), "Label Correction (gamma 0.05)");
+        assert_eq!(
+            specs[3].full_name(),
+            "Ensemble (members [ConvNet,ConvNet,ConvNet,ConvNet,ConvNet])"
+        );
+        let names: std::collections::BTreeSet<String> = specs
+            .iter()
+            .chain(&TechniqueKind::ALL_EXTENDED)
+            .map(|t| t.full_name())
+            .collect();
+        assert_eq!(names.len(), specs.len() + 7);
+    }
+
+    #[test]
+    fn malformed_or_out_of_range_parameters_are_errors() {
+        for text in [
+            r#"{"LabelCorrection":{"gamma":1.5}}"#,
+            r#"{"LabelCorrection":{"gamma":0}}"#,
+            r#"{"LabelCorrection":{}}"#,
+            r#"{"LabelSmoothing":{"alpha":"x"}}"#,
+            r#"{"KnowledgeDistillation":{"alpha":0.5,"temperature":0}}"#,
+            r#"{"KnowledgeDistillation":{"alpha":1.5,"temperature":4}}"#,
+            r#"{"Ensemble":{"members":[]}}"#,
+            r#"{"Ensemble":{"members":["ConvNet","ConvNet","ConvNet","ConvNet","ConvNet","ConvNet","ConvNet","ConvNet","ConvNet"]}}"#,
+            r#"{"Ensemble":{"members":["NoSuchNet"]}}"#,
+            r#"{"FaultAwareTraining":{"flips_per_step":0,"bit_lo":0,"bit_hi":31}}"#,
+            r#"{"FaultAwareTraining":{"flips_per_step":-1,"bit_lo":0,"bit_hi":31}}"#,
+            r#"{"FaultAwareTraining":{"flips_per_step":1,"bit_lo":8,"bit_hi":32}}"#,
+            r#"{"DetectAndFilter":{"folds":1,"probe":"ConvNet"}}"#,
+            r#"{"Baseline":{}}"#,
+            r#"{"NoSuchTechnique":{}}"#,
+            r#""NoSuchTechnique""#,
+            r#"{"LabelSmoothing":{"alpha":0.1},"LabelCorrection":{"gamma":0.1}}"#,
+            r#"{"LabelSmoothing":0.1}"#,
+            "[]",
+            "7",
+        ] {
+            assert!(
+                tdfm_json::from_str::<TechniqueKind>(text).is_err(),
+                "{text}"
+            );
+        }
     }
 
     #[test]
@@ -364,7 +688,28 @@ mod tests {
         for kind in TechniqueKind::ALL_EXTENDED {
             let wants = kind.build().wants_clean_subset();
             assert_eq!(wants, kind == TechniqueKind::LabelCorrection, "{kind}");
+            assert_eq!(
+                kind.model_independent(),
+                kind == TechniqueKind::Ensemble,
+                "{kind}"
+            );
         }
+    }
+
+    #[test]
+    fn clean_reservation_follows_gamma() {
+        let tt = tdfm_data::DatasetKind::Cifar10.generate(Scale::Tiny, 2);
+        let reserved = |kind: TechniqueKind| {
+            let mut ctx = TrainContext::new(Scale::Tiny, 2);
+            let rest = kind.reserve_clean(&tt.train, &mut ctx).len();
+            (ctx.clean_subset.map_or(0, |c| c.len()), rest)
+        };
+        let n = tt.train.len();
+        assert_eq!(reserved(TechniqueKind::Baseline), (0, n));
+        let (small, rest) = reserved(TechniqueKind::label_correction(0.05));
+        assert_eq!(small + rest, n);
+        let (large, _) = reserved(TechniqueKind::label_correction(0.2));
+        assert!(0 < small && small < large, "{small} vs {large}");
     }
 
     #[test]

@@ -14,10 +14,6 @@ use tdfm_nn::trainer::{fit, TargetSource};
 pub struct Baseline;
 
 impl Mitigation for Baseline {
-    fn name(&self) -> &'static str {
-        "Base"
-    }
-
     fn fit(&self, model: ModelKind, train: &LabeledDataset, ctx: &TrainContext) -> FittedModel {
         let mut net = model.build(&ctx.model_config(train));
         fit(
@@ -33,33 +29,13 @@ impl Mitigation for Baseline {
 
 /// Label smoothing via *label relaxation* — the representative
 /// label-smoothing technique of Table I (Lienen & Hüllermeier).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabelSmoothing {
-    alpha: f32,
-}
-
-impl LabelSmoothing {
-    /// Creates the technique; the paper uses `alpha = 0.1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha < 1`.
-    pub fn new(alpha: f32) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-        Self { alpha }
-    }
-
-    /// Smoothing coefficient.
-    pub fn alpha(&self) -> f32 {
-        self.alpha
-    }
+    /// Relaxation coefficient in `(0, 1)`; the paper uses 0.1.
+    pub(crate) alpha: f32,
 }
 
 impl Mitigation for LabelSmoothing {
-    fn name(&self) -> &'static str {
-        "LS"
-    }
-
     fn fit(&self, model: ModelKind, train: &LabeledDataset, ctx: &TrainContext) -> FittedModel {
         let mut net = model.build(&ctx.model_config(train));
         fit(
@@ -80,59 +56,18 @@ impl Mitigation for LabelSmoothing {
 /// al. recommend `alpha = beta = 1` for few-class datasets and a much
 /// stronger active term (`alpha = 10`, `beta = 0.1`, their CIFAR-100
 /// setting) once the class count grows, because NCE's normalisation term
-/// scales with the number of classes. [`RobustLoss::adaptive`] applies
-/// that rule per dataset.
-#[derive(Debug, Clone, Copy)]
-pub struct RobustLoss {
-    alpha: f32,
-    beta: f32,
-    adaptive: bool,
-}
-
-impl RobustLoss {
-    /// Creates the technique with fixed weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either weight is negative.
-    pub fn new(alpha: f32, beta: f32) -> Self {
-        assert!(
-            alpha >= 0.0 && beta >= 0.0,
-            "APL weights must be non-negative"
-        );
-        Self {
-            alpha,
-            beta,
-            adaptive: false,
-        }
-    }
-
-    /// Creates the technique with Ma et al.'s per-dataset recommendation:
-    /// `(1, 1)` up to 20 classes, `(10, 0.1)` beyond.
-    pub fn adaptive() -> Self {
-        Self {
-            alpha: 1.0,
-            beta: 1.0,
-            adaptive: true,
-        }
-    }
-
-    fn weights_for(&self, classes: usize) -> (f32, f32) {
-        if self.adaptive && classes > 20 {
-            (10.0, 0.1)
-        } else {
-            (self.alpha, self.beta)
-        }
-    }
-}
+/// scales with the number of classes. The weights follow that rule per
+/// dataset: `(1, 1)` up to 20 classes, `(10, 0.1)` beyond.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RobustLoss;
 
 impl Mitigation for RobustLoss {
-    fn name(&self) -> &'static str {
-        "RL"
-    }
-
     fn fit(&self, model: ModelKind, train: &LabeledDataset, ctx: &TrainContext) -> FittedModel {
-        let (alpha, beta) = self.weights_for(train.classes());
+        let (alpha, beta) = if train.classes() > 20 {
+            (10.0, 0.1)
+        } else {
+            (1.0, 1.0)
+        };
         let mut net = model.build(&ctx.model_config(train));
         fit(
             &mut net,
@@ -163,14 +98,14 @@ mod tests {
     #[test]
     fn label_smoothing_learns_tiny_pneumonia() {
         let (train, test, ctx) = tiny_setup();
-        let mut fitted = LabelSmoothing::new(0.1).fit(ModelKind::ConvNet, &train, &ctx);
+        let mut fitted = LabelSmoothing { alpha: 0.1 }.fit(ModelKind::ConvNet, &train, &ctx);
         assert!(fitted.accuracy(&test) > 0.5);
     }
 
     #[test]
     fn robust_loss_learns_tiny_pneumonia() {
         let (train, test, ctx) = tiny_setup();
-        let mut fitted = RobustLoss::new(1.0, 1.0).fit(ModelKind::ConvNet, &train, &ctx);
+        let mut fitted = RobustLoss.fit(ModelKind::ConvNet, &train, &ctx);
         assert!(fitted.accuracy(&test) > 0.4);
     }
 

@@ -42,8 +42,9 @@ pub struct Config {
 }
 
 impl Config {
-    /// Parses the `lint.toml` subset; errors carry the offending line.
-    pub fn parse(text: &str) -> Result<Config, String> {
+    /// Parses the `lint.toml` subset read from `file`; errors start with
+    /// `file:<line>:`.
+    pub fn parse(file: &str, text: &str) -> Result<Config, String> {
         let mut cfg = Config::default();
         let mut section = String::new();
         let mut lines = text.lines().enumerate();
@@ -56,7 +57,7 @@ impl Config {
             // A `key = [` array may span lines; join until the `]`.
             while line.contains('=') && line.contains('[') && !line.contains(']') {
                 let Some((_, cont)) = lines.next() else {
-                    return Err(format!("lint.toml:{lineno}: unterminated `[...]` array"));
+                    return Err(format!("{file}:{lineno}: unterminated `[...]` array"));
                 };
                 line.push(' ');
                 line.push_str(strip_comment(cont).trim());
@@ -67,7 +68,7 @@ impl Config {
                 if let Some(rule) = name.strip_prefix("rules.") {
                     if !crate::rules::is_known_rule(rule) {
                         return Err(format!(
-                            "lint.toml:{lineno}: unknown rule `{rule}` (known: {})",
+                            "{file}:{lineno}: unknown rule `{rule}` (known: {})",
                             crate::rules::all_rules()
                                 .iter()
                                 .map(|r| r.id())
@@ -77,23 +78,23 @@ impl Config {
                     }
                 } else if name != "files" {
                     return Err(format!(
-                        "lint.toml:{lineno}: unknown section `[{name}]` (expected `[files]` or `[rules.<id>]`)"
+                        "{file}:{lineno}: unknown section `[{name}]` (expected `[files]` or `[rules.<id>]`)"
                     ));
                 }
                 section = name.to_string();
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("lint.toml:{lineno}: expected `key = [...]`"));
+                return Err(format!("{file}:{lineno}: expected `key = [...]`"));
             };
             let key = key.trim();
             let entries =
-                parse_string_array(value.trim()).map_err(|e| format!("lint.toml:{lineno}: {e}"))?;
+                parse_string_array(value.trim()).map_err(|e| format!("{file}:{lineno}: {e}"))?;
             match (section.as_str(), key) {
                 ("files", "exclude") => cfg.files_exclude = entries,
                 ("files", other) => {
                     return Err(format!(
-                        "lint.toml:{lineno}: unknown key `{other}` in [files] (expected `exclude`)"
+                        "{file}:{lineno}: unknown key `{other}` in [files] (expected `exclude`)"
                     ));
                 }
                 (sec, "include" | "exclude") if sec.starts_with("rules.") => {
@@ -107,7 +108,7 @@ impl Config {
                 }
                 (_, other) => {
                     return Err(format!(
-                        "lint.toml:{lineno}: unknown key `{other}` (expected `include`/`exclude` under a `[rules.<id>]` section)"
+                        "{file}:{lineno}: unknown key `{other}` (expected `include`/`exclude` under a `[rules.<id>]` section)"
                     ));
                 }
             }
@@ -157,6 +158,7 @@ mod tests {
     #[test]
     fn parses_sections_and_arrays() {
         let cfg = Config::parse(
+            "lint.toml",
             r#"
 # scoping for tdfm-lint
 [files]
@@ -195,17 +197,24 @@ exclude = ["crates/bench/",] # trailing comma + comment
 
     #[test]
     fn rejects_typos_loudly() {
-        assert!(Config::parse("[fils]\nexclude = []").is_err());
-        assert!(Config::parse("[files]\nexclud = []").is_err());
-        assert!(Config::parse("[rules.sparsity-skip]\ninclude = \"not-an-array\"").is_err());
-        assert!(Config::parse("[rules.sparsity-skip]\ninclude = [unquoted]").is_err());
-        assert!(Config::parse("loose = []").is_err());
+        assert!(Config::parse("lint.toml", "[fils]\nexclude = []").is_err());
+        assert!(Config::parse("lint.toml", "[files]\nexclud = []").is_err());
+        assert!(Config::parse(
+            "lint.toml",
+            "[rules.sparsity-skip]\ninclude = \"not-an-array\""
+        )
+        .is_err());
+        assert!(Config::parse("lint.toml", "[rules.sparsity-skip]\ninclude = [unquoted]").is_err());
+        assert!(Config::parse("lint.toml", "loose = []").is_err());
     }
 
     #[test]
     fn unknown_rule_is_rejected_at_its_header() {
-        let err = Config::parse("[files]\nexclude = []\n\n[rules.no-such-rule]\ninclude = []")
-            .expect_err("unknown rule id");
+        let err = Config::parse(
+            "lint.toml",
+            "[files]\nexclude = []\n\n[rules.no-such-rule]\ninclude = []",
+        )
+        .expect_err("unknown rule id");
         assert!(
             err.starts_with("lint.toml:4: unknown rule `no-such-rule` (known: nan-laundering,"),
             "{err}"
@@ -220,7 +229,7 @@ exclude = ["crates/bench/",] # trailing comma + comment
     fn mutated_lint_toml_never_panics_and_every_error_names_a_line() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint.toml");
         let base = std::fs::read(path).expect("committed lint.toml");
-        assert!(Config::parse(std::str::from_utf8(&base).expect("UTF-8")).is_ok());
+        assert!(Config::parse("lint.toml", std::str::from_utf8(&base).expect("UTF-8")).is_ok());
         // The bytes the format is made of, so mutations hit its syntax.
         const INSERTS: &[u8] = b"[]=\",# .\nrules-x";
         let mut state = 0x5EED_u64;
@@ -249,7 +258,7 @@ exclude = ["crates/bench/",] # trailing comma + comment
                 }
             }
             let text = String::from_utf8(bytes).expect("ASCII mutations of ASCII stay UTF-8");
-            let Err(err) = Config::parse(&text) else {
+            let Err(err) = Config::parse("lint.toml", &text) else {
                 continue;
             };
             rejected += 1;
@@ -267,18 +276,33 @@ exclude = ["crates/bench/",] # trailing comma + comment
     }
 
     #[test]
+    fn errors_name_the_file_read() {
+        let err = Config::parse("other.toml", "[files]\nexclude = []\n[fils]")
+            .expect_err("unknown section");
+        assert!(
+            err.starts_with("other.toml:3: unknown section `[fils]`"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn multi_line_arrays_join() {
         let cfg = Config::parse(
+            "lint.toml",
             "[rules.hot-path-alloc]\ninclude = [\n    \"a.rs\", # first\n    \"b.rs\",\n]",
         )
         .expect("multi-line array parses");
         assert_eq!(cfg.rules["hot-path-alloc"].include, vec!["a.rs", "b.rs"]);
-        assert!(Config::parse("[rules.hot-path-alloc]\ninclude = [\n\"a.rs\",").is_err());
+        assert!(Config::parse(
+            "lint.toml",
+            "[rules.hot-path-alloc]\ninclude = [\n\"a.rs\","
+        )
+        .is_err());
     }
 
     #[test]
     fn hash_inside_string_is_not_a_comment() {
-        let cfg = Config::parse("[files]\nexclude = [\"a#b/\"]").expect("parses");
+        let cfg = Config::parse("lint.toml", "[files]\nexclude = [\"a#b/\"]").expect("parses");
         assert_eq!(cfg.files_exclude, vec!["a#b/"]);
     }
 }

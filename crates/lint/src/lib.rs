@@ -74,17 +74,16 @@ use std::path::Path;
 pub fn run(root: &Path, config_path: Option<&Path>) -> Result<LintReport, String> {
     let default_path = root.join("lint.toml");
     let config = match config_path {
-        Some(p) => {
-            let text = std::fs::read_to_string(p)
-                .map_err(|e| format!("cannot read {}: {e}", p.display()))?;
-            Config::parse(&text)?
-        }
-        None if default_path.is_file() => {
-            let text = std::fs::read_to_string(&default_path)
-                .map_err(|e| format!("cannot read {}: {e}", default_path.display()))?;
-            Config::parse(&text)?
-        }
+        Some(p) => read_config(p)?,
+        None if default_path.is_file() => read_config(&default_path)?,
         None => Config::default(),
     };
     lint_workspace(root, &config)
+}
+
+/// Reads and parses a lint config; errors name the file read.
+fn read_config(path: &Path) -> Result<Config, String> {
+    let name = path.display().to_string();
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {name}: {e}"))?;
+    Config::parse(&name, &text)
 }

@@ -137,7 +137,7 @@ fn stale_suppression_is_a_finding() {
 fn repo_lint_toml_excludes_the_fixture_corpus() {
     let root = fixtures_dir().join("..").canonicalize().expect("repo root");
     let toml = std::fs::read_to_string(root.join("lint.toml")).expect("committed lint.toml");
-    let config = Config::parse(&toml).expect("lint.toml parses");
+    let config = Config::parse("lint.toml", &toml).expect("lint.toml parses");
     assert!(
         config.files_exclude.iter().any(|p| p == "lint-fixtures/"),
         "lint.toml must exclude lint-fixtures/ so `tdfm lint` stays green"

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example pneumonia_triage`
 
-use tdfm::core::technique::{Baseline, Ensemble, Mitigation, TrainContext};
+use tdfm::core::technique::{Baseline, Mitigation, TechniqueKind, TrainContext};
 use tdfm::data::{DatasetKind, Scale};
 use tdfm::inject::{FaultKind, FaultPlan, Injector};
 use tdfm::nn::models::ModelKind;
@@ -60,7 +60,10 @@ fn main() {
     );
 
     // The paper's most resilient technique: a heterogeneous ensemble.
-    let mut protected = Ensemble::paper_default().fit(ModelKind::ResNet50, &faulty_train, &ctx);
+    let mut protected =
+        TechniqueKind::Ensemble
+            .build()
+            .fit(ModelKind::ResNet50, &faulty_train, &ctx);
     let protected_preds = protected.predict(data.test.images());
     let (fn2, fp2) = triage(&protected_preds, data.test.labels());
     println!(

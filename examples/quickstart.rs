@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use tdfm::core::technique::{Baseline, LabelSmoothing, Mitigation, TrainContext};
+use tdfm::core::technique::{Baseline, Mitigation, TechniqueKind, TrainContext};
 use tdfm::data::{DatasetKind, Scale};
 use tdfm::inject::{FaultKind, FaultPlan, Injector};
 use tdfm::nn::models::ModelKind;
@@ -48,7 +48,10 @@ fn main() {
 
     // 5. Label smoothing (the paper's runner-up technique) recovers much
     //    of the loss at negligible extra cost.
-    let mut protected = LabelSmoothing::new(0.1).fit(ModelKind::ConvNet, &faulty_train, &ctx);
+    let mut protected =
+        TechniqueKind::LabelSmoothing
+            .build()
+            .fit(ModelKind::ConvNet, &faulty_train, &ctx);
     println!(
         "label-smoothed accuracy  : {:.1}%",
         100.0 * protected.accuracy(&data.test)

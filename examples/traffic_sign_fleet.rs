@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example traffic_sign_fleet`
 
-use tdfm::core::technique::{Ensemble, Mitigation, TrainContext};
+use tdfm::core::technique::{TechniqueKind, TrainContext};
 use tdfm::core::FittedModel;
 use tdfm::data::{DatasetKind, Scale};
 use tdfm::inject::{FaultKind, FaultPlan, Injector};
@@ -28,18 +28,15 @@ fn main() {
         report.before, report.mislabelled
     );
 
-    let ensemble = Ensemble::paper_default();
-    let mut fitted = ensemble.fit(ModelKind::ConvNet, &faulty_train, &ctx);
+    let mut fitted = TechniqueKind::Ensemble
+        .build()
+        .fit(ModelKind::ConvNet, &faulty_train, &ctx);
 
     // Per-member accuracy vs the vote.
     if let FittedModel::Ensemble(members) = &mut fitted {
-        for (kind, net) in ensemble.members().iter().zip(members.iter_mut()) {
+        for net in members.iter_mut() {
             let acc = net.accuracy(data.test.images(), data.test.labels(), 64);
-            println!(
-                "  member {:<10} accuracy {:>5.1}%",
-                kind.name(),
-                100.0 * acc
-            );
+            println!("  member {:<10} accuracy {:>5.1}%", net.name(), 100.0 * acc);
         }
     }
     let vote_acc = fitted.accuracy(&data.test);

@@ -25,7 +25,8 @@
 //! --dataset  cifar10|gtsrb|pneumonia      (default cifar10)
 //! --model    convnet|deconvnet|vgg11|vgg16|resnet18|resnet50|mobilenet
 //!                                          (default convnet)
-//! --technique base|ls|lc|rl|kd|ens         (default base; run only)
+//! --technique base|ls|lc|rl|kd|ens|fat     (default base; run only;
+//!                                          full names work too)
 //! --fault    mislabelling|repetition|removal|pairflip (default mislabelling)
 //! --percent  0..100                        (default 30)
 //! --scale    tiny|smoke|default|full       (default smoke)
@@ -150,16 +151,13 @@ fn parse_model(s: &str) -> Result<ModelKind, String> {
     }
 }
 
+/// A paper column by abbreviation (`ls`) or full name (`label smoothing`),
+/// case-insensitively.
 fn parse_technique(s: &str) -> Result<TechniqueKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "base" | "baseline" => Ok(TechniqueKind::Baseline),
-        "ls" => Ok(TechniqueKind::LabelSmoothing),
-        "lc" => Ok(TechniqueKind::LabelCorrection),
-        "rl" => Ok(TechniqueKind::RobustLoss),
-        "kd" => Ok(TechniqueKind::KnowledgeDistillation),
-        "ens" | "ensemble" => Ok(TechniqueKind::Ensemble),
-        other => Err(format!("unknown technique '{other}'")),
-    }
+    TechniqueKind::ALL_EXTENDED
+        .into_iter()
+        .find(|t| s.eq_ignore_ascii_case(t.abbrev()) || s.eq_ignore_ascii_case(&t.full_name()))
+        .ok_or_else(|| format!("unknown technique '{}'", s.to_ascii_lowercase()))
 }
 
 fn parse_fault(s: &str) -> Result<FaultKind, String> {
@@ -742,7 +740,7 @@ USAGE:
 
 OPTIONS (run/detect):
   --dataset cifar10|gtsrb|pneumonia      --model convnet|...|mobilenet
-  --technique base|ls|lc|rl|kd|ens       --fault mislabelling|repetition|removal|pairflip
+  --technique base|ls|lc|rl|kd|ens|fat   --fault mislabelling|repetition|removal|pairflip
   --percent 0..100                       --scale tiny|smoke|default|full
   --reps N  --seed N  --json
 
@@ -792,6 +790,19 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
+        // Every paper column by abbreviation or full name, any case.
+        for (text, kind) in [
+            ("fat", TechniqueKind::FaultAwareTraining),
+            ("Fault-Aware Training", TechniqueKind::FaultAwareTraining),
+            ("BASELINE", TechniqueKind::Baseline),
+            (
+                "knowledge distillation",
+                TechniqueKind::KnowledgeDistillation,
+            ),
+            ("lc", TechniqueKind::LabelCorrection),
+        ] {
+            assert_eq!(parse_technique(text), Ok(kind), "{text}");
+        }
     }
 
     #[test]
@@ -801,6 +812,7 @@ mod tests {
         assert!(parse_command(&argv("run --percent")).is_err());
         assert!(parse_command(&argv("frobnicate")).is_err());
         assert!(parse_command(&argv("run --bogus 1")).is_err());
+        assert!(parse_command(&argv("run --technique nope")).is_err());
     }
 
     #[test]

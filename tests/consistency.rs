@@ -15,18 +15,19 @@ fn survey_representatives_cover_all_implemented_techniques() {
     // Five approaches -> five representatives -> five TechniqueKind
     // variants beyond the baseline.
     assert_eq!(reps.len(), TechniqueKind::ALL.len() - 1);
-    let approach_for = |t: TechniqueKind| match t {
+    let approach_for = |t: TechniqueKind| match t.abbrev() {
         // Neither the unprotected baseline nor fault-aware training (a
         // model-fault mitigation, beyond the paper's data-fault survey)
         // maps to a surveyed approach.
-        TechniqueKind::Baseline | TechniqueKind::FaultAwareTraining => None,
-        TechniqueKind::LabelSmoothing => Some(Approach::LabelSmoothing),
-        TechniqueKind::LabelCorrection => Some(Approach::LabelCorrection),
-        TechniqueKind::RobustLoss => Some(Approach::RobustLoss),
-        TechniqueKind::KnowledgeDistillation => Some(Approach::KnowledgeDistillation),
-        TechniqueKind::Ensemble => Some(Approach::Ensemble),
+        "Base" | "FAT" => None,
+        "LS" => Some(Approach::LabelSmoothing),
+        "LC" => Some(Approach::LabelCorrection),
+        "RL" => Some(Approach::RobustLoss),
+        "KD" => Some(Approach::KnowledgeDistillation),
+        "Ens" => Some(Approach::Ensemble),
+        other => panic!("column {other} is not mapped"),
     };
-    for kind in TechniqueKind::ALL {
+    for kind in TechniqueKind::ALL_EXTENDED {
         if let Some(approach) = approach_for(kind) {
             assert!(
                 reps.iter().any(|t| t.approach == approach),
