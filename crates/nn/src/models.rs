@@ -579,6 +579,48 @@ mod tests {
         }
     }
 
+    /// A NaN in one pixel of sample `j` poisons sample `j`'s logits and no
+    /// other sample's: lanes that span samples (convolution) or planes
+    /// (max pooling) must not leak into their neighbours.
+    #[test]
+    fn a_poisoned_sample_leaves_the_others_bit_identical() {
+        let cfg = small_cfg();
+        let mut rng = tdfm_tensor::rng::Rng::seed_from(11);
+        // Ten samples: a full lane block of eight and a ragged one.
+        let clean = Tensor::randn(&[10, 3, 8, 8], 1.0, &mut rng);
+        let sample = 3 * 8 * 8;
+        for kind in ModelKind::ALL {
+            let mut net = kind.build(&cfg);
+            let want = net.forward(&clean, Mode::Eval);
+            for j in [0, 5, 7, 8, 9] {
+                let mut x = clean.clone();
+                // Channel 1, row 3, column 4.
+                x.data_mut()[j * sample + 64 + 3 * 8 + 4] = f32::NAN;
+                let got = net.forward(&x, Mode::Eval);
+                for (i, (g, w)) in got
+                    .data()
+                    .chunks_exact(cfg.classes)
+                    .zip(want.data().chunks_exact(cfg.classes))
+                    .enumerate()
+                {
+                    if i == j {
+                        assert!(
+                            g.iter().all(|v| !v.is_finite()),
+                            "{kind}: sample {j} stayed finite"
+                        );
+                    } else {
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(g),
+                            bits(w),
+                            "{kind}: NaN in sample {j} reached sample {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn deep_models_have_more_parameters_than_shallow() {
         let cfg = small_cfg();

@@ -3,7 +3,7 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::layers::Sequential;
 use tdfm_tensor::ops::argmax_rows;
-use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
+use tdfm_tensor::{Scratch, ScratchHandle, Tensor, MAX_RANK};
 
 /// Hook invoked after each top-level layer produces its forward output.
 ///
@@ -24,6 +24,9 @@ pub struct Network {
     classes: usize,
     body: Sequential,
     activation_hook: Option<ActivationHook>,
+    /// The arena the layers are bound to; [`Network::logits`] draws its
+    /// mini-batch copies from it.
+    scratch: ScratchHandle,
 }
 
 impl Network {
@@ -39,6 +42,7 @@ impl Network {
             classes,
             body,
             activation_hook: None,
+            scratch: Scratch::shared().clone(),
         }
     }
 
@@ -64,6 +68,7 @@ impl Network {
             classes: self.classes,
             body: self.body.clone(),
             activation_hook: None,
+            scratch: self.scratch.clone(),
         }
     }
 
@@ -142,6 +147,7 @@ impl Network {
     /// training run (e.g. one ensemble member) a private arena.
     pub fn bind_scratch(&mut self, scratch: &ScratchHandle) {
         self.body.bind_scratch(scratch);
+        self.scratch = scratch.clone();
     }
 
     /// Zeroes every parameter gradient.
@@ -159,18 +165,31 @@ impl Network {
     /// Evaluation-mode logits over a whole set, processed in mini-batches
     /// of `batch` to bound activation memory.
     ///
+    /// Each mini-batch is copied into a tensor from the network's scratch
+    /// arena (see [`Network::bind_scratch`]) and handed back after its
+    /// forward pass, so once the arena is warm the result is the call's
+    /// only allocation.
+    ///
     /// # Panics
     ///
     /// Panics if `batch == 0`.
     pub fn logits(&mut self, inputs: &Tensor, batch: usize) -> Tensor {
         assert!(batch > 0, "batch size must be positive");
         let n = inputs.shape().dim(0);
-        let scratch = Scratch::shared();
+        let scratch = &self.scratch;
         let mut out = Tensor::zeros(&[n, self.classes]);
+        let rank = inputs.shape().rank();
+        let mut dims = [0; MAX_RANK];
+        dims[..rank].copy_from_slice(inputs.shape().dims());
+        let row = inputs.numel() / n;
         let mut start = 0;
         while start < n {
             let end = (start + batch).min(n);
-            let chunk = inputs.slice_rows(start, end);
+            dims[0] = end - start;
+            let mut chunk = scratch.tensor_uninit(&dims[..rank]);
+            chunk
+                .data_mut()
+                .copy_from_slice(&inputs.data()[start * row..end * row]);
             let logits = match self.activation_hook.as_mut() {
                 Some(hook) => self.body.forward_hooked(&chunk, Mode::Eval, hook),
                 None => self.body.forward(&chunk, Mode::Eval),

@@ -6,7 +6,8 @@
 //! machine has, the test warms a freshly built network's scratch arena
 //! with training passes, switches the counter on, and asserts that further
 //! training passes (forward and backward) and evaluation forwards perform
-//! zero heap allocations.
+//! zero heap allocations, and that a warm `Network::logits` call over
+//! three mini-batches allocates only the logits it returns.
 //!
 //! Built through `ModelKind::build`, the models reach every kernel the
 //! study trains through: VGG's padded 3×3 convolution over 1×1 planes,
@@ -80,6 +81,9 @@ const WARMUP: usize = 16;
 /// Samples per pass: one full lane block of eight and a ragged one.
 const BATCH: usize = 10;
 
+/// Mini-batch of the `Network::logits` check: three chunks of a batch.
+const LOGITS_BATCH: usize = 4;
+
 /// The input shapes: CIFAR-like colour, and greyscale large enough that
 /// VGG pools down to 1×1 planes one stage earlier.
 const SHAPES: [(usize, usize, usize); 2] = [(3, 8, 8), (1, 16, 16)];
@@ -124,6 +128,15 @@ fn assert_steady_state_allocates_nothing(name: &str, mut net: Network, x: &Tenso
     assert_eq!(
         allocs, 0,
         "{name}: steady-state evaluation forwards performed {allocs} heap allocations"
+    );
+
+    // Batched inference over three mini-batches (4, 4 and 2 samples):
+    // once warm, the logits tensor it returns is its only allocation.
+    let _ = net.logits(x, LOGITS_BATCH);
+    let allocs = allocations(1, || drop(net.logits(x, LOGITS_BATCH)));
+    assert_eq!(
+        allocs, 1,
+        "{name}: a warm logits call performed {allocs} heap allocations, not only its result"
     );
 }
 

@@ -64,6 +64,10 @@ const OFF: u32 = 0x3f33_0000;
 /// `2/π · 2²⁴`: the quadrant lands in bits 24..32 of the product.
 const HPI_INV: u64 = 0x4164_5f30_6dc9_c883;
 
+/// `2⁵²`: adding it to a non-negative `f64` below 2⁵² rounds to an
+/// integer held in the low mantissa bits.
+const ROUND_MAGIC: u64 = 0x4330_0000_0000_0000;
+
 /// `π/2`.
 const HPI: u64 = 0x3ff9_21fb_5444_2d18;
 
@@ -130,7 +134,15 @@ pub(crate) fn cosf<const N: usize>(y: [f32; N]) -> [f32; N] {
     let mut out = [0.0f32; N];
     for l in 0..N {
         let x = f64::from(y[l]);
-        let n = ((x * c(HPI_INV)) as i32 + 0x80_0000) >> 24;
+        // `x · 2/π · 2²⁴` lies in `[0, 2³¹)`, so glibc's truncating
+        // conversion is a floor: round through the 2⁵² magic add, whose
+        // low word is then the nearest integer, and step down where that
+        // rounded up. Unlike `as i32`, which saturates, this stays in
+        // vector registers.
+        let t = x * c(HPI_INV);
+        let r = t + c(ROUND_MAGIC);
+        let q = (r.to_bits() as i32).wrapping_sub(i32::from(r - c(ROUND_MAGIC) > t));
+        let n = (q + 0x80_0000) >> 24;
         let x = x - f64::from(n) * c(HPI);
         let x2 = x * x;
         let x4 = x2 * x2;

@@ -3,15 +3,47 @@
 //! Table III of the paper distinguishes the architecture families partly by
 //! their pooling: ConvNet/VGG use max pooling, ResNet/MobileNet end in
 //! (global) average pooling.
+//!
+//! # Max pooling as one separable fold
+//!
+//! A window's maximum follows one rule over its taps in row-major order:
+//! the last NaN wins, with its payload; without a NaN, the first element
+//! that no other exceeds wins, so a `-0.0`/`+0.0` tie keeps the first and
+//! an all-`-inf` window yields `-inf` at its first element. A left fold
+//! computes it: a later tap `v` replaces the running best `b` when
+//! `v > b || v.is_nan()`. The fold is associative: cut the taps into
+//! consecutive runs, fold each run, then fold the runs' winners in order,
+//! and the same tap wins. The last run holding a NaN holds the last NaN;
+//! without NaNs, the first run that reaches the maximum holds its first
+//! occurrence, and a later run's equal winner never replaces it.
+//!
+//! So every `(k, s)` folds in two stages, over runs that are consecutive
+//! in window order. The row fold takes each input row's `k` taps at stride
+//! `s`. The column fold then takes, for each output, the row-fold results
+//! of its window's `k` rows. Under `Train` the winner's input index rides
+//! along through the same selects. Both stages are one lane kernel
+//! ([`crate::simd::run_lanes`]), eight outputs per step, whose select is a
+//! compare mask blended into the value's bits and the index, never a
+//! branch: which tap wins depends on fresh activations, so a branch on it
+//! mispredicts. The AVX2 and baseline instances run the same operations,
+//! so they give the same bits. Strides 1 and 2 are compile-time constants,
+//! so a stride-2 run of taps loads as whole vectors and shuffles, and
+//! output rows 1, 2 or 4 wide share a lane vector when the windows tile
+//! the planes. A task covers a run of whole planes, so the output is the
+//! same at every thread count.
+#![allow(
+    unsafe_code,
+    reason = "the max-pool fold loads taps without bounds checks; each run asserts its largest index once"
+)]
 
 use crate::ops::conv_out_dim;
-use crate::parallel::{parallel_chunks_mut, parallel_zip_chunks_mut};
+use crate::parallel::{parallel_chunks_mut, parallel_zip_chunks_mut, threads_for};
 use crate::scratch::Scratch;
+use crate::simd::{run_lanes, LaneKernel, LANES};
 use crate::Tensor;
-use std::hint::select_unpredictable;
 
-/// Indices of the winning elements of a max-pool forward pass, needed to
-/// route gradients in the backward pass.
+/// The winning elements of a max-pool forward pass, as indices into the
+/// whole input, needed to route gradients in the backward pass.
 #[derive(Debug, Clone)]
 pub struct MaxPoolCache {
     argmax: Vec<u32>,
@@ -19,6 +51,12 @@ pub struct MaxPoolCache {
 }
 
 impl MaxPoolCache {
+    /// Each window's winner, as an index into the whole input, in output
+    /// order.
+    pub fn argmax(&self) -> &[u32] {
+        &self.argmax
+    }
+
     /// Hands the cache's index buffer back to `scratch` so the next
     /// forward pass reuses it instead of allocating.
     pub fn recycle(self, scratch: &Scratch) {
@@ -39,6 +77,10 @@ struct PoolGeom {
 impl PoolGeom {
     fn new(input: &Tensor, k: usize, s: usize) -> Self {
         assert_eq!(input.shape().rank(), 4, "max pool input must be NCHW");
+        assert!(
+            u32::try_from(input.numel()).is_ok(),
+            "max pool input too large for u32 indices"
+        );
         let d = input.shape().dims();
         let dims = [d[0], d[1], d[2], d[3]];
         Self {
@@ -62,72 +104,422 @@ impl PoolGeom {
         self.oh * self.ow
     }
 
-    /// Max-pools one input `plane` into its output plane `y`; with `TRACK`,
-    /// also writes each window's winning plane index into `arg`.
-    ///
-    /// Every window is read in row-major order, and a tap `v` replaces the
-    /// running best when `v > best || v.is_nan()`. So a NaN wins and then
-    /// stays unless a later NaN replaces it (the last NaN in window order
-    /// wins, with its payload), an equal value never replaces the best (a
-    /// `-0.0`/`+0.0` tie keeps the first element), and an all-`-inf`
-    /// window yields `-inf` at its first element.
-    ///
-    /// The scan goes tap by tap over all of the plane's windows at once,
-    /// with each running best held in `y`: the windows are independent, so
-    /// no long serial chain forms. The select is a conditional move on the
-    /// value's bits (with the index packed alongside under `TRACK`), never
-    /// a branch: which tap wins depends on fresh activations, so a branch
-    /// on it mispredicts. A select on the `f32`s themselves compiles to a
-    /// branch on x86-64 without SSE4.1, hence the bits.
-    #[inline(always)]
-    fn scan_plane<const TRACK: bool>(&self, plane: &[f32], y: &mut [f32], arg: &mut [u32]) {
-        let (w, k, s, ow) = (self.dims[3], self.k, self.s, self.ow);
-        y.fill(f32::NEG_INFINITY);
-        if TRACK {
-            for (o, a) in arg.iter_mut().enumerate() {
-                *a = ((o / ow) * s * w + (o % ow) * s) as u32;
-            }
+    /// Row-fold results per input row. When the stride divides the width,
+    /// one row's `w / s` results run straight on into the next row's, so
+    /// a task's planes fold as one strided sequence (results past `ow` in
+    /// a row straddle two rows and are never read); otherwise each row
+    /// folds on its own into `ow` results.
+    fn fold_width(&self) -> usize {
+        let (w, s) = (self.dims[3], self.s);
+        if w.is_multiple_of(s) {
+            w / s
+        } else {
+            self.ow
         }
-        for ki in 0..k {
-            for kj in 0..k {
-                for (oi, y_row) in y.chunks_exact_mut(ow).enumerate() {
-                    let r = (oi * s + ki) * w + kj;
-                    let taps = &plane[r..=r + (ow - 1) * s];
-                    if TRACK {
-                        let a_row = &mut arg[oi * ow..(oi + 1) * ow];
-                        for (j, (b, a)) in y_row.iter_mut().zip(a_row).enumerate() {
-                            let v = taps[j * s];
-                            let old = (u64::from(b.to_bits()) << 32) | u64::from(*a);
-                            let new = (u64::from(v.to_bits()) << 32) | (r + j * s) as u64;
-                            let won = select_unpredictable(wins(v, *b), new, old);
-                            *b = f32::from_bits((won >> 32) as u32);
-                            *a = won as u32;
-                        }
-                    } else {
-                        for (j, b) in y_row.iter_mut().enumerate() {
-                            let v = taps[j * s];
-                            let won = select_unpredictable(wins(v, *b), v.to_bits(), b.to_bits());
-                            *b = f32::from_bits(won);
-                        }
-                    }
-                }
-            }
+    }
+
+    /// Planes per task: all planes split evenly over the kernel threads
+    /// the call fans out to, so a serial call is one task.
+    fn task_planes(&self) -> usize {
+        let planes = self.dims[0] * self.dims[1];
+        let threads = threads_for(planes * self.plane_out() * self.k * self.k);
+        planes.div_ceil(threads).max(1)
+    }
+
+    /// Max-pools the planes of the input `x` from plane `p0` on into `y`
+    /// and, under `TRACK`, their winners' input indices into `arg`,
+    /// drawing the row-fold buffers from `scratch`.
+    fn pool<const TRACK: bool>(
+        &self,
+        (x, p0): (&[f32], usize),
+        y: &mut [f32],
+        arg: &mut [u32],
+        scratch: &Scratch,
+    ) {
+        let planes = y.len() / self.plane_out();
+        let first = p0 * self.plane_in();
+        let len = planes * self.dims[2] * self.fold_width();
+        let mut rows = scratch.take(len);
+        let mut rows_at = TRACK.then(|| scratch.take_u32(len));
+        let x = &x[first..][..planes * self.plane_in()];
+        let rows = (&mut rows[..], rows_at.as_deref_mut().unwrap_or_default());
+        run_lanes(MaxFold::<TRACK> {
+            g: self,
+            x: (x, first),
+            rows,
+            y,
+            arg,
+        });
+    }
+}
+
+/// One task's max pooling: the planes `x.0`, whose first element is input
+/// element `x.1`, into the outputs `y` and, under `TRACK`, the winners'
+/// input indices `arg`. `rows` holds the row fold's values and indices.
+struct MaxFold<'a, const TRACK: bool> {
+    g: &'a PoolGeom,
+    x: (&'a [f32], usize),
+    rows: (&'a mut [f32], &'a mut [u32]),
+    y: &'a mut [f32],
+    arg: &'a mut [u32],
+}
+
+impl<const TRACK: bool> LaneKernel for MaxFold<'_, TRACK> {
+    #[inline(always)]
+    fn lane_loop(self) {
+        // A constant stride lets the compiler load a strided run of taps
+        // as whole vectors and shuffles.
+        match self.g.s {
+            1 => self.fold::<1>(),
+            2 => self.fold::<2>(),
+            _ => self.fold::<0>(),
         }
     }
 }
 
-/// Whether tap `v` replaces the running maximum `best`: it is greater, or
-/// it is a NaN (which then sticks, since nothing compares greater).
+impl<const TRACK: bool> MaxFold<'_, TRACK> {
+    /// Both stages, with the row fold's stride `S` (0: not a constant).
+    #[inline(always)]
+    fn fold<const S: usize>(self) {
+        let Self {
+            g,
+            x: (x, first),
+            rows: (rows, rows_at),
+            y,
+            arg,
+        } = self;
+        let [_, _, h, w] = g.dims;
+        let (k, s, oh, ow, fw) = (g.k, g.s, g.oh, g.ow, g.fold_width());
+        let planes = y.len() / g.plane_out();
+        let at_len = |n: usize| if TRACK { n } else { 0 };
+        // The row fold: result `j` of input row `r` folds the taps
+        // `r·w + j·s + (0..k)`.
+        let taps = Taps::new((x, Counted(first)), (s, 0, 1, k));
+        if fw * s == w {
+            let n = (planes * h - 1) * fw + ow;
+            fold_run::<S, TRACK, _>(taps, 0, &mut rows[..n], &mut rows_at[..at_len(n)]);
+        } else {
+            for r in 0..planes * h {
+                let dst_at = &mut rows_at[at_len(r * ow)..][..at_len(ow)];
+                fold_run::<S, TRACK, _>(taps, r * w, &mut rows[r * ow..][..ow], dst_at);
+            }
+        }
+        // The column fold: output `(oi, j)` of plane `p` folds the row-fold
+        // results `j` of input rows `p·h + oi·s + (0..k)`, `fw` apart.
+        let rows = (&*rows, Stored(&*rows_at));
+        if h == oh * s {
+            // Output row `m` starts at row-fold row `m·s`: whole output
+            // rows narrower than eight share the lanes.
+            let taps = Taps::new(rows, (1, s * fw, fw, k));
+            match ow {
+                1 => return fold_tiles::<8, 1, TRACK, _>(taps, y, arg),
+                2 => return fold_tiles::<4, 2, TRACK, _>(taps, y, arg),
+                4 => return fold_tiles::<2, 4, TRACK, _>(taps, y, arg),
+                _ => {}
+            }
+        }
+        let taps = Taps::new(rows, (1, 0, fw, k));
+        for (m, y) in y.chunks_exact_mut(ow).enumerate() {
+            let r0 = ((m / oh) * h + (m % oh) * s) * fw;
+            fold_run::<1, TRACK, _>(taps, r0, y, &mut arg[at_len(m * ow)..][..at_len(ow)]);
+        }
+    }
+}
+
+/// Windows laid out in lanes: lane `(r, c)` of a vector whose first window
+/// starts at value `i` reads tap `t` at `v[i + r·row + c·stride + t·step]`,
+/// for `t` in `0..k`; `at` gives each tap's input index.
+#[derive(Clone, Copy)]
+struct Taps<'a, I> {
+    v: &'a [f32],
+    at: I,
+    stride: usize,
+    row: usize,
+    step: usize,
+    k: usize,
+}
+
+impl<'a, I> Taps<'a, I> {
+    fn new((v, at): (&'a [f32], I), (stride, row, step, k): (usize, usize, usize, usize)) -> Self {
+        Taps {
+            v,
+            at,
+            stride,
+            row,
+            step,
+            k,
+        }
+    }
+
+    /// Asserts that every tap of `rows × cols` windows from value `i`
+    /// (`rows` of them `row` apart, `cols` of them `stride` apart) lies
+    /// in the values, and under `TRACK` has an index.
+    fn check<const TRACK: bool>(&self, i: usize, (rows, cols): (usize, usize))
+    where
+        I: TapIndex,
+    {
+        let last = i + (rows - 1) * self.row + (cols - 1) * self.stride + (self.k - 1) * self.step;
+        assert!(
+            self.k > 0 && last < self.v.len(),
+            "max-pool tap out of bounds"
+        );
+        assert!(
+            !TRACK || self.at.covers(self.v.len()),
+            "max-pool indices too short"
+        );
+    }
+}
+
+/// Where the input indices of the taps come from.
+trait TapIndex: Copy {
+    /// The indices of the taps at `i + (l / C)·row + (l % C)·stride`, for
+    /// lanes `l` in `0..N`.
+    ///
+    /// # Safety
+    ///
+    /// Every such tap must be in bounds of the values, and stored indices
+    /// must cover the values.
+    unsafe fn lanes<const N: usize, const C: usize>(
+        self,
+        i: usize,
+        row: usize,
+        stride: usize,
+    ) -> [u32; N];
+
+    /// Whether the indices cover `len` tapped values.
+    fn covers(self, len: usize) -> bool;
+}
+
+/// Taps read straight from the input: `v[i]` is input element `first + i`.
+#[derive(Clone, Copy)]
+struct Counted(usize);
+
+impl TapIndex for Counted {
+    #[inline(always)]
+    unsafe fn lanes<const N: usize, const C: usize>(
+        self,
+        i: usize,
+        row: usize,
+        stride: usize,
+    ) -> [u32; N] {
+        // `PoolGeom::new` checked that every input index fits in a `u32`.
+        std::array::from_fn(|l| (self.0 + i + (l / C) * row + (l % C) * stride) as u32)
+    }
+
+    fn covers(self, _: usize) -> bool {
+        true
+    }
+}
+
+/// Taps read from the row fold, whose winners' indices sit alongside.
+#[derive(Clone, Copy)]
+struct Stored<'a>(&'a [u32]);
+
+impl TapIndex for Stored<'_> {
+    #[inline(always)]
+    unsafe fn lanes<const N: usize, const C: usize>(
+        self,
+        i: usize,
+        row: usize,
+        stride: usize,
+    ) -> [u32; N] {
+        // SAFETY: the caller keeps every tap in bounds of the values,
+        // which the stored indices cover.
+        std::array::from_fn(|l| unsafe {
+            *self.0.get_unchecked(i + (l / C) * row + (l % C) * stride)
+        })
+    }
+
+    fn covers(self, len: usize) -> bool {
+        self.0.len() >= len
+    }
+}
+
+/// Folds the `dst.len()` windows of `taps` from value `i` on, `stride`
+/// apart, into `dst` and, under `TRACK`, their winners' input indices into
+/// `dst_at`: eight windows per step, then the rest four, two and one at a
+/// time. `S` is the stride when it is a constant, else 0.
+///
+/// # Panics
+///
+/// Panics if a tap lies outside the values, or under `TRACK` if `dst_at`
+/// or the stored indices are too short.
 #[inline(always)]
-fn wins(v: f32, best: f32) -> bool {
-    (v > best) | v.is_nan()
+fn fold_run<const S: usize, const TRACK: bool, I: TapIndex>(
+    taps: Taps<'_, I>,
+    i: usize,
+    dst: &mut [f32],
+    dst_at: &mut [u32],
+) {
+    let n = dst.len();
+    if n == 0 {
+        return;
+    }
+    assert!(S == 0 || (S == taps.stride && (S == 1 || taps.step == 1)));
+    assert!(!TRACK || dst_at.len() == n);
+    taps.check::<TRACK>(i, (1, n));
+    let mut q = 0;
+    while q + LANES <= n {
+        let at = at_range::<TRACK>(dst_at, q, LANES);
+        fold_lanes::<LANES, LANES, S, TRACK, I>(
+            &taps,
+            i + q * taps.stride,
+            &mut dst[q..][..LANES],
+            at,
+        );
+        q += LANES;
+    }
+    for width in [4, 2, 1] {
+        if n - q >= width {
+            let (i, y, at) = (
+                i + q * taps.stride,
+                &mut dst[q..][..width],
+                at_range::<TRACK>(dst_at, q, width),
+            );
+            match width {
+                4 => fold_lanes::<4, 4, S, TRACK, I>(&taps, i, y, at),
+                2 => fold_lanes::<2, 2, S, TRACK, I>(&taps, i, y, at),
+                _ => fold_lanes::<1, 1, S, TRACK, I>(&taps, i, y, at),
+            }
+            q += width;
+        }
+    }
+}
+
+/// Folds whole output rows of `C` windows, `T` rows per lane vector: row
+/// `m` of `y` holds the windows from value `m·row` on.
+///
+/// # Panics
+///
+/// As [`fold_run`].
+#[inline(always)]
+fn fold_tiles<const T: usize, const C: usize, const TRACK: bool, I: TapIndex>(
+    taps: Taps<'_, I>,
+    y: &mut [f32],
+    arg: &mut [u32],
+) {
+    let rows = y.len() / C;
+    if rows == 0 {
+        return;
+    }
+    assert!(taps.stride == 1 && y.len() == rows * C && (!TRACK || arg.len() == y.len()));
+    taps.check::<TRACK>(0, (rows, C));
+    let mut m = 0;
+    while m + T <= rows {
+        let at = at_range::<TRACK>(arg, m * C, T * C);
+        fold_lanes::<LANES, C, 1, TRACK, I>(&taps, m * taps.row, &mut y[m * C..][..T * C], at);
+        m += T;
+    }
+    for m in m..rows {
+        let at = at_range::<TRACK>(arg, m * C, C);
+        fold_lanes::<C, C, 1, TRACK, I>(&taps, m * taps.row, &mut y[m * C..][..C], at);
+    }
+}
+
+/// `len` indices from `q` on under `TRACK`, else none.
+#[inline(always)]
+fn at_range<const TRACK: bool>(at: &mut [u32], q: usize, len: usize) -> &mut [u32] {
+    if TRACK {
+        &mut at[q..][..len]
+    } else {
+        &mut []
+    }
+}
+
+/// The `N` windows of `taps` from value `i` on, one per lane, into `dst`
+/// (and their winners' indices into `dst_at` under `TRACK`): lane `l` is
+/// window `l % C` of row `l / C`.
+///
+/// With a constant stride `S` above 1, the `S` taps from `t` on of a row
+/// of windows are consecutive values (`fold_run` asserts `step` 1 there):
+/// they load as one block, and window `c` takes its taps from row `c` of
+/// it.
+///
+/// The caller asserts that every tap lies in the values.
+#[inline(always)]
+fn fold_lanes<const N: usize, const C: usize, const S: usize, const TRACK: bool, I: TapIndex>(
+    taps: &Taps<'_, I>,
+    i: usize,
+    dst: &mut [f32],
+    dst_at: &mut [u32],
+) {
+    let stride = if S == 0 { taps.stride } else { S };
+    let (row, step, k) = (taps.row, taps.step, taps.k);
+    let at = |t: usize, l: usize| i + t * step + (l / C) * row + (l % C) * stride;
+    let load = |t: usize| -> [f32; N] {
+        // SAFETY: the caller asserted that every tap of these windows lies
+        // in the values.
+        std::array::from_fn(|l| unsafe { *taps.v.get_unchecked(at(t, l)) })
+    };
+    let load_block = |t: usize| -> [[f32; S]; N] {
+        std::array::from_fn(|l| {
+            // SAFETY: as for `load`; a block holds taps `t .. t + S`.
+            std::array::from_fn(|j| unsafe { *taps.v.get_unchecked(at(t + j, l)) })
+        })
+    };
+    let index = |t: usize| -> [u32; N] {
+        if TRACK {
+            // SAFETY: as for `load`; the caller asserted under `TRACK`
+            // that stored indices cover the values.
+            unsafe { taps.at.lanes::<N, C>(at(t, 0), row, stride) }
+        } else {
+            [0; N]
+        }
+    };
+    let (mut best, mut won_at, mut t);
+    if S > 1 && S <= k {
+        let block = load_block(0);
+        (best, won_at) = (block.map(|b| b[0]), index(0));
+        for j in 1..S {
+            select::<N, TRACK>((&mut best, &mut won_at), block.map(|b| b[j]), index(j));
+        }
+        t = S;
+    } else {
+        (best, won_at, t) = (load(0), index(0), 1);
+    }
+    while t < k {
+        if S > 1 && t + S <= k {
+            let block = load_block(t);
+            for j in 0..S {
+                select::<N, TRACK>((&mut best, &mut won_at), block.map(|b| b[j]), index(t + j));
+            }
+            t += S;
+        } else {
+            select::<N, TRACK>((&mut best, &mut won_at), load(t), index(t));
+            t += 1;
+        }
+    }
+    dst.copy_from_slice(&best);
+    if TRACK {
+        dst_at.copy_from_slice(&won_at);
+    }
+}
+
+/// One step of the fold in every lane: a later tap `v` (input index `vi`)
+/// replaces the running best when it is greater or a NaN. Branch-free: a
+/// compare mask blended into the bits of the value and the index.
+#[inline(always)]
+fn select<const N: usize, const TRACK: bool>(
+    (best, at): (&mut [f32; N], &mut [u32; N]),
+    v: [f32; N],
+    vi: [u32; N],
+) {
+    let won: [u32; N] =
+        std::array::from_fn(|l| u32::from((v[l] > best[l]) | v[l].is_nan()).wrapping_neg());
+    *best = std::array::from_fn(|l| {
+        f32::from_bits(v[l].to_bits() & won[l] | best[l].to_bits() & !won[l])
+    });
+    if TRACK {
+        *at = std::array::from_fn(|l| vi[l] & won[l] | at[l] & !won[l]);
+    }
 }
 
 /// Max pooling over `k`×`k` windows with stride `s`, values only.
 ///
-/// The evaluation pass: one window scan per output, no index bookkeeping.
-/// Values are bit-identical to [`max_pool2d_forward_train_with`]'s.
-/// Draws the output buffer from `scratch`.
+/// The evaluation pass: the fold of the module docs without the index
+/// bookkeeping. Values are bit-identical to
+/// [`max_pool2d_forward_train_with`]'s. Draws the output and the row-fold
+/// buffer from `scratch`.
 ///
 /// # Panics
 ///
@@ -135,21 +527,20 @@ fn wins(v: f32, best: f32) -> bool {
 pub fn max_pool2d_forward_with(input: &Tensor, k: usize, s: usize, scratch: &Scratch) -> Tensor {
     let g = PoolGeom::new(input, k, s);
     let mut out = scratch.tensor_uninit(&g.out_dims());
-    let x = input.data();
-    let plane_in = g.plane_in();
-    parallel_chunks_mut(out.data_mut(), g.plane_out(), k * k, |p, y| {
-        let plane = &x[p * plane_in..(p + 1) * plane_in];
-        g.scan_plane::<false>(plane, y, &mut []);
+    let planes = g.task_planes();
+    parallel_chunks_mut(out.data_mut(), planes * g.plane_out(), k * k, |i, y| {
+        g.pool::<false>((input.data(), i * planes), y, &mut [], scratch);
     });
     out
 }
 
 /// Max pooling over `k`×`k` windows with stride `s`, recording each
-/// window's winning index for [`max_pool2d_backward_with`].
+/// window's winner as an index into the input for
+/// [`max_pool2d_backward_with`].
 ///
-/// The training pass: the same window scan as [`max_pool2d_forward_with`]
-/// writes the value and the index together, one `(sample, channel)` plane
-/// per task. Draws the output and index buffers from `scratch`.
+/// The training pass: the same fold as [`max_pool2d_forward_with`],
+/// carrying each winner's index through its selects. Draws the output,
+/// index and row-fold buffers from `scratch`.
 ///
 /// # Panics
 ///
@@ -163,18 +554,15 @@ pub fn max_pool2d_forward_train_with(
     let g = PoolGeom::new(input, k, s);
     let mut out = scratch.tensor_uninit(&g.out_dims());
     let mut argmax = scratch.take_u32(out.numel()).into_vec();
-    let x = input.data();
-    let (plane_in, plane_out) = (g.plane_in(), g.plane_out());
+    let planes = g.task_planes();
+    let task = planes * g.plane_out();
     parallel_zip_chunks_mut(
         out.data_mut(),
-        plane_out,
+        task,
         &mut argmax,
-        plane_out,
+        task,
         k * k,
-        |p, y, arg| {
-            let plane = &x[p * plane_in..(p + 1) * plane_in];
-            g.scan_plane::<true>(plane, y, arg);
-        },
+        |i, y, arg| g.pool::<true>((input.data(), i * planes), y, arg, scratch),
     );
     (
         out,
@@ -212,8 +600,10 @@ pub fn max_pool2d_backward_with(
     parallel_chunks_mut(grad_input.data_mut(), plane_in, 1, |p, gx| {
         let gy_plane = &gy[p * plane_out..(p + 1) * plane_out];
         let arg_plane = &arg[p * plane_out..(p + 1) * plane_out];
+        // Each window's winner lies in the window's own plane.
+        let first = p * plane_in;
         for (g, &a) in gy_plane.iter().zip(arg_plane) {
-            gx[a as usize] += g;
+            gx[a as usize - first] += g;
         }
     });
     grad_input
@@ -376,7 +766,7 @@ mod tests {
 
     /// Max pooling written the obvious way: per window, the last NaN if
     /// there is one, otherwise the first element that no other element
-    /// exceeds. Returns the values and their plane indices.
+    /// exceeds. Returns the values and their indices into the input.
     fn naive_max_pool(x: &Tensor, k: usize, s: usize) -> (Vec<f32>, Vec<u32>) {
         let d = x.shape().dims();
         let (planes, h, w) = (d[0] * d[1], d[2], d[3]);
@@ -398,7 +788,7 @@ mod tests {
                             .expect("a finite or infinite window has a maximum"),
                     };
                     vals.push(plane[win]);
-                    idxs.push(win as u32);
+                    idxs.push((p * h * w + win) as u32);
                 }
             }
         }
@@ -427,6 +817,9 @@ mod tests {
             t
         };
         let (big_k3, big_k2) = (big(&[32, 16, 35, 33]), big(&[64, 16, 34, 33]));
+        // Output rows of 4, 2 and 1, so whole rows share a lane vector.
+        let tiles = [4, 2, 1].map(|ow| big(&[10, 3, 2 * ow, 2 * ow]));
+        let big_tiles = big(&[2048, 16, 8, 8]);
         // (input, k, s, expected values; empty = reference only)
         #[rustfmt::skip]
         let rows: Vec<(Tensor, usize, usize, Vec<f32>)> = vec![
@@ -460,13 +853,18 @@ mod tests {
             (Tensor::randn(&[2, 3, 7, 6], 1.0, &mut rng), 3, 2, vec![]),
             (Tensor::randn(&[3, 2, 5, 7], 1.0, &mut rng), 2, 2, vec![]),
             (Tensor::randn(&[2, 2, 3, 5], 1.0, &mut rng), 1, 1, vec![]),
+            // Output rows of 4, 2 and 1 sharing the lanes, with specials.
+            (tiles[0].clone(), 2, 2, vec![]),
+            (tiles[1].clone(), 2, 2, vec![]),
+            (tiles[2].clone(), 2, 2, vec![]),
             (big_k3.clone(), 3, 2, vec![]),
             (big_k3, 3, 1, vec![]),
             (big_k2, 2, 2, vec![]),
+            (big_tiles, 2, 2, vec![]),
         ];
         for (row, (x, k, s, expect)) in rows.iter().enumerate() {
             let (want, want_idx) = naive_max_pool(x, *k, *s);
-            if row >= rows.len() - 3 {
+            if row >= rows.len() - 4 {
                 let work = want.len() * k * k;
                 assert!(work >= SERIAL_THRESHOLD, "row {row} must fan out");
             }
@@ -481,7 +879,7 @@ mod tests {
                     let at = format!("row {row}, k{k} s{s}, {threads} threads");
                     assert_eq!(bits(eval.data()), bits(&want), "{at}: eval values");
                     assert_eq!(bits(train.data()), bits(&want), "{at}: train values");
-                    assert_eq!(cache.argmax, want_idx, "{at}: train indices");
+                    assert_eq!(cache.argmax(), want_idx, "{at}: train indices");
                 });
             }
         }

@@ -202,11 +202,21 @@ fn data_work(len: usize, work_per_item: usize) -> usize {
     len.saturating_mul(work_per_item.max(1))
 }
 
+/// The threads a kernel of `work` estimated units fans out to: one below
+/// [`SERIAL_THRESHOLD`], else [`num_threads`].
+pub(crate) fn threads_for(work: usize) -> usize {
+    if work < SERIAL_THRESHOLD {
+        1
+    } else {
+        num_threads()
+    }
+}
+
 /// Runs `f` over `items`: inline below [`SERIAL_THRESHOLD`] work or at one
 /// thread, otherwise on scoped workers that pop items from a shared queue.
 fn fan_out<I: Send>(work: usize, items: impl Iterator<Item = I>, f: impl Fn(I) + Sync) {
-    let threads = num_threads();
-    if threads <= 1 || work < SERIAL_THRESHOLD {
+    let threads = threads_for(work);
+    if threads <= 1 {
         items.for_each(f);
         return;
     }

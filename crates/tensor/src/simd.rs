@@ -280,15 +280,16 @@ fn momentum_update_scalar(v: &mut [f32], g: &[f32], w: &[f32], m: f32, wd: f32) 
     }
 }
 
-/// ReLU forward: `out[i] = if 0.0 > x[i] { 0.0 } else { x[i] }` and
-/// `mask[i] = if x[i] > 0.0 { !0 } else { 0 }`.
+/// ReLU forward: `out[i] = if 0.0 > x[i] { 0.0 } else { x[i] }` and, when
+/// a mask is given, `mask[i] = if x[i] > 0.0 { !0 } else { 0 }`.
 ///
 /// NaN propagates (`0.0 > NaN` is false, so NaN inputs pass through) and
 /// `-0.0` is preserved — exactly the semantics of `max_ps(zero, x)`,
-/// which returns its *second* operand on NaN or equal zeros.
-pub fn relu_forward(x: &[f32], out: &mut [f32], mask: &mut [u32]) {
+/// which returns its *second* operand on NaN or equal zeros. The output
+/// bits do not depend on whether the mask is written.
+pub fn relu_forward(x: &[f32], out: &mut [f32], mask: Option<&mut [u32]>) {
     debug_assert_eq!(x.len(), out.len());
-    debug_assert_eq!(x.len(), mask.len());
+    debug_assert!(mask.as_ref().is_none_or(|m| m.len() == x.len()));
     match simd_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: simd_level() returns Avx2 only when AVX2 was detected.
@@ -300,10 +301,14 @@ pub fn relu_forward(x: &[f32], out: &mut [f32], mask: &mut [u32]) {
     }
 }
 
-fn relu_forward_scalar(x: &[f32], out: &mut [f32], mask: &mut [u32]) {
-    for ((o, m), &v) in out.iter_mut().zip(mask.iter_mut()).zip(x) {
+fn relu_forward_scalar(x: &[f32], out: &mut [f32], mask: Option<&mut [u32]>) {
+    for (o, &v) in out.iter_mut().zip(x) {
         *o = if 0.0 > v { 0.0 } else { v };
-        *m = if v > 0.0 { !0 } else { 0 };
+    }
+    if let Some(mask) = mask {
+        for (m, &v) in mask.iter_mut().zip(x) {
+            *m = if v > 0.0 { !0 } else { 0 };
+        }
     }
 }
 
@@ -778,54 +783,68 @@ mod x86 {
     ///
     /// Callers must ensure AVX2 is supported by the executing CPU.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn relu_forward_avx2(x: &[f32], out: &mut [f32], mask: &mut [u32]) {
+    pub(super) unsafe fn relu_forward_avx2(
+        x: &[f32],
+        out: &mut [f32],
+        mut mask: Option<&mut [u32]>,
+    ) {
         let n = x.len();
         let zero = _mm256_setzero_ps();
         let mut i = 0;
         while i + 8 <= n {
-            // SAFETY: i + 8 <= n = x.len() = out.len() = mask.len(); the
-            // mask store writes 8 u32 (32 bytes) inside mask.
+            // SAFETY: i + 8 <= n = x.len() = out.len() = mask.len() (when
+            // given); the mask store writes 8 u32 (32 bytes) inside mask.
             unsafe {
                 let v = ld256(x, i);
                 // max_ps(zero, x): returns x on NaN or equal zeros —
                 // NaN-propagating, -0.0-preserving ReLU.
                 st256(out, i, _mm256_max_ps(zero, v));
-                // Ordered greater-than: false (mask 0) on NaN.
-                let m = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
-                _mm256_storeu_si256(
-                    mask.as_mut_ptr().add(i) as *mut __m256i,
-                    _mm256_castps_si256(m),
-                );
+                if let Some(mask) = mask.as_deref_mut() {
+                    // Ordered greater-than: false (mask 0) on NaN.
+                    let m = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
+                    _mm256_storeu_si256(
+                        mask.as_mut_ptr().add(i) as *mut __m256i,
+                        _mm256_castps_si256(m),
+                    );
+                }
             }
             i += 8;
         }
-        super::relu_forward_scalar(&x[i..], &mut out[i..], &mut mask[i..]);
+        let tail = mask.map(|m| &mut m[i..]);
+        super::relu_forward_scalar(&x[i..], &mut out[i..], tail);
     }
 
     /// # Safety
     ///
     /// Requires nothing beyond x86-64 (SSE2 is baseline).
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn relu_forward_sse2(x: &[f32], out: &mut [f32], mask: &mut [u32]) {
+    pub(super) unsafe fn relu_forward_sse2(
+        x: &[f32],
+        out: &mut [f32],
+        mut mask: Option<&mut [u32]>,
+    ) {
         let n = x.len();
         let zero = _mm_setzero_ps();
         let mut i = 0;
         while i + 4 <= n {
-            // SAFETY: i + 4 <= n = x.len() = out.len() = mask.len(); the
-            // mask store writes 4 u32 (16 bytes) inside mask.
+            // SAFETY: i + 4 <= n = x.len() = out.len() = mask.len() (when
+            // given); the mask store writes 4 u32 (16 bytes) inside mask.
             unsafe {
                 let v = ld128(x, i);
                 st128(out, i, _mm_max_ps(zero, v));
-                // cmpgt is an ordered predicate: false (mask 0) on NaN.
-                let m = _mm_cmpgt_ps(v, zero);
-                _mm_storeu_si128(
-                    mask.as_mut_ptr().add(i) as *mut __m128i,
-                    _mm_castps_si128(m),
-                );
+                if let Some(mask) = mask.as_deref_mut() {
+                    // cmpgt is an ordered predicate: false (mask 0) on NaN.
+                    let m = _mm_cmpgt_ps(v, zero);
+                    _mm_storeu_si128(
+                        mask.as_mut_ptr().add(i) as *mut __m128i,
+                        _mm_castps_si128(m),
+                    );
+                }
             }
             i += 4;
         }
-        super::relu_forward_scalar(&x[i..], &mut out[i..], &mut mask[i..]);
+        let tail = mask.map(|m| &mut m[i..]);
+        super::relu_forward_scalar(&x[i..], &mut out[i..], tail);
     }
 
     /// # Safety
@@ -909,7 +928,14 @@ mod tests {
                 momentum_update(&mut v, &g, &x, 0.9, 5e-4);
                 let mut relu_out = vec![0.0; len];
                 let mut mask = vec![0u32; len];
-                relu_forward(&x, &mut relu_out, &mut mask);
+                relu_forward(&x, &mut relu_out, Some(&mut mask));
+                let mut maskless = vec![0.0; len];
+                relu_forward(&x, &mut maskless, None);
+                assert_eq!(
+                    bits(&maskless),
+                    bits(&relu_out),
+                    "len {len} level {level:?}"
+                );
                 let mut back = vec![0.0; len];
                 relu_backward(&g, &mask, &mut back);
                 let got = vec![bits(&y), bits(&s), bits(&v), bits(&relu_out), bits(&back)];
@@ -941,7 +967,7 @@ mod tests {
             force_simd(Some(level));
             let mut out = [0.0f32; 10];
             let mut mask = [0u32; 10];
-            relu_forward(&x, &mut out, &mut mask);
+            relu_forward(&x, &mut out, Some(&mut mask));
             assert!(out[0].is_nan(), "{level:?}: NaN must pass through");
             assert!(out[8].is_nan(), "{level:?}: NaN in the tail too");
             assert_eq!(out[1].to_bits(), 0.0f32.to_bits(), "{level:?}");

@@ -11,7 +11,10 @@
 //! `force_simd` flips a process-global, so every test in this binary runs
 //! under one shared lock.
 
-use tdfm_tensor::ops::{self, conv2d_backward_with, conv2d_forward_with, Conv2dSpec};
+use tdfm_tensor::ops::{
+    self, conv2d_backward_with, conv2d_forward_with, max_pool2d_forward_train_with,
+    max_pool2d_forward_with, Conv2dSpec,
+};
 use tdfm_tensor::rng::Rng;
 use tdfm_tensor::simd::{available_levels, force_simd};
 use tdfm_tensor::{Scratch, Tensor};
@@ -164,6 +167,53 @@ fn conv_sweep_is_bit_identical_across_levels() {
         let label =
             format!("1x1-output conv n{n} c{c} {side}x{side} k{k} s{stride} p{pad} g{groups}");
         assert_conv_levels_agree(&label, &input, &weight, spec);
+    }
+}
+
+#[test]
+fn max_pool_sweep_is_bit_identical_across_levels() {
+    let _guard = level_lock();
+    let mut rng = Rng::seed_from(0x9001);
+    // (dims, k, s): the window/stride pairs 2/2, 2/1, 3/1, 3/2 and 1/1 on
+    // odd sizes, and 2/2 on the study's even planes, whose output rows of
+    // 1, 2 and 4 share the lanes, and on rows of 8 and 9 outputs.
+    let cases: [([usize; 4], usize, usize); 12] = [
+        ([1, 1, 4, 4], 2, 2),
+        ([1, 1, 3, 3], 2, 1),
+        ([2, 3, 7, 5], 3, 1),
+        ([2, 3, 7, 6], 3, 2),
+        ([3, 2, 5, 7], 2, 2),
+        ([2, 2, 3, 5], 1, 1),
+        ([3, 5, 9, 8], 2, 1),
+        ([10, 3, 8, 8], 2, 2),
+        ([10, 3, 4, 4], 2, 2),
+        ([10, 3, 2, 2], 2, 2),
+        ([3, 2, 16, 18], 2, 2),
+        ([2, 3, 11, 13], 3, 2),
+    ];
+    for (dims, k, s) in cases {
+        let mut x = Tensor::randn(&dims, 1.0, &mut rng);
+        // NaNs with distinct payloads (quiet and signalling-sign), signed
+        // zeros, -inf and ties, densely enough to meet in one window.
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
+            *v = match i % 11 {
+                0 => f32::from_bits(0x7fc0_0000 | (i as u32 & 0xffff)),
+                3 => -0.0,
+                4 => 0.0,
+                6 if i % 3 == 0 => f32::NEG_INFINITY,
+                7 => f32::from_bits(0xffc0_0000 | (i as u32 & 0xffff)),
+                8 => 0.5,
+                9 => 0.5,
+                _ => *v,
+            };
+        }
+        let label = format!("max pool {dims:?} k{k} s{s}");
+        assert_levels_agree(&label, || {
+            let scratch = Scratch::new();
+            let eval = max_pool2d_forward_with(&x, k, s, &scratch);
+            let (train, cache) = max_pool2d_forward_train_with(&x, k, s, &scratch);
+            (bits(&eval), bits(&train), cache.argmax().to_vec())
+        });
     }
 }
 

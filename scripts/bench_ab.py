@@ -11,7 +11,8 @@ same benchmark code. Builds each side once, then runs alternating pairs of
 `perfbench/run.py` for every workload in BENCHMARK.json. For each end-to-end
 metric the gate takes each pair's worse-by ratio (change against base,
 oriented by the metric's `better`) and fails when the median ratio exceeds
-1 + bound. It also fails when a change-side run exits non-zero, prints no
+1 + bound. Beside each ratio it prints how many pairs the change won (was
+strictly better in), e.g. `4/5`; that count does not enter the verdict. It also fails when a change-side run exits non-zero, prints no
 result document, reports `correct: false` or failed units, or lacks a
 positive value of an end-to-end metric. Base-side failures are printed but
 do not fail the gate. Exits 0 on PASS, 1 on FAIL.
@@ -102,6 +103,16 @@ def decide(end_to_end, results):
     return rows, failures
 
 
+def pairs_won(metric, pairs):
+    """(won, compared): of the pairs where both sides report `metric`, how
+    many the change won, i.e. was strictly better than the base. Reported
+    beside the gate's verdict; the verdict does not use it."""
+    values = [(value(b, metric["name"]), value(c, metric["name"])) for b, c in pairs]
+    values = [(b, c) for b, c in values if b is not None and c is not None]
+    better = (lambda b, c: c > b) if metric["better"] == "higher" else (lambda b, c: c < b)
+    return sum(better(b, c) for b, c in values), len(values)
+
+
 def extract_base(rev, base):
     shutil.rmtree(base, ignore_errors=True)
     os.makedirs(base)
@@ -164,10 +175,12 @@ def main(argv):
                 )
             results[workload].append((runs["base"], runs["change"]))
     rows, failures = decide(bench["end_to_end"], results)
-    print(f"\n{'workload':<16} {'metric':<12} {'base':>10} {'change':>10} {'ratio':>7} bound")
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    print(f"\n{'workload':<16} {'metric':<12} {'base':>10} {'change':>10} {'ratio':>7} {'won':>5} bound")
     for workload, name, *nums, bound in rows:
         b, c, ratio = ("n/a" if x is None else f"{x:.4g}" for x in nums)
-        print(f"{workload:<16} {name:<12} {b:>10} {c:>10} {ratio:>7} {bound}")
+        won = "{}/{}".format(*pairs_won(metrics[name], results[workload]))
+        print(f"{workload:<16} {name:<12} {b:>10} {c:>10} {ratio:>7} {won:>5} {bound}")
     for failure in failures:
         print(f"FAIL {failure}")
     print("bench-ab: FAIL" if failures else "bench-ab: PASS")

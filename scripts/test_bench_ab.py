@@ -10,7 +10,7 @@ import sys
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_ab import decide, parse_run  # noqa: E402
+from bench_ab import decide, pairs_won, parse_run  # noqa: E402
 
 END_TO_END = [
     {"name": "units_per_s", "better": "higher", "bound": 0.25},
@@ -83,6 +83,27 @@ class DecideTest(unittest.TestCase):
 
     def test_base_side_pin_failures_do_not_fail_the_gate(self):
         self.assertEqual(verdict([run()] * 5, base=run(correct=False, failed=3))[1], [])
+
+
+
+class PairsWonTest(unittest.TestCase):
+    def test_counts_strict_wins_in_the_metric_direction(self):
+        pairs = [(run(), run(units=u, setup=s)) for u, s in [(110, 0.9), (90, 1.1), (100, 1.0), (101, 0.5)]]
+        self.assertEqual(pairs_won(END_TO_END[0], pairs), (2, 4))
+        self.assertEqual(pairs_won(END_TO_END[1], pairs), (2, 4))
+
+    def test_pairs_missing_a_value_are_not_compared(self):
+        missing = run(units=500.0)
+        del missing["doc"]["metrics"]["units_per_s"]
+        pairs = [(run(), run(units=120.0)), (run(), missing), (run(), parse_run(1, ""))]
+        self.assertEqual(pairs_won(END_TO_END[0], pairs), (1, 1))
+
+    def test_the_count_does_not_change_the_verdict(self):
+        # Two of five pairs won does not rescue a median ratio (100/70)
+        # past the bound.
+        changes = [run(units=101.0)] * 2 + [run(units=70.0)] * 3
+        self.assertEqual(pairs_won(END_TO_END[0], [(run(), c) for c in changes]), (2, 5))
+        self.assertEqual(len(verdict(changes)[1]), 1)
 
 
 if __name__ == "__main__":
