@@ -61,6 +61,16 @@ pub trait Layer: Send + CloneLayer {
     /// Implementations may panic if called before `forward`.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] where nothing reads the input gradient: the
+    /// same parameter gradients, bit for bit, and the input gradient only
+    /// if the layer computed it anyway, for the caller to recycle. A
+    /// network's training step ends its backward pass here, at its first
+    /// layer that holds parameters. Layers with parameters override it to
+    /// skip the input gradient; the default runs `backward`.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Option<Tensor> {
+        Some(self.backward(grad_output))
+    }
+
     /// Mutable access to the layer's trainable parameters (may be empty).
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()

@@ -1,7 +1,9 @@
 //! Convolution layer wrapping the `tdfm-tensor` conv kernels.
 
 use crate::layer::{Layer, Mode, Param};
-use tdfm_tensor::ops::{conv2d_backward_with, conv2d_forward_with, Conv2dSpec};
+use tdfm_tensor::ops::{
+    conv2d_backward_params_with, conv2d_backward_with, conv2d_forward_with, Conv2dSpec,
+};
 use tdfm_tensor::rng::Rng;
 use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 
@@ -72,6 +74,21 @@ impl Conv2d {
     pub fn has_cached_input(&self) -> bool {
         self.input_cache.is_some()
     }
+
+    fn cached_input(&self) -> &Tensor {
+        self.input_cache
+            .as_ref()
+            .expect("Train-mode forward before backward")
+    }
+
+    /// Adds one backward pass's weight and bias gradients to the
+    /// accumulated ones and recycles them.
+    fn accumulate(&mut self, gw: Tensor, gb: Tensor) {
+        self.weight.grad.axpy(1.0, &gw);
+        self.bias.grad.axpy(1.0, &gb);
+        self.scratch.recycle(gw);
+        self.scratch.recycle(gb);
+    }
 }
 
 impl Layer for Conv2d {
@@ -95,22 +112,27 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .input_cache
-            .as_ref()
-            .expect("Train-mode forward before backward");
         let grads = conv2d_backward_with(
-            input,
+            self.cached_input(),
             &self.weight.value,
             grad_output,
             self.spec,
             &self.scratch,
         );
-        self.weight.grad.axpy(1.0, &grads.grad_weight);
-        self.bias.grad.axpy(1.0, &grads.grad_bias);
-        self.scratch.recycle(grads.grad_weight);
-        self.scratch.recycle(grads.grad_bias);
+        self.accumulate(grads.grad_weight, grads.grad_bias);
         grads.grad_input
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Option<Tensor> {
+        let (gw, gb) = conv2d_backward_params_with(
+            self.cached_input(),
+            &self.weight.value,
+            grad_output,
+            self.spec,
+            &self.scratch,
+        );
+        self.accumulate(gw, gb);
+        None
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

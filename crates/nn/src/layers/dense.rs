@@ -57,6 +57,25 @@ impl Dense {
     pub fn has_cached_input(&self) -> bool {
         self.input_cache.is_some()
     }
+
+    /// Adds the weight and bias gradients of one backward pass to the
+    /// accumulated ones.
+    fn accumulate(&mut self, grad_output: &Tensor) {
+        let input = self
+            .input_cache
+            .as_ref()
+            .expect("Train-mode forward before backward");
+        let gw = matmul_at_b_with(input, grad_output, &self.scratch);
+        self.weight.grad.axpy(1.0, &gw);
+        self.scratch.recycle(gw);
+        let k = self.out_features();
+        let bg = self.bias.grad.data_mut();
+        for row in grad_output.data().chunks(k) {
+            for (g, &v) in bg.iter_mut().zip(row) {
+                *g += v;
+            }
+        }
+    }
 }
 
 impl Layer for Dense {
@@ -82,21 +101,13 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .input_cache
-            .as_ref()
-            .expect("Train-mode forward before backward");
-        let gw = matmul_at_b_with(input, grad_output, &self.scratch);
-        self.weight.grad.axpy(1.0, &gw);
-        self.scratch.recycle(gw);
-        let k = self.out_features();
-        let bg = self.bias.grad.data_mut();
-        for row in grad_output.data().chunks(k) {
-            for (g, &v) in bg.iter_mut().zip(row) {
-                *g += v;
-            }
-        }
+        self.accumulate(grad_output);
         matmul_a_bt_with(grad_output, &self.weight.value, &self.scratch)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Option<Tensor> {
+        self.accumulate(grad_output);
+        None
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -505,7 +505,7 @@ impl GradientSource for Local<'_> {
         }
         let logits = self.net.forward(&x, Mode::Train);
         let out = self.loss.evaluate(&logits, &target.as_target());
-        let grad_input = self.net.backward(&out.grad);
+        self.net.backward_params(&out.grad);
         // Gradients were computed under the fault; the update must land on
         // the clean weights.
         if !self.flips.is_empty() {
@@ -515,7 +515,7 @@ impl GradientSource for Local<'_> {
                 data[element] = bitflip_f32(data[element], bit);
             }
         }
-        for t in [x, logits, out.grad, grad_input] {
+        for t in [x, logits, out.grad] {
             Scratch::shared().recycle(t);
         }
         out.loss
@@ -655,8 +655,7 @@ pub fn export_batch_gradients(
     assert_eq!(images.shape().rank(), 4, "images must be NCHW");
     let logits = net.forward(images, Mode::Train);
     let out = loss.evaluate(&logits, target);
-    let grad_input = net.backward(&out.grad);
-    drop(grad_input);
+    net.backward_params(&out.grad);
     let mut params = net.params_mut();
     let grads: Vec<Tensor> = params.iter().map(|p| p.grad.clone()).collect();
     let grad_norm = global_grad_norm(&params);

@@ -5,9 +5,11 @@
 //! seven `ModelKind`s, on two input shapes and at every SIMD level this
 //! machine has, the test warms a freshly built network's scratch arena
 //! with training passes, switches the counter on, and asserts that further
-//! training passes (forward and backward) and evaluation forwards perform
-//! zero heap allocations, and that a warm `Network::logits` call over
-//! three mini-batches allocates only the logits it returns.
+//! training passes (forward and backward), training steps whose backward
+//! pass stops at the first layer with parameters (the trainer's,
+//! `Network::backward_params`) and evaluation forwards perform zero heap
+//! allocations, and that a warm `Network::logits` call over three
+//! mini-batches allocates only the logits it returns.
 //!
 //! Built through `ModelKind::build`, the models reach every kernel the
 //! study trains through: VGG's padded 3×3 convolution over 1×1 planes,
@@ -120,6 +122,22 @@ fn assert_steady_state_allocates_nothing(name: &str, mut net: Network, x: &Tenso
         "{name}: steady-state forward/backward passes performed {allocs} heap allocations"
     );
     assert!(arena.stats().hits > 0, "{name}: arena was never used");
+
+    // The trainer's backward pass, which stops at the first layer that
+    // holds parameters, draws its own buffers: warm them, then count.
+    let mut step = || {
+        let y = net.forward(x, Mode::Train);
+        net.backward_params(&grad);
+        arena.recycle(y);
+    };
+    for _ in 0..WARMUP {
+        step();
+    }
+    let allocs = allocations(2, &mut step);
+    assert_eq!(
+        allocs, 0,
+        "{name}: steady-state training steps (trainer backward) performed {allocs} heap allocations"
+    );
 
     // Evaluation forwards of the same network: the first drops the Train
     // caches into the arena, after which inference allocates nothing.

@@ -10,7 +10,10 @@ mod matmul;
 mod pool;
 mod reduce;
 
-pub use conv::{conv2d_backward_with, conv2d_forward_with, conv_out_dim, Conv2dSpec, ConvGrads};
+pub use conv::{
+    conv2d_backward_params_with, conv2d_backward_with, conv2d_forward_with, conv_out_dim,
+    Conv2dSpec, ConvGrads,
+};
 pub use matmul::{matmul, matmul_a_bt_with, matmul_at_b_with, matmul_with};
 pub use pool::{
     avg_pool2d_backward_with, avg_pool2d_forward_with, global_avg_pool_backward_with,

@@ -11,8 +11,10 @@ same benchmark code. Builds each side once, then runs alternating pairs of
 `perfbench/run.py` for every workload in BENCHMARK.json. For each end-to-end
 metric the gate takes each pair's worse-by ratio (change against base,
 oriented by the metric's `better`) and fails when the median ratio exceeds
-1 + bound. Beside each ratio it prints how many pairs the change won (was
-strictly better in), e.g. `4/5`; that count does not enter the verdict. It also fails when a change-side run exits non-zero, prints no
+1 + bound. Beside each median ratio it prints the lowest and highest pair
+ratio, so a claimed gain's margin over the pair spread shows, and how many
+pairs the change won (was strictly better in), e.g. `4/5`; neither enters
+the verdict. It also fails when a change-side run exits non-zero, prints no
 result document, reports `correct: false` or failed units, or lacks a
 positive value of an end-to-end metric. Base-side failures are printed but
 do not fail the gate. Exits 0 on PASS, 1 on FAIL.
@@ -91,8 +93,7 @@ def decide(end_to_end, results):
         for m in end_to_end:
             name, bound = m["name"], m["bound"]
             values = [(value(b, name), value(c, name)) for b, c in pairs]
-            higher = m["better"] == "higher"
-            ratio = median([b / c if higher else c / b for b, c in values if b and c])
+            ratio = median(pair_ratios(m, pairs))
             bases = median([b for b, _ in values if b is not None])
             changes = median([c for _, c in values if c is not None])
             rows.append((workload, name, bases, changes, ratio, bound))
@@ -101,6 +102,23 @@ def decide(end_to_end, results):
                     f"{workload}: {name} worse by median pair ratio {ratio:.3f} > {1 + bound:.3f}"
                 )
     return rows, failures
+
+
+def pair_ratios(metric, pairs):
+    """Each pair's worse-by ratio of `metric`, change against base, above 1
+    when the change is worse; pairs missing a value on either side (or
+    holding a zero) are left out."""
+    values = [(value(b, metric["name"]), value(c, metric["name"])) for b, c in pairs]
+    higher = metric["better"] == "higher"
+    return [b / c if higher else c / b for b, c in values if b and c]
+
+
+def ratio_range(metric, pairs):
+    """(lowest, highest) pair ratio of `metric`, or (None, None) when no
+    pair has both values. Printed beside the median; the verdict does not
+    use it."""
+    ratios = pair_ratios(metric, pairs)
+    return (min(ratios), max(ratios)) if ratios else (None, None)
 
 
 def pairs_won(metric, pairs):
@@ -176,11 +194,15 @@ def main(argv):
             results[workload].append((runs["base"], runs["change"]))
     rows, failures = decide(bench["end_to_end"], results)
     metrics = {m["name"]: m for m in bench["end_to_end"]}
-    print(f"\n{'workload':<16} {'metric':<12} {'base':>10} {'change':>10} {'ratio':>7} {'won':>5} bound")
+    print(
+        f"\n{'workload':<16} {'metric':<12} {'base':>10} {'change':>10} {'ratio':>7} "
+        f"{'lowest':>7} {'highest':>7} {'won':>5} bound"
+    )
     for workload, name, *nums, bound in rows:
-        b, c, ratio = ("n/a" if x is None else f"{x:.4g}" for x in nums)
+        lo, hi = ratio_range(metrics[name], results[workload])
+        b, c, ratio, lo, hi = ("n/a" if x is None else f"{x:.4g}" for x in [*nums, lo, hi])
         won = "{}/{}".format(*pairs_won(metrics[name], results[workload]))
-        print(f"{workload:<16} {name:<12} {b:>10} {c:>10} {ratio:>7} {won:>5} {bound}")
+        print(f"{workload:<16} {name:<12} {b:>10} {c:>10} {ratio:>7} {lo:>7} {hi:>7} {won:>5} {bound}")
     for failure in failures:
         print(f"FAIL {failure}")
     print("bench-ab: FAIL" if failures else "bench-ab: PASS")

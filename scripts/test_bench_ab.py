@@ -10,7 +10,7 @@ import sys
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_ab import decide, pairs_won, parse_run  # noqa: E402
+from bench_ab import decide, pair_ratios, pairs_won, parse_run, ratio_range  # noqa: E402
 
 END_TO_END = [
     {"name": "units_per_s", "better": "higher", "bound": 0.25},
@@ -104,6 +104,30 @@ class PairsWonTest(unittest.TestCase):
         changes = [run(units=101.0)] * 2 + [run(units=70.0)] * 3
         self.assertEqual(pairs_won(END_TO_END[0], [(run(), c) for c in changes]), (2, 5))
         self.assertEqual(len(verdict(changes)[1]), 1)
+
+
+class RatioRangeTest(unittest.TestCase):
+    def test_lowest_and_highest_pair_ratio_in_the_metric_direction(self):
+        pairs = [(run(), run(units=u, rss=r)) for u, r in [(125.0, 44.0), (80.0, 40.0), (100.0, 38.0)]]
+        self.assertEqual(ratio_range(END_TO_END[0], pairs), (0.8, 1.25))
+        self.assertEqual(ratio_range(END_TO_END[2], pairs), (0.95, 1.1))
+
+    def test_pairs_missing_a_value_are_left_out(self):
+        missing = run(units=500.0)
+        del missing["doc"]["metrics"]["units_per_s"]
+        pairs = [(run(), run(units=50.0)), (run(), missing), (parse_run(1, ""), run())]
+        self.assertEqual(pair_ratios(END_TO_END[0], pairs), [2.0])
+        self.assertEqual(ratio_range(END_TO_END[0], pairs[1:]), (None, None))
+
+    def test_the_range_does_not_change_the_verdict(self):
+        # One pair far past the bound widens the range; the median of the
+        # five ratios, and so the verdict, stays where it was.
+        changes = [run(units=50.0)] + [run(units=95.0)] * 4
+        pairs = [(run(), c) for c in changes]
+        self.assertEqual(ratio_range(END_TO_END[0], pairs), (100.0 / 95.0, 2.0))
+        rows, failures = verdict(changes)
+        self.assertEqual(failures, [])
+        self.assertAlmostEqual(rows[0][4], 100.0 / 95.0)
 
 
 if __name__ == "__main__":
