@@ -104,11 +104,11 @@ pub fn ad_cell(ci: &tdfm_core::ConfidenceInterval) -> String {
 pub fn render_bars(title: &str, series: &[(String, f32, f32)]) -> String {
     const WIDTH: usize = 40;
     let mut out = format!("{title}\n");
+    // The bar scale, floored so an all-zero panel divides by no zero. A
+    // NaN value gets no bar; its text column still prints NaN.
     let max = series
         .iter()
-        .map(|(_, v, _)| *v)
-        .fold(0.0f32, f32::max)
-        .max(1e-6);
+        .fold(1e-6f32, |m, &(_, v, _)| if v > m { v } else { m });
     for (label, value, half) in series {
         let filled = ((value / max) * WIDTH as f32).round() as usize;
         out.push_str(&format!(

@@ -344,34 +344,41 @@ pub struct Runner {
     log: RunLog,
 }
 
-/// Runs `work(0..count)` on up to [`num_threads`] workers, collecting the
-/// results by index into a pre-sized vector so output order never depends
-/// on scheduling. Each worker runs under an inner thread budget of
+/// Runs `work` on every item on up to [`num_threads`] workers,
+/// collecting the results in item order so output order never depends on
+/// scheduling. Each worker runs under an inner thread budget of
 /// `total / workers`, keeping nested parallelism (tensor kernels, ensemble
 /// members, per-cell repetitions) within the global budget.
-pub(crate) fn run_indexed<T: Send>(count: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+///
+/// Items move into the workers, so an item may be a `&mut` borrow: each
+/// one reaches exactly one call. Pass `0..count` to run by index.
+pub(crate) fn run_indexed<I: Send, T: Send>(
+    items: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Send>,
+    work: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let items = items.into_iter();
+    let count = items.len();
     let budget = num_threads();
     let workers = budget.min(count);
     if workers <= 1 {
-        return (0..count).map(work).collect();
+        return items.map(work).collect();
     }
     let inner = (budget / workers).max(1);
-    let next = AtomicUsize::new(0);
+    // A worker holds the queue lock only to take its next item.
+    let queue = Mutex::new(items.enumerate());
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let next = &next;
+            let queue = &queue;
             let slots = &slots;
             let work = &work;
             scope.spawn(move || {
                 // The budget must be re-established here: thread-locals do
                 // not cross the spawn.
                 with_inner_threads(inner, || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let result = work(i);
+                    let next = queue.lock().expect("queue lock poisoned").next();
+                    let Some((i, item)) = next else { break };
+                    let result = work(item);
                     *slots[i].lock().expect("slot lock poisoned") = Some(result);
                 });
             });
@@ -459,7 +466,7 @@ impl Runner {
     /// Panics if `repetitions == 0`.
     pub fn run(&self, config: &ExperimentConfig) -> ExperimentResult {
         assert!(config.repetitions > 0, "need at least one repetition");
-        let reps = run_indexed(config.repetitions, |r| {
+        let reps = run_indexed(0..config.repetitions, |r| {
             let rep_seed = rep_seed(config.seed, r);
             let _rep_span = span!("repetition", rep = r, seed = rep_seed);
             let started = Instant::now();
@@ -557,7 +564,7 @@ impl Runner {
         let total = configs.len();
         let grid_started = Instant::now();
         let completed = AtomicUsize::new(0);
-        run_indexed(total, |i| {
+        run_indexed(0..total, |i| {
             let config = &configs[i];
             let _cell_span = span!(
                 "cell",

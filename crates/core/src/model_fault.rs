@@ -200,7 +200,7 @@ impl ModelFaultRunner {
         assert!(!sweep.techniques.is_empty(), "sweep needs techniques");
         assert!(!sweep.plans.is_empty(), "sweep needs fault plans");
         assert!(sweep.repetitions > 0, "need at least one repetition");
-        let per_technique = run_indexed(sweep.techniques.len(), |t| {
+        let per_technique = run_indexed(0..sweep.techniques.len(), |t| {
             let kind = sweep.techniques[t];
             let started = Instant::now();
             let results = self.run_technique(sweep, kind);

@@ -42,7 +42,7 @@ impl Ensemble {
 impl Mitigation for Ensemble {
     fn fit(&self, _model: ModelKind, train: &LabeledDataset, ctx: &TrainContext) -> FittedModel {
         let targets = TargetSource::Hard(train.labels().to_vec());
-        FittedModel::Ensemble(run_indexed(self.len, |i| {
+        FittedModel::Ensemble(run_indexed(0..self.len, |i| {
             let mut cfg = ctx.model_config(train);
             // Decorrelate members: distinct init and batch order.
             cfg.seed = ctx.seed ^ ((i as u64 + 1) * 0x9E37_79B9);

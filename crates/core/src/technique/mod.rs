@@ -79,7 +79,9 @@ impl TrainContext {
         if min_epochs > self.fit.epochs {
             self.fit.epochs = min_epochs;
             // Stretch the decay schedule over the longer run.
-            self.fit.lr_decay = self.fit.lr_decay.max(0.97);
+            if self.fit.lr_decay < 0.97 {
+                self.fit.lr_decay = 0.97;
+            }
         }
     }
 

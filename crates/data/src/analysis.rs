@@ -100,7 +100,8 @@ pub fn separability_index(ds: &LabeledDataset) -> f32 {
     }
     assert!(pairs > 0, "need at least two populated classes");
     let inter = (inter / pairs as f64) as f32;
-    inter / scatter.max(1e-6)
+    // Floor the divisor; a NaN scatter stays NaN.
+    inter / if scatter < 1e-6 { 1e-6 } else { scatter }
 }
 
 /// Imbalance ratio: most frequent class count over least frequent

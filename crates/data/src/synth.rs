@@ -239,7 +239,7 @@ fn apply_focus(img: &mut [f32], channels: usize, side: usize, focus: f32) {
             for j in 0..side {
                 let d = ((i as f32 - centre).powi(2) + (j as f32 - centre).powi(2)).sqrt() / max_d;
                 let mask = 1.0 - focus * d;
-                plane[i * side + j] *= mask.max(0.0);
+                plane[i * side + j] *= if mask < 0.0 { 0.0 } else { mask };
             }
         }
     }

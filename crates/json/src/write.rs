@@ -105,7 +105,6 @@ fn write_number(n: Number, out: &mut String) {
             // f32 values; non-finite floats become null. Callers that must
             // not launder (checkpoints) serialise raw bits, not floats —
             // see tdfm-nn's SavedModel `params_bits`.
-            // tdfm-lint: allow(nan-laundering, JSON has no NaN/Inf literal; serde_json-compatible null keeps result files parseable)
             if v.is_finite() {
                 let start = out.len();
                 let _ = write!(out, "{v}");
@@ -118,7 +117,6 @@ fn write_number(n: Number, out: &mut String) {
 }
 
 fn write_float(v: f64, out: &mut String) {
-    // tdfm-lint: allow(nan-laundering, JSON has no NaN/Inf literal; serde_json-compatible null keeps result files parseable)
     if v.is_finite() {
         let start = out.len();
         let _ = write!(out, "{v}");

@@ -16,6 +16,6 @@ pub use conv::Conv2d;
 pub use dense::Dense;
 pub use dropout::Dropout;
 pub use flatten::Flatten;
-pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
+pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use residual::ResidualBlock;
 pub use sequential::Sequential;

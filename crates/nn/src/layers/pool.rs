@@ -2,9 +2,8 @@
 
 use crate::layer::{Layer, Mode};
 use tdfm_tensor::ops::{
-    avg_pool2d_backward_with, avg_pool2d_forward_with, global_avg_pool_backward_with,
-    global_avg_pool_forward_with, max_pool2d_backward_with, max_pool2d_forward_train_with,
-    max_pool2d_forward_with, MaxPoolCache,
+    global_avg_pool_backward_with, global_avg_pool_forward_with, max_pool2d_backward_with,
+    max_pool2d_forward_train_with, max_pool2d_forward_with, MaxPoolCache,
 };
 use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
 
@@ -67,53 +66,6 @@ impl Layer for MaxPool2d {
 
     fn name(&self) -> &'static str {
         "MaxPool2d"
-    }
-}
-
-/// Average pooling over square windows.
-#[derive(Debug, Clone)]
-pub struct AvgPool2d {
-    k: usize,
-    s: usize,
-    input_dims: Vec<usize>,
-    scratch: ScratchHandle,
-}
-
-impl AvgPool2d {
-    /// Creates an average pool with window `k` and stride `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or `s == 0`.
-    pub fn new(k: usize, s: usize) -> Self {
-        assert!(k > 0 && s > 0, "pool window and stride must be positive");
-        Self {
-            k,
-            s,
-            input_dims: Vec::new(),
-            scratch: Scratch::shared().clone(),
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        self.input_dims.clear();
-        self.input_dims.extend_from_slice(input.shape().dims());
-        avg_pool2d_forward_with(input, self.k, self.s, &self.scratch)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(!self.input_dims.is_empty(), "forward before backward");
-        avg_pool2d_backward_with(grad_output, &self.input_dims, self.k, self.s, &self.scratch)
-    }
-
-    fn bind_scratch(&mut self, scratch: &ScratchHandle) {
-        self.scratch = scratch.clone();
-    }
-
-    fn name(&self) -> &'static str {
-        "AvgPool2d"
     }
 }
 
@@ -215,14 +167,5 @@ mod tests {
         assert!(y.data().iter().all(|&v| (v - 1.0).abs() < 1e-6));
         let gx = p.backward(&Tensor::ones(&[2, 3]));
         assert_eq!(gx.shape().dims(), &[2, 3, 4, 4]);
-    }
-
-    #[test]
-    fn avg_pool_layer_gradient_is_uniform() {
-        let mut p = AvgPool2d::new(2, 2);
-        let x = Tensor::ones(&[1, 1, 4, 4]);
-        let _ = p.forward(&x, Mode::Train);
-        let gx = p.backward(&Tensor::ones(&[1, 1, 2, 2]));
-        assert!(gx.data().iter().all(|&v| (v - 0.25).abs() < 1e-6));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, Mode, Param};
 use crate::layers::Sequential;
-use tdfm_tensor::{Scratch, ScratchHandle, Tensor};
+use tdfm_tensor::{simd, Scratch, ScratchHandle, Tensor};
 
 /// A residual block: `y = relu(main(x) + skip(x))`.
 ///
@@ -76,10 +76,8 @@ impl Layer for ResidualBlock {
             *s = a + b;
         }
         let mut out = self.scratch.tensor_uninit(sum.shape().dims());
-        for (o, &s) in out.data_mut().iter_mut().zip(sum.data()) {
-            // NaN-propagating ReLU, like the standalone layer.
-            *o = if s.is_nan() { s } else { s.max(0.0) };
-        }
+        // The standalone layer's NaN-propagating ReLU kernel.
+        simd::relu_forward(sum.data(), out.data_mut(), None);
         self.scratch.recycle(main_out);
         if let Some(t) = skip_out {
             self.scratch.recycle(t);

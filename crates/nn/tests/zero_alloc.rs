@@ -2,8 +2,8 @@
 //! nothing once warm.
 //!
 //! A counting global allocator wraps the system allocator. For each of the
-//! seven `ModelKind`s, on two input shapes and at every SIMD level this
-//! machine has, the test warms a freshly built network's scratch arena
+//! seven `ModelKind`s, on three input shapes and class counts and at every
+//! SIMD level this machine has, the test warms a freshly built network's scratch arena
 //! with training passes, switches the counter on, and asserts that further
 //! training passes (forward and backward), training steps whose backward
 //! pass stops at the first layer with parameters (the trainer's,
@@ -15,8 +15,10 @@
 //! study trains through: VGG's padded 3×3 convolution over 1×1 planes,
 //! MobileNet's depthwise convolutions at stride 1 and 2 and its pointwise
 //! ones, ResNet's strided 3×3 convolution and strided 1×1 projection, max
-//! and global-average pooling, batch norm, dropout, and the packed GEMM
-//! behind the dense heads. A batch of 10 leaves a ragged lane block.
+//! and global-average pooling, batch norm, dropout, and the packed and
+//! direct GEMM behind the dense heads. A batch of 10 leaves a ragged lane
+//! block. Every public kernel entry in `ops::{conv,gemm,matmul,pool}` is
+//! reached, except `ops::matmul`, the tests' reference product.
 //!
 //! The test pins the thread count to 1 so the parallel helpers take their
 //! inline (allocation-free) serial path, and it gives each network a
@@ -86,9 +88,12 @@ const BATCH: usize = 10;
 /// Mini-batch of the `Network::logits` check: three chunks of a batch.
 const LOGITS_BATCH: usize = 4;
 
-/// The input shapes: CIFAR-like colour, and greyscale large enough that
-/// VGG pools down to 1×1 planes one stage earlier.
-const SHAPES: [(usize, usize, usize); 2] = [(3, 8, 8), (1, 16, 16)];
+/// The input shapes and class counts: CIFAR-like colour, greyscale large
+/// enough that VGG pools down to 1×1 planes one stage earlier, and that
+/// greyscale with Pneumonia's two classes, whose heads are too narrow for
+/// the packed GEMM and take the direct loops (`gemm_direct*`).
+const CASES: [((usize, usize, usize), usize); 3] =
+    [((3, 8, 8), 10), ((1, 16, 16), 10), ((1, 16, 16), 2)];
 
 /// Heap allocations made by `passes` calls of `pass`.
 fn allocations(passes: usize, mut pass: impl FnMut()) -> u64 {
@@ -165,17 +170,17 @@ fn every_model_trains_and_evaluates_without_allocating() {
     parallel::set_num_threads(1);
     for level in available_levels() {
         force_simd(Some(level));
-        for in_shape in SHAPES {
+        for (in_shape, classes) in CASES {
             let (c, h, w) = in_shape;
             let x = Tensor::randn(&[BATCH, c, h, w], 1.0, &mut Rng::seed_from(0x5EED));
             for kind in ModelKind::ALL {
                 let cfg = ModelConfig {
                     in_shape,
-                    classes: 10,
+                    classes,
                     width: 4,
                     seed: 7,
                 };
-                let name = format!("{kind} on {c}x{h}x{w} at {level:?}");
+                let name = format!("{kind} on {c}x{h}x{w}, {classes} classes, at {level:?}");
                 assert_steady_state_allocates_nothing(&name, kind.build(&cfg), &x);
             }
         }

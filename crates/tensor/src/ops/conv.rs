@@ -1314,6 +1314,28 @@ mod tests {
         /// Only `+0.0`, `-0.0`, `1.0` and `-1.0`, so many products are
         /// signed zeros.
         SignedZeros,
+        /// Normal samples, then a NaN at element 0 of the first operand
+        /// and every element of the second `+0.0`.
+        NanOnZeros(Operand, Operand),
+    }
+
+    /// An operand of the convolution and its gradients.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Operand {
+        Input,
+        Weight,
+        OutputGrad,
+    }
+
+    fn pick<'t>(
+        operand: Operand,
+        (x, wt, gy): (&'t mut Tensor, &'t mut Tensor, &'t mut Tensor),
+    ) -> &'t mut Tensor {
+        match operand {
+            Operand::Input => x,
+            Operand::Weight => wt,
+            Operand::OutputGrad => gy,
+        }
     }
 
     fn operand(dims: &[usize], std: f32, data: Data, rng: &mut Rng) -> Tensor {
@@ -1341,14 +1363,18 @@ mod tests {
             groups,
         };
         let mut rng = Rng::seed_from(seed);
-        let x = operand(&[n, c, side, side], 1.0, data, &mut rng);
+        let mut x = operand(&[n, c, side, side], 1.0, data, &mut rng);
         let mut wt = operand(&[o, c / groups, k, k], 0.5, data, &mut rng);
         if let Data::Poisoned(v, i) = data {
             wt.data_mut()[i] = v;
         }
         let bias = operand(&[o], 0.5, data, &mut rng);
         let oh = conv_out_dim(side, k, stride, pad);
-        let gy = operand(&[n, o, oh, oh], 1.0, data, &mut rng);
+        let mut gy = operand(&[n, o, oh, oh], 1.0, data, &mut rng);
+        if let Data::NanOnZeros(nan, zero) = data {
+            pick(nan, (&mut x, &mut wt, &mut gy)).data_mut()[0] = f32::NAN;
+            pick(zero, (&mut x, &mut wt, &mut gy)).fill(0.0);
+        }
         let want = reference(&x, &wt, &bias, &gy, spec);
         for threads in [1, 2, 3] {
             let label = format!("{geometry:?} seed {seed} at {threads} threads");
@@ -1481,6 +1507,42 @@ mod tests {
                         "{geometry:?}: the poisoned tap must reach some elements and miss others"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_times_a_zero_stays_nan_in_every_gradient() {
+        // Each case zeroes one operand of a gradient's products and puts a
+        // NaN in the other: a kernel that skipped products with a zero
+        // operand (a "sparsity skip") would drop the NaN the reference
+        // keeps.
+        use Operand::{Input, OutputGrad, Weight};
+        let cases = [
+            (OutputGrad, Weight, Input),
+            (Weight, OutputGrad, Input),
+            (Input, OutputGrad, Weight),
+            (OutputGrad, Input, Weight),
+        ];
+        let geometries: [Geometry; 3] = [
+            (9, 2, 5, 3, 3, 1, 1, 1), // 5x5 output: weight gradient in sample lanes
+            (9, 3, 2, 5, 3, 1, 1, 1), // 2x2 output: weight gradient in tap lanes
+            (9, 4, 6, 4, 3, 2, 1, 4), // depthwise at stride 2
+        ];
+        for (i, geometry) in geometries.into_iter().enumerate() {
+            for (nan, zero, gradient) in cases {
+                let data = Data::NanOnZeros(nan, zero);
+                let want = check_against_reference(geometry, 3700 + i as u64, data);
+                let grad = if gradient == Input {
+                    &want.gx
+                } else {
+                    &want.gw
+                };
+                assert!(
+                    grad.data().iter().any(|v| v.is_nan()),
+                    "{geometry:?}: the {gradient:?} gradient of NaN {nan:?} times zero {zero:?} \
+                     holds no NaN to lose"
+                );
             }
         }
     }

@@ -609,89 +609,6 @@ pub fn max_pool2d_backward_with(
     grad_input
 }
 
-/// Average pooling over `k`×`k` windows with stride `s`.
-///
-/// Draws the output buffer from `scratch`.
-///
-/// # Panics
-///
-/// Panics if the input is not NCHW or the window does not fit.
-pub fn avg_pool2d_forward_with(input: &Tensor, k: usize, s: usize, scratch: &Scratch) -> Tensor {
-    assert_eq!(input.shape().rank(), 4, "avg pool input must be NCHW");
-    let (n, c, h, w) = (
-        input.shape().dim(0),
-        input.shape().dim(1),
-        input.shape().dim(2),
-        input.shape().dim(3),
-    );
-    let oh = conv_out_dim(h, k, s, 0);
-    let ow = conv_out_dim(w, k, s, 0);
-    let mut out = scratch.tensor_uninit(&[n, c, oh, ow]);
-    let x = input.data();
-    let plane_in = h * w;
-    let plane_out = oh * ow;
-    let inv = 1.0 / (k * k) as f32;
-    parallel_chunks_mut(out.data_mut(), plane_out, k * k, |p, y| {
-        let plane = &x[p * plane_in..(p + 1) * plane_in];
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let mut acc = 0.0;
-                for ki in 0..k {
-                    for kj in 0..k {
-                        acc += plane[(oi * s + ki) * w + (oj * s + kj)];
-                    }
-                }
-                y[oi * ow + oj] = acc * inv;
-            }
-        }
-    });
-    out
-}
-
-/// Backward pass of [`avg_pool2d_forward_with`].
-///
-/// Draws the gradient buffer from `scratch`.
-///
-/// # Panics
-///
-/// Panics if the geometries are inconsistent.
-pub fn avg_pool2d_backward_with(
-    grad_output: &Tensor,
-    input_dims: &[usize],
-    k: usize,
-    s: usize,
-    scratch: &Scratch,
-) -> Tensor {
-    assert_eq!(input_dims.len(), 4, "input dims must be NCHW");
-    let (h, w) = (input_dims[2], input_dims[3]);
-    let oh = conv_out_dim(h, k, s, 0);
-    let ow = conv_out_dim(w, k, s, 0);
-    assert_eq!(
-        grad_output.shape().dims(),
-        &[input_dims[0], input_dims[1], oh, ow],
-        "grad_output shape mismatch"
-    );
-    let mut grad_input = scratch.tensor_zeroed(input_dims);
-    let plane_in = h * w;
-    let plane_out = oh * ow;
-    let gy = grad_output.data();
-    let inv = 1.0 / (k * k) as f32;
-    parallel_chunks_mut(grad_input.data_mut(), plane_in, k * k, |p, gx| {
-        let gy_plane = &gy[p * plane_out..(p + 1) * plane_out];
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let g = gy_plane[oi * ow + oj] * inv;
-                for ki in 0..k {
-                    for kj in 0..k {
-                        gx[(oi * s + ki) * w + (oj * s + kj)] += g;
-                    }
-                }
-            }
-        }
-    });
-    grad_input
-}
-
 /// Collapses each channel plane to its mean: `[N,C,H,W] -> [N,C]`.
 ///
 /// Draws the output buffer from `scratch`.
@@ -897,33 +814,6 @@ mod tests {
         let (_, cache) = max_pool2d_forward_train_with(&x, 2, 1, Scratch::shared());
         let gx = max_pool2d_backward_with(&Tensor::ones(&[1, 1, 2, 2]), &cache, Scratch::shared());
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn avg_pool_matches_mean() {
-        let x = Tensor::from_vec((1..=16).map(|v| v as f32).collect(), &[1, 1, 4, 4]);
-        let y = avg_pool2d_forward_with(&x, 2, 2, Scratch::shared());
-        assert_eq!(y.data(), &[3.5, 5.5, 11.5, 13.5]);
-    }
-
-    #[test]
-    fn avg_pool_backward_finite_differences() {
-        let mut rng = Rng::seed_from(1);
-        let x = Tensor::randn(&[1, 2, 4, 4], 1.0, &mut rng);
-        let y = avg_pool2d_forward_with(&x, 2, 2, Scratch::shared());
-        let gy = Tensor::ones(y.shape().dims());
-        let gx = avg_pool2d_backward_with(&gy, x.shape().dims(), 2, 2, Scratch::shared());
-        let eps = 1e-2;
-        for i in [0usize, 9, 21, 31] {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let num = (avg_pool2d_forward_with(&xp, 2, 2, Scratch::shared()).sum()
-                - avg_pool2d_forward_with(&xm, 2, 2, Scratch::shared()).sum())
-                / (2.0 * eps);
-            assert!((num - gx.data()[i]).abs() < 1e-3);
-        }
     }
 
     #[test]

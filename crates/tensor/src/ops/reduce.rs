@@ -26,7 +26,10 @@ pub fn softmax_rows(logits: &Tensor, temperature: f32) -> Tensor {
     let k = logits.shape().dim(1);
     let mut out = logits.clone();
     for row in out.data_mut().chunks_mut(k) {
-        // tdfm-lint: allow(nan-laundering, max-shift for numerical stability only; a NaN row element still reaches (x - max).exp() below and propagates)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "max-shift for numerical stability only; a NaN row element still reaches the exp below and propagates"
+        )]
         let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
         // The exp + running sum is a *serial* fold — vector lanes would
         // reassociate it — so it stays scalar; the normalisation sweep is
@@ -51,7 +54,10 @@ pub fn log_softmax_rows(logits: &Tensor) -> Tensor {
     let k = logits.shape().dim(1);
     let mut out = logits.clone();
     for row in out.data_mut().chunks_mut(k) {
-        // tdfm-lint: allow(nan-laundering, max-shift for numerical stability only; a NaN row element still reaches (x - max).exp() below and propagates)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "max-shift for numerical stability only; a NaN row element still reaches the exp below and propagates"
+        )]
         let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
         let log_sum = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
         // `x - log_sum` == `x + (-log_sum)` exactly (IEEE negation is

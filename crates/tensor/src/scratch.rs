@@ -137,7 +137,6 @@ impl Scratch {
     fn checkout_aligned(&self, len: usize) -> AlignedVec {
         let picked = {
             let mut pool = self.f32_pool.lock().expect("scratch pool poisoned");
-            // tdfm-lint: allow(lock-held-across-call, best_fit only scans the locked pool itself; it takes no lock and cannot block)
             best_fit(&mut pool, len, AlignedVec::capacity)
         };
         let mut buf = match picked {
@@ -173,7 +172,6 @@ impl Scratch {
     fn checkout_tensor_vec(&self, len: usize) -> Vec<f32> {
         let picked = {
             let mut pool = self.tensor_pool.lock().expect("scratch pool poisoned");
-            // tdfm-lint: allow(lock-held-across-call, best_fit only scans the locked pool itself; it takes no lock and cannot block)
             best_fit(&mut pool, len, |b: &Vec<f32>| b.capacity())
         };
         match picked {
@@ -228,7 +226,6 @@ impl Scratch {
     pub fn take_u32(&self, len: usize) -> ScratchBufU32<'_> {
         let picked = {
             let mut pool = self.u32_pool.lock().expect("scratch pool poisoned");
-            // tdfm-lint: allow(lock-held-across-call, best_fit only scans the locked pool itself; it takes no lock and cannot block)
             best_fit(&mut pool, len, |b: &Vec<u32>| b.capacity())
         };
         let buf = match picked {

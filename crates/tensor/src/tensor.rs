@@ -224,9 +224,19 @@ impl Tensor {
         self.sum() / self.numel() as f32
     }
 
-    /// Largest absolute element (useful for gradient diagnostics).
+    /// Largest absolute element (useful for gradient diagnostics); NaN
+    /// when any element is NaN, so a bound such as `max_abs() < eps`
+    /// fails on a NaN tensor.
     pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+        self.data.iter().fold(0.0f32, |m, &x| {
+            let a = x.abs();
+            // Once `m` is NaN neither test holds, so NaN stays.
+            if a > m || a.is_nan() {
+                a
+            } else {
+                m
+            }
+        })
     }
 
     /// `true` when any element is NaN or infinite.
@@ -397,6 +407,23 @@ mod tests {
         assert!(!t.has_non_finite());
         t.data_mut()[0] = f32::NAN;
         assert!(t.has_non_finite());
+    }
+
+    #[test]
+    fn max_abs_is_nan_when_any_element_is_nan() {
+        // `max_abs() < eps` must fail on a NaN tensor, wherever the NaN is.
+        for data in [
+            vec![f32::NAN, f32::NAN],
+            vec![f32::NAN, 5.0],
+            vec![1.0, f32::NAN, -3.0],
+        ] {
+            let t = Tensor::from_vec(data.clone(), &[data.len()]);
+            assert!(t.max_abs().is_nan(), "{data:?}");
+        }
+        let t = Tensor::from_vec(vec![1.0, -3.0, 2.0, f32::NEG_INFINITY], &[4]);
+        assert_eq!(t.max_abs(), f32::INFINITY);
+        assert_eq!(Tensor::from_vec(vec![1.0, -3.0], &[2]).max_abs(), 3.0);
+        assert_eq!(Tensor::zeros(&[3]).max_abs(), 0.0);
     }
 
     #[test]

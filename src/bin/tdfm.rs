@@ -11,7 +11,6 @@
 //! tdfm report --profile TRACE...      span-tree profile of a JSONL trace
 //! tdfm figures FILE [--out DIR]       render result JSONs to SVG figures
 //! tdfm diff-results A B               compare result JSONs, timings ignored
-//! tdfm lint [--json] [--sarif F]      static analysis (kernel invariants)
 //! tdfm help                           this text
 //! ```
 //!
@@ -79,25 +78,7 @@ enum Command {
         recorded: String,
         fresh: String,
     },
-    Lint(LintArgs),
     Help,
-}
-
-#[derive(Debug, Clone, PartialEq, Default)]
-struct LintArgs {
-    /// Emit the machine-readable JSON report instead of text.
-    json: bool,
-    /// Alternative config file (default: `<root>/lint.toml` if present).
-    config: Option<String>,
-    /// Workspace root to lint (default: current directory).
-    root: Option<String>,
-    /// Also write a SARIF 2.1.0 document to this path (for CI upload).
-    sarif: Option<String>,
-    /// Write a small run manifest (files checked, findings, wall time)
-    /// to this path.
-    manifest: Option<String>,
-    /// Fail (exit 1) if the lint run takes longer than this many seconds.
-    time_budget: Option<u64>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -310,32 +291,6 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
             }),
             _ => Err("diff-results requires exactly two result files".to_string()),
         },
-        "lint" => {
-            let mut lint = LintArgs::default();
-            let mut it = rest.iter();
-            while let Some(flag) = it.next() {
-                if flag == "--json" {
-                    lint.json = true;
-                    continue;
-                }
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag '{flag}' requires a value"))?;
-                match flag.as_str() {
-                    "--config" => lint.config = Some(value.clone()),
-                    "--root" => lint.root = Some(value.clone()),
-                    "--sarif" => lint.sarif = Some(value.clone()),
-                    "--manifest" => lint.manifest = Some(value.clone()),
-                    "--time-budget" => {
-                        lint.time_budget = Some(value.parse().map_err(|_| {
-                            format!("--time-budget expects whole seconds, got '{value}'")
-                        })?)
-                    }
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Lint(lint))
-        }
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(format!("unknown command '{other}' (try 'tdfm help')")),
     }
@@ -584,82 +539,8 @@ fn cmd_diff_results(recorded: &str, fresh: &str) -> Result<(), String> {
         ),
     }
     // Drift already reported on stdout; exit 1 distinguishes it from
-    // usage/IO errors (exit 2), mirroring `tdfm lint`.
+    // usage/IO errors (exit 2).
     std::process::exit(1);
-}
-
-fn cmd_lint(args: &LintArgs) -> Result<(), String> {
-    let root = std::path::PathBuf::from(args.root.as_deref().unwrap_or("."));
-    // tdfm-lint: allow(nondeterministic-time, lint wall time is operator telemetry for the CI time budget; it is recorded in the lint manifest, never in a golden)
-    let started = std::time::Instant::now();
-    let report = tdfm::lint::run(&root, args.config.as_deref().map(std::path::Path::new))?;
-    let wall_seconds = started.elapsed().as_secs_f64();
-    if args.json {
-        println!(
-            "{}",
-            tdfm::lint::report_json(&report.diagnostics, report.files_checked)
-        );
-    } else {
-        print!(
-            "{}",
-            tdfm::lint::report_text(&report.diagnostics, report.files_checked)
-        );
-    }
-    if let Some(path) = &args.sarif {
-        std::fs::write(path, tdfm::lint::report_sarif(&report.diagnostics))
-            .map_err(|e| format!("cannot write SARIF to {path}: {e}"))?;
-    }
-    if let Some(path) = &args.manifest {
-        let manifest = lint_manifest(&report, wall_seconds, args.time_budget);
-        std::fs::write(path, manifest)
-            .map_err(|e| format!("cannot write lint manifest to {path}: {e}"))?;
-    }
-    let over_budget = args.time_budget.is_some_and(|b| wall_seconds > b as f64);
-    if over_budget {
-        eprintln!(
-            "tdfm-lint: run took {wall_seconds:.2}s, over the {}s budget",
-            args.time_budget.unwrap_or(0)
-        );
-    }
-    if report.diagnostics.is_empty() && !over_budget {
-        Ok(())
-    } else {
-        // Findings/budget already reported; exit 1 distinguishes them from
-        // usage/IO errors (exit 2).
-        std::process::exit(1);
-    }
-}
-
-/// A small JSON manifest of one lint run, mirroring the shape of the
-/// training run manifests: what was checked, what was found, how long it
-/// took. CI commits this next to the SARIF artifact.
-fn lint_manifest(
-    report: &tdfm::lint::LintReport,
-    wall_seconds: f64,
-    time_budget: Option<u64>,
-) -> String {
-    use tdfm::json::{Number, Value};
-    let budget = match time_budget {
-        Some(b) => Value::Num(Number::UInt(b)),
-        None => Value::Null,
-    };
-    let doc = Value::Object(vec![
-        ("tool".to_string(), Value::Str("tdfm-lint".to_string())),
-        (
-            "files_checked".to_string(),
-            Value::Num(Number::UInt(report.files_checked as u64)),
-        ),
-        (
-            "findings".to_string(),
-            Value::Num(Number::UInt(report.diagnostics.len() as u64)),
-        ),
-        (
-            "wall_seconds".to_string(),
-            Value::Num(Number::F64(wall_seconds)),
-        ),
-        ("time_budget_seconds".to_string(), budget),
-    ]);
-    tdfm::json::to_string_pretty(&doc)
 }
 
 fn main() {
@@ -693,7 +574,6 @@ fn main() {
         }) => cmd_report(&paths, profile, collapsed),
         Ok(Command::Figures { input, out }) => cmd_figures(&input, &out),
         Ok(Command::DiffResults { recorded, fresh }) => cmd_diff_results(&recorded, &fresh),
-        Ok(Command::Lint(lint)) => cmd_lint(&lint),
         Ok(Command::Help) => {
             print!("{}", HELP);
             Ok(())
@@ -728,14 +608,6 @@ USAGE:
   tdfm diff-results A B            compare two result JSONs with timing
                                    fields normalised; exit 1 on drift
                                    (the CI gate for committed results)
-  tdfm lint [--json] [--config FILE] [--root DIR]
-            [--sarif FILE] [--manifest FILE] [--time-budget SECS]
-                                   static analysis of the workspace sources
-                                   (kernel/determinism invariants; exit 1
-                                   on any finding or blown time budget;
-                                   --sarif writes a SARIF 2.1.0 report,
-                                   --manifest records files/findings/wall
-                                   time for the CI lint stage)
   tdfm help                        this text
 
 OPTIONS (run/detect):
@@ -933,32 +805,6 @@ mod tests {
         assert!(!text.contains("3.5"), "{text}");
         assert!(!text.contains("9.0"), "{text}");
         assert!(text.contains("0.5"), "AD must survive: {text}");
-    }
-
-    #[test]
-    fn lint_parses_flags() {
-        assert_eq!(
-            parse_command(&argv("lint")).unwrap(),
-            Command::Lint(LintArgs::default())
-        );
-        assert_eq!(
-            parse_command(&argv(
-                "lint --json --config other.toml --root /tmp/repo \
-                 --sarif lint.sarif --manifest lint-manifest.json --time-budget 10"
-            ))
-            .unwrap(),
-            Command::Lint(LintArgs {
-                json: true,
-                config: Some("other.toml".to_string()),
-                root: Some("/tmp/repo".to_string()),
-                sarif: Some("lint.sarif".to_string()),
-                manifest: Some("lint-manifest.json".to_string()),
-                time_budget: Some(10),
-            })
-        );
-        assert!(parse_command(&argv("lint --config")).is_err());
-        assert!(parse_command(&argv("lint --bogus x")).is_err());
-        assert!(parse_command(&argv("lint --time-budget fast")).is_err());
     }
 
     #[test]

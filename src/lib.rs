@@ -19,10 +19,6 @@
 //! * [`survey`] — Table I's candidate techniques and selection criteria.
 //! * [`json`] — the dependency-free JSON reader/writer every result file
 //!   goes through.
-//! * [`lint`] — the project's own static analyzer (`tdfm lint`): the
-//!   NaN-propagation, zero-alloc and determinism rules clippy has no
-//!   counterpart for (generic hygiene is clippy's, via
-//!   `[workspace.lints.clippy]`).
 //! * [`obs`] — zero-dependency structured tracing, metrics and run
 //!   manifests (`TDFM_LOG`, `TDFM_TRACE`, `tdfm report`).
 //! * [`core`] — the five TDFM techniques, the accuracy-delta metric, the
@@ -64,7 +60,6 @@ pub use tdfm_core as core;
 pub use tdfm_data as data;
 pub use tdfm_inject as inject;
 pub use tdfm_json as json;
-pub use tdfm_lint as lint;
 pub use tdfm_nn as nn;
 pub use tdfm_obs as obs;
 pub use tdfm_survey as survey;
