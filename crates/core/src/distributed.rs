@@ -1465,7 +1465,21 @@ mod tests {
 
     #[test]
     fn sharded_training_is_byte_identical_across_thread_budgets() {
+        // The shards' images are scaled by 1000, 1, 100 and 10, so the
+        // workers' losses differ by orders of magnitude and summing them in
+        // another order than the fixed one changes the epoch losses' bits.
+        // A round-loss sum in `HashMap` order changes them in about nine of
+        // ten runs, so three budgets are compared with the first.
         let (shards, _) = tiny_shards(4, 22);
+        let shards: Vec<LabeledDataset> = shards
+            .iter()
+            .zip([1000.0, 1.0, 100.0, 10.0])
+            .map(|(s, scale)| {
+                let mut images = s.images().clone();
+                images.data_mut().iter_mut().for_each(|v| *v *= scale);
+                LabeledDataset::new(images, s.labels().to_vec(), s.classes())
+            })
+            .collect();
         let config = tiny_model_config(&shards, 23);
         let run = |threads: usize| {
             with_inner_threads(threads, || {
@@ -1482,7 +1496,10 @@ mod tests {
                 (weights, losses)
             })
         };
-        assert_eq!(run(1), run(4));
+        let want = run(1);
+        for threads in 2..=4 {
+            assert!(run(threads) == want, "{threads} threads differ from 1");
+        }
     }
 
     #[test]

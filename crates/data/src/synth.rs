@@ -7,6 +7,13 @@
 //! borrowed from another class's prototype. The knobs map one-to-one onto
 //! the properties the paper uses to explain per-dataset differences
 //! (Section IV-D): focus, clutter, class count and class imbalance.
+//!
+//! Every result rests on these bits (the `registry.rs` digests pin them
+//! at tiny and smoke scale), so the fast paths keep them: a field's
+//! channels draw their lattices in one [`Rng::fill_normal`] (consecutive
+//! fills with one `std` are one fill), each axis coordinate's bilinear
+//! cell and weight are computed once per field, and the prototypes once
+//! for all splits ([`SynthSpec::generate_splits`]).
 
 use crate::LabeledDataset;
 use tdfm_tensor::rng::Rng;
@@ -114,12 +121,30 @@ impl SynthSpec {
     ///
     /// Panics if `n == 0` or the spec is degenerate (no classes/pixels).
     pub fn generate(&self, n: usize, sample_seed: u64) -> LabeledDataset {
-        assert!(n > 0, "cannot generate an empty dataset");
+        let [ds] = self.generate_splits([(n, sample_seed)]);
+        ds
+    }
+
+    /// [`SynthSpec::generate`] for each `(n, sample_seed)` split, computing
+    /// the class prototypes once for all of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a split is empty or the spec is degenerate.
+    pub fn generate_splits<const S: usize>(
+        &self,
+        splits: [(usize, u64); S],
+    ) -> [LabeledDataset; S] {
         assert!(
             self.classes > 0 && self.channels > 0 && self.side > 0,
             "degenerate spec"
         );
         let protos = self.prototypes();
+        splits.map(|(n, sample_seed)| self.render(&protos, n, sample_seed))
+    }
+
+    fn render(&self, protos: &[Vec<f32>], n: usize, sample_seed: u64) -> LabeledDataset {
+        assert!(n > 0, "cannot generate an empty dataset");
         let counts = self.weights.counts(self.classes, n);
         let mut labels = Vec::with_capacity(n);
         for (k, &c) in counts.iter().enumerate() {
@@ -131,7 +156,7 @@ impl SynthSpec {
         let pix = self.channels * self.side * self.side;
         let mut images = Tensor::zeros(&[n, self.channels, self.side, self.side]);
         for (i, &label) in labels.iter().enumerate() {
-            let sample = self.render_sample(&protos, label as usize, &mut rng);
+            let sample = self.render_sample(protos, label as usize, &mut rng);
             images.data_mut()[i * pix..(i + 1) * pix].copy_from_slice(&sample);
         }
         LabeledDataset::new(images, labels, self.classes)
@@ -196,6 +221,10 @@ impl SynthSpec {
 
 /// A smooth random field: a `grid x grid` Gaussian lattice per channel,
 /// bilinearly upsampled to `side x side` and scaled by `amplitude`.
+///
+/// All channels' lattices come from one [`Rng::fill_normal`], channel by
+/// channel, and each axis coordinate's bilinear cell and weight once per
+/// call: both axes map pixel `i` to the same `(i0, i1, d)`.
 pub fn smooth_field(
     channels: usize,
     side: usize,
@@ -204,24 +233,30 @@ pub fn smooth_field(
     rng: &mut Rng,
 ) -> Vec<f32> {
     let g = grid.max(2);
+    if side == 0 {
+        return Vec::new();
+    }
+    let mut lattices = vec![0.0f32; channels * g * g];
+    rng.fill_normal(&mut lattices, amplitude);
+    // Map pixel centre to lattice coordinates.
+    let cells: Vec<(usize, usize, f32)> = (0..side)
+        .map(|i| {
+            let f = i as f32 / (side - 1).max(1) as f32 * (g - 1) as f32;
+            let i0 = f as usize;
+            (i0, (i0 + 1).min(g - 1), f - i0 as f32)
+        })
+        .collect();
     let mut out = vec![0.0f32; channels * side * side];
-    let mut lattice = vec![0.0f32; g * g];
-    for c in 0..channels {
-        rng.fill_normal(&mut lattice, amplitude);
-        let plane = &mut out[c * side * side..(c + 1) * side * side];
-        for i in 0..side {
-            for j in 0..side {
-                // Map pixel centre to lattice coordinates.
-                let fi = i as f32 / (side - 1).max(1) as f32 * (g - 1) as f32;
-                let fj = j as f32 / (side - 1).max(1) as f32 * (g - 1) as f32;
-                let (i0, j0) = (fi as usize, fj as usize);
-                let (i1, j1) = ((i0 + 1).min(g - 1), (j0 + 1).min(g - 1));
-                let (di, dj) = (fi - i0 as f32, fj - j0 as f32);
-                let v = lattice[i0 * g + j0] * (1.0 - di) * (1.0 - dj)
+    for (plane, lattice) in out
+        .chunks_exact_mut(side * side)
+        .zip(lattices.chunks_exact(g * g))
+    {
+        for (row, &(i0, i1, di)) in plane.chunks_exact_mut(side).zip(&cells) {
+            for (v, &(j0, j1, dj)) in row.iter_mut().zip(&cells) {
+                *v = lattice[i0 * g + j0] * (1.0 - di) * (1.0 - dj)
                     + lattice[i1 * g + j0] * di * (1.0 - dj)
                     + lattice[i0 * g + j1] * (1.0 - di) * dj
                     + lattice[i1 * g + j1] * di * dj;
-                plane[i * side + j] = v;
             }
         }
     }

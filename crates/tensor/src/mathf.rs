@@ -20,15 +20,17 @@
 //! ports thus keep the no-FMA bit-identity policy of [`crate::simd`] and
 //! give the same bits at every SIMD level.
 //!
-//! Both functions run over `[f32; N]` with no branch on the data, so the
-//! lane kernel of [`crate::rng::Rng::fill_normal`] (`N = 8`) and
-//! [`crate::rng::Rng::normal`] (`N = 1`) share one body. They cover only
-//! the arguments Box–Muller produces: `logf` positive normal `f32`s below
+//! Both functions run over `[f32; N]` with no branch on the data, so
+//! [`crate::rng::Rng::normal`] (`N = 1`) and
+//! [`crate::rng::Rng::fill_normal`] below AVX2 (`N = 8`) share one body.
+//! `fill_normal`'s AVX2 instance runs an intrinsic copy in `crate::simd`,
+//! which the digest tests hold to the same pins. They cover only the
+//! arguments Box–Muller produces: `logf` positive normal `f32`s below
 //! one, `cosf` finite `f32`s in `[0, 120)`. glibc's special cases (zero,
 //! subnormals, negatives, NaN, `|x| ≥ 120`) are not ported.
 
 /// `logf`'s table: `(1/c, ln c)` for 16 subintervals of `[OFF, 2·OFF)`.
-const LOGF_TAB: [(u64, u64); 16] = [
+pub(crate) static LOGF_TAB: [(u64, u64); 16] = [
     (0x3ff6_61ec_79f8_f3be, 0xbfd5_7bf7_808c_aade),
     (0x3ff5_71ed_4aaf_883d, 0xbfd2_bef0_a7c0_6ddb),
     (0x3ff4_9539_f0f0_10b0, 0xbfd0_1eae_7f51_3a67),
@@ -48,10 +50,10 @@ const LOGF_TAB: [(u64, u64); 16] = [
 ];
 
 /// `ln 2`.
-const LN2: u64 = 0x3fe6_2e42_fefa_39ef;
+pub(crate) const LN2: u64 = 0x3fe6_2e42_fefa_39ef;
 
 /// `log1p(r) ≈ r + A0·r² + A1·r³ + A2·r⁴`.
-const LOGF_POLY: [u64; 3] = [
+pub(crate) const LOGF_POLY: [u64; 3] = [
     0xbfd0_0ea3_48b8_8334,
     0x3fd5_575b_0be0_0b6a,
     0xbfdf_fffe_f20a_4123,
@@ -59,20 +61,20 @@ const LOGF_POLY: [u64; 3] = [
 
 /// The bits of `0x3f33_0000` (≈ 0.7): `logf` splits `x = 2^k · z` with
 /// `z` in `[OFF, 2·OFF)`.
-const OFF: u32 = 0x3f33_0000;
+pub(crate) const OFF: u32 = 0x3f33_0000;
 
 /// `2/π · 2²⁴`: the quadrant lands in bits 24..32 of the product.
-const HPI_INV: u64 = 0x4164_5f30_6dc9_c883;
+pub(crate) const HPI_INV: u64 = 0x4164_5f30_6dc9_c883;
 
 /// `2⁵²`: adding it to a non-negative `f64` below 2⁵² rounds to an
 /// integer held in the low mantissa bits.
-const ROUND_MAGIC: u64 = 0x4330_0000_0000_0000;
+pub(crate) const ROUND_MAGIC: u64 = 0x4330_0000_0000_0000;
 
 /// `π/2`.
-const HPI: u64 = 0x3ff9_21fb_5444_2d18;
+pub(crate) const HPI: u64 = 0x3ff9_21fb_5444_2d18;
 
 /// `cos r ≈ C0 + C1·r² + C2·r⁴ + C3·r⁶ + C4·r⁸` on `|r| ≤ π/4`.
-const COS_POLY: [u64; 5] = [
+pub(crate) const COS_POLY: [u64; 5] = [
     0x3ff0_0000_0000_0000,
     0xbfdf_ffff_fd0c_621c,
     0x3fa5_5553_e106_8f19,
@@ -81,14 +83,14 @@ const COS_POLY: [u64; 5] = [
 ];
 
 /// `sin r ≈ r + S1·r³ + S2·r⁵ + S3·r⁷` on `|r| ≤ π/4`.
-const SIN_POLY: [u64; 3] = [
+pub(crate) const SIN_POLY: [u64; 3] = [
     0xbfc5_5554_5995_a603,
     0x3f81_1076_0523_0bc4,
     0xbf29_94eb_3774_cf24,
 ];
 
 #[inline(always)]
-fn c(bits: u64) -> f64 {
+pub(crate) fn c(bits: u64) -> f64 {
     f64::from_bits(bits)
 }
 
@@ -201,18 +203,28 @@ mod tests {
 
     /// Every `u1` Box–Muller accepts: `k / 2²⁴` for `k` in `1..2²⁴`.
     /// The pin equals the digest of glibc 2.36's `logf` on these inputs.
+    /// `fill_normal`'s AVX2 body, where the CPU has it, must match too.
     #[test]
     fn logf_matches_its_pin_on_every_unit_draw() {
         let got = digest(1..1 << 24, unit, logf, logf);
         assert_eq!(got, 0x3082_b50a_d06e_eacf, "logf digest {got:#018x}");
+        if let Some([logf8, _]) = crate::simd::avx2_logf_cosf() {
+            let got = digest(1..1 << 24, unit, logf8, logf);
+            assert_eq!(got, 0x3082_b50a_d06e_eacf, "AVX2 logf digest {got:#018x}");
+        }
     }
 
     /// Every angle `2π·u2`, `u2 = k / 2²⁴` for `k` in `0..2²⁴`. The pin
     /// equals the digest of glibc 2.36's `cosf` on these inputs.
+    /// `fill_normal`'s AVX2 body, where the CPU has it, must match too.
     #[test]
     fn cosf_matches_its_pin_on_every_angle_draw() {
         let angle = |k| std::f32::consts::TAU * unit(k);
         let got = digest(0..1 << 24, angle, cosf, cosf);
         assert_eq!(got, 0xe07b_64a8_dea8_4cdf, "cosf digest {got:#018x}");
+        if let Some([_, cosf8]) = crate::simd::avx2_logf_cosf() {
+            let got = digest(0..1 << 24, angle, cosf8, cosf);
+            assert_eq!(got, 0xe07b_64a8_dea8_4cdf, "AVX2 cosf digest {got:#018x}");
+        }
     }
 }

@@ -15,11 +15,15 @@
 //! ports of glibc's `logf` and `cosf` (`crate::mathf`), checked bit for
 //! bit against glibc 2.36 on every argument Box–Muller produces. No draw
 //! calls the host libm, so the bits do not depend on the host.
-//! [`Rng::fill_normal`] draws a whole buffer in a lane kernel;
-//! [`Rng::normal`] draws one value through the same body.
+//! [`Rng::normal`] draws one value through `mathf`'s generic body.
+//! [`Rng::fill_normal`] draws eight per step, drawing the next octet's
+//! words while the current octet's math runs: in AVX2 lanes where that
+//! level is dispatched (`crate::simd`, the same `f64` operations in the
+//! same order), through the generic body eight wide otherwise. Every
+//! level gives the bits of repeated `normal()`.
 
 use crate::mathf::{cosf, logf};
-use crate::simd::{run_lanes, LaneKernel, LANES};
+use crate::simd::{self, Lanes, LANES};
 use tdfm_obs::OpTimer;
 
 /// A small, fast, seedable RNG with the handful of distributions the study
@@ -118,25 +122,47 @@ impl Rng {
     /// words, as `normal() * std` for each element in turn, and the same
     /// state afterwards.
     ///
-    /// Each block of [`FILL_BLOCK`] draws takes its `2·len` words first
-    /// and runs Box–Muller in a lane kernel. A block with a zero `u1` word
-    /// (probability 2⁻²⁴ per draw) would shift the pairing of its words:
-    /// it is rewound and replayed through [`Rng::normal`].
+    /// Box–Muller runs eight draws at a time, in AVX2 lanes where that
+    /// level is dispatched (`simd::fill_normal`). An octet with a
+    /// zero `u1` word (probability 2⁻²⁴ per draw) would shift the pairing
+    /// of its words: it is rewound and replayed through [`Rng::normal`].
     pub fn fill_normal(&mut self, out: &mut [f32], std: f32) {
         let _t = OpTimer::start("randn");
-        let mut words = [[0u32; FILL_BLOCK]; 2];
-        for block in out.chunks_mut(FILL_BLOCK) {
+        simd::fill_normal(self, out, std);
+    }
+
+    /// [`Rng::fill_normal`]'s loop, `box_muller` the octet body of the
+    /// dispatched level. The words of each octet are drawn while the
+    /// previous octet's math runs: the serial xoshiro steps and the lane
+    /// arithmetic do not wait on each other.
+    #[inline(always)]
+    pub(crate) fn fill_octets(
+        &mut self,
+        out: &mut [f32],
+        std: f32,
+        box_muller: impl Fn([u32; LANES], [u32; LANES]) -> Lanes,
+    ) {
+        let mut pending: Option<([u32; LANES], [u32; LANES], &mut [f32])> = None;
+        for octet in out.chunks_mut(LANES) {
             let start = self.state;
-            let [w1, w2] = &mut words;
-            for (w1, w2) in w1.iter_mut().zip(w2).take(block.len()) {
+            // A short last octet runs its unused lanes on all-ones words,
+            // whose math is finite; they are not stored.
+            let (mut w1, mut w2) = ([!0u32; LANES], [!0u32; LANES]);
+            for (w1, w2) in w1.iter_mut().zip(&mut w2).take(octet.len()) {
                 (*w1, *w2) = (self.next_u32(), self.next_u32());
             }
-            if w1[..block.len()].iter().any(|&w| w >> 8 == 0) {
-                self.state = start;
-                block.iter_mut().for_each(|v| *v = self.normal() * std);
-            } else {
-                run_lanes(BoxMuller(&words, std, block));
+            if let Some((w1, w2, out)) = pending.take() {
+                store_scaled(box_muller(w1, w2), std, out);
             }
+            if w1.iter().any(|&w| w >> 8 == 0) {
+                self.state = start;
+                octet.iter_mut().for_each(|v| *v = self.normal() * std);
+            } else {
+                pending = Some((w1, w2, octet));
+            }
+        }
+        if let Some((w1, w2, out)) = pending {
+            store_scaled(box_muller(w1, w2), std, out);
         }
     }
 
@@ -209,9 +235,6 @@ impl Rng {
     }
 }
 
-/// Draws per block of [`Rng::fill_normal`].
-const FILL_BLOCK: usize = 64;
-
 /// [`Rng::unit`] of one word: its 24 high bits → all representable
 /// multiples of 2^-24, the standard float conversion.
 #[inline(always)]
@@ -222,31 +245,17 @@ fn unit_of(word: u32) -> f32 {
 /// `sqrt(-2 ln u1) · cos(2π u2)` lane by lane, `u` the [`Rng::unit`] of
 /// each word. A lane whose `w1 >> 8` is zero gets an unspecified value.
 #[inline(always)]
-fn box_muller<const N: usize>(w1: [u32; N], w2: [u32; N]) -> [f32; N] {
+pub(crate) fn box_muller<const N: usize>(w1: [u32; N], w2: [u32; N]) -> [f32; N] {
     let ln = logf(w1.map(unit_of));
     let cos = cosf(w2.map(|w| std::f32::consts::TAU * unit_of(w)));
     std::array::from_fn(|l| (-2.0 * ln[l]).sqrt() * cos[l])
 }
 
-/// [`Rng::fill_normal`]'s kernel: Box–Muller over a block's `u1` and `u2`
-/// words, scaled by `std`, eight draws per step.
-struct BoxMuller<'a>(&'a [[u32; FILL_BLOCK]; 2], f32, &'a mut [f32]);
-
-impl LaneKernel for BoxMuller<'_> {
-    #[inline(always)]
-    fn lane_loop(self) {
-        let BoxMuller([w1, w2], std, out) = self;
-        for (i, out) in out.chunks_mut(LANES).enumerate() {
-            // A short last octet also runs its unused lanes, on words left
-            // from an earlier block (or zero); they are not stored.
-            let lanes = |w: &[u32; FILL_BLOCK]| -> [u32; LANES] {
-                std::array::from_fn(|l| w[i * LANES + l])
-            };
-            let v = box_muller(lanes(w1), lanes(w2));
-            for (o, v) in out.iter_mut().zip(v) {
-                *o = v * std;
-            }
-        }
+/// Stores the first `out.len()` draws of an octet, each times `std`.
+#[inline(always)]
+fn store_scaled(v: Lanes, std: f32, out: &mut [f32]) {
+    for (o, v) in out.iter_mut().zip(v) {
+        *o = v * std;
     }
 }
 
@@ -291,52 +300,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / xs.len() as f32;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    /// `fill_normal` against `normal() * std`, element by element: the
-    /// same bits and the same stream position afterwards.
-    fn assert_fill_matches_normal(rng: &Rng, len: usize, std: f32) {
-        let (mut a, mut b) = (rng.clone(), rng.clone());
-        let mut got = vec![0.0f32; len];
-        a.fill_normal(&mut got, std);
-        let want: Vec<f32> = (0..len).map(|_| b.normal() * std).collect();
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&want), "len {len}");
-        for _ in 0..4 {
-            assert_eq!(a.next_u64(), b.next_u64(), "state after len {len}");
-        }
-    }
-
-    #[test]
-    fn fill_normal_is_repeated_normal() {
-        for (seed, len) in [0usize, 1, 63, 64, 65, 1000].into_iter().enumerate() {
-            assert_fill_matches_normal(&Rng::seed_from(seed as u64), len, 0.37);
-        }
-    }
-
-    /// A zero `u1` word makes `normal` redraw, shifting the pairing of
-    /// every later word; the block holding it must be replayed.
-    #[test]
-    fn fill_normal_replays_a_block_with_a_zero_u1_word() {
-        let mut scan = Rng::seed_from(3);
-        let first_zero = (0u64..)
-            .find(|_| scan.next_u32() >> 8 == 0)
-            .expect("the stream has a zero 24-bit word");
-        // Start 21 draws (42 words) earlier, so the zero word is the u1 of
-        // draw 21, inside the first block; no earlier word is zero.
-        let mut rng = Rng::seed_from(3);
-        assert!(first_zero >= 42);
-        (0..first_zero - 42).for_each(|_| {
-            rng.next_u64();
-        });
-        assert_fill_matches_normal(&rng, 100, 1.0);
-        // The redraw consumed one extra word.
-        let (mut a, mut b) = (rng.clone(), rng);
-        a.fill_normal(&mut [0.0; 100], 1.0);
-        (0..201).for_each(|_| {
-            b.next_u64();
-        });
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! sees precisely the roundings that scalar element `j` would. Reductions
 //! whose scalar form is a *serial* fold (dot products, softmax sums) are
 //! left scalar, because distributing them over lanes reassociates the sum.
-//! Box–Muller's lane kernel (`Rng::fill_normal`) follows the same rule in
-//! `f64`: its ports of glibc's `logf` and `cosf` (`crate::mathf`) keep
-//! every multiply and add separate, as glibc's SSE2 build does, instead of
-//! calling the host libm. See DESIGN.md §2.1a.
+//! Box–Muller (`Rng::fill_normal`) follows the same rule in `f64`: the
+//! ports of glibc's `logf` and `cosf` in `crate::mathf` keep every
+//! multiply and add separate, as glibc's SSE2 build does, instead of
+//! calling the host libm, and `fill_normal`'s AVX2 body repeats those
+//! operations in order in vector lanes (four `f64` lanes a register, the
+//! `logf` table read by gathers). See DESIGN.md §2.1a.
 //!
 //! # NaN discipline
 //!
@@ -42,6 +44,7 @@
     reason = "the vector kernels are target_feature fns over raw intrinsics"
 )]
 
+use crate::rng::{box_muller, Rng};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -365,6 +368,40 @@ pub(crate) fn run_lanes(kernel: impl LaneKernel) {
     }
 }
 
+/// [`Rng::fill_normal`]: its octet loop ([`Rng::fill_octets`]) with
+/// Box–Muller in AVX2 lanes when that level is dispatched, and through the
+/// generic [`crate::mathf`] bodies otherwise. Both run the same `f64` and
+/// `f32` operations in the same order, so every level gives the same bits.
+pub(crate) fn fill_normal(rng: &mut Rng, out: &mut [f32], std: f32) {
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: simd_level() returns Avx2 only when AVX2 was detected.
+        SimdLevel::Avx2 => unsafe { x86::fill_normal_avx2(rng, out, std) },
+        _ => rng.fill_octets(out, std, box_muller),
+    }
+}
+
+/// A function of one octet.
+#[cfg(test)]
+pub(crate) type LaneFn = fn(Lanes) -> Lanes;
+
+/// The AVX2 `logf` and `cosf` bodies of [`fill_normal`] over one octet,
+/// when this CPU has AVX2, so the digest tests of [`crate::mathf`] hold
+/// them to the same pins as the generic bodies.
+#[cfg(test)]
+pub(crate) fn avx2_logf_cosf() -> Option<[LaneFn; 2]> {
+    #[cfg(target_arch = "x86_64")]
+    if best_hardware_level() == SimdLevel::Avx2 {
+        return Some([
+            // SAFETY: AVX2 was detected on this CPU.
+            |x| unsafe { x86::logf_array(x) },
+            // SAFETY: AVX2 was detected on this CPU.
+            |x| unsafe { x86::cosf_array(x) },
+        ]);
+    }
+    None
+}
+
 /// Transposes an 8×8 tile in place: `t[i][j]` and `t[j][i]` swap. A data
 /// move, so every level gives the same bits.
 #[inline(always)]
@@ -501,6 +538,207 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn run_lanes_avx2(kernel: impl super::LaneKernel) {
         kernel.lane_loop();
+    }
+
+    /// Eight floats into a register.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
+    #[cfg(test)]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load8(x: &super::Lanes) -> __m256 {
+        // SAFETY: `x` is eight floats; loadu has no alignment requirement.
+        unsafe { _mm256_loadu_ps(x.as_ptr()) }
+    }
+
+    /// A register into eight floats.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store8(v: __m256) -> super::Lanes {
+        let mut out = [0.0; super::LANES];
+        // SAFETY: `out` is eight floats; storeu has no alignment requirement.
+        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), v) };
+        out
+    }
+
+    /// [`crate::mathf::logf`] over eight lanes: the same `f64` operations
+    /// in the same order, four lanes per `f64` register, the `(1/c, ln c)`
+    /// table read by gathers instead of eight scalar loads.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn logf_lanes(x: __m256) -> __m256 {
+        use crate::mathf::{c, LN2, LOGF_POLY, LOGF_TAB, OFF};
+        let ix = _mm256_castps_si256(x);
+        let tmp = _mm256_sub_epi32(ix, _mm256_set1_epi32(OFF as i32));
+        // Entry `i` of the table is the `f64` pair at `2i` and `2i + 1`.
+        let at = _mm256_and_si256(_mm256_srli_epi32::<19>(tmp), _mm256_set1_epi32(15));
+        let at = _mm256_slli_epi32::<1>(at);
+        let k = _mm256_srai_epi32::<23>(tmp);
+        let top = _mm256_and_si256(tmp, _mm256_set1_epi32(0xff80_0000_u32 as i32));
+        let z = _mm256_castsi256_ps(_mm256_sub_epi32(ix, top));
+        let tab = LOGF_TAB.as_ptr().cast::<f64>();
+        let [a0, a1, a2] = LOGF_POLY.map(|a| _mm256_set1_pd(c(a)));
+        let (one, ln2) = (_mm256_set1_pd(1.0), _mm256_set1_pd(c(LN2)));
+        let half = |at: __m128i, k: __m128i, z: __m128| {
+            // SAFETY: every index is `2i` with `i < 16`, so both gathers
+            // read inside the table's 32 `f64`s.
+            let (invc, logc) = unsafe {
+                (
+                    _mm256_i32gather_pd::<8>(tab, at),
+                    _mm256_i32gather_pd::<8>(tab.add(1), at),
+                )
+            };
+            let (z, k) = (_mm256_cvtps_pd(z), _mm256_cvtepi32_pd(k));
+            let r = _mm256_sub_pd(_mm256_mul_pd(z, invc), one);
+            let y0 = _mm256_add_pd(logc, _mm256_mul_pd(k, ln2));
+            let r2 = _mm256_mul_pd(r, r);
+            let y = _mm256_add_pd(_mm256_mul_pd(a1, r), a2);
+            let y = _mm256_add_pd(_mm256_mul_pd(a0, r2), y);
+            _mm256_cvtpd_ps(_mm256_add_pd(_mm256_mul_pd(y, r2), _mm256_add_pd(y0, r)))
+        };
+        let lo = half(
+            _mm256_castsi256_si128(at),
+            _mm256_castsi256_si128(k),
+            _mm256_castps256_ps128(z),
+        );
+        let hi = half(
+            _mm256_extracti128_si256::<1>(at),
+            _mm256_extracti128_si256::<1>(k),
+            _mm256_extractf128_ps::<1>(z),
+        );
+        _mm256_set_m128(hi, lo)
+    }
+
+    /// [`crate::mathf::cosf`] over eight lanes: the same `f64` operations
+    /// in the same order, the quadrant `n` in `i32` lanes, its parity
+    /// selecting the sine by a blend and its sign flip an `f32` xor.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn cosf_lanes(y: __m256) -> __m256 {
+        use crate::mathf::{c, COS_POLY, HPI, HPI_INV, ROUND_MAGIC, SIN_POLY};
+        let (hpi_inv, magic) = (_mm256_set1_pd(c(HPI_INV)), _mm256_set1_pd(c(ROUND_MAGIC)));
+        let x = [
+            _mm256_cvtps_pd(_mm256_castps256_ps128(y)),
+            _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(y)),
+        ];
+        // `floor(x · 2/π · 2²⁴)` in the low word of each 64-bit lane:
+        // adding the all-ones compare mask subtracts one where the magic
+        // add rounded up.
+        let q = x.map(|x| {
+            let t = _mm256_mul_pd(x, hpi_inv);
+            let r = _mm256_add_pd(t, magic);
+            let up = _mm256_cmp_pd::<_CMP_GT_OQ>(_mm256_sub_pd(r, magic), t);
+            _mm256_castsi256_ps(_mm256_add_epi64(
+                _mm256_castpd_si256(r),
+                _mm256_castpd_si256(up),
+            ))
+        });
+        // The low words of both halves, then back in lane order.
+        let q = _mm256_castps_si256(_mm256_shuffle_ps::<0x88>(q[0], q[1]));
+        let q = _mm256_permute4x64_epi64::<0xd8>(q);
+        let n = _mm256_srai_epi32::<24>(_mm256_add_epi32(q, _mm256_set1_epi32(0x80_0000)));
+        // Bit 0 of `n` in the sign bit, where the blend reads it.
+        let odd = _mm256_slli_epi32::<31>(n);
+        let hpi = _mm256_set1_pd(c(HPI));
+        let [c0, c1, c2, c3, c4] = COS_POLY.map(|a| _mm256_set1_pd(c(a)));
+        let [s0, s1, s2] = SIN_POLY.map(|a| _mm256_set1_pd(c(a)));
+        let half = |x: __m256d, n: __m128i, odd: __m128i| {
+            let x = _mm256_sub_pd(x, _mm256_mul_pd(_mm256_cvtepi32_pd(n), hpi));
+            let x2 = _mm256_mul_pd(x, x);
+            let x4 = _mm256_mul_pd(x2, x2);
+            let cos_hi = _mm256_add_pd(c3, _mm256_mul_pd(x2, c4));
+            let cos_lo = _mm256_add_pd(c0, _mm256_mul_pd(x2, c1));
+            let x6 = _mm256_mul_pd(x4, x2);
+            let cos = _mm256_add_pd(cos_lo, _mm256_mul_pd(x4, c2));
+            let cos = _mm256_add_pd(cos, _mm256_mul_pd(x6, cos_hi));
+            let x3 = _mm256_mul_pd(x, x2);
+            let sin_hi = _mm256_add_pd(s1, _mm256_mul_pd(x2, s2));
+            let x5 = _mm256_mul_pd(x3, x2);
+            let sin = _mm256_add_pd(x, _mm256_mul_pd(x3, s0));
+            let sin = _mm256_add_pd(sin, _mm256_mul_pd(x5, sin_hi));
+            let odd = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(odd));
+            _mm256_cvtpd_ps(_mm256_blendv_pd(cos, sin, odd))
+        };
+        let v = _mm256_set_m128(
+            half(
+                x[1],
+                _mm256_extracti128_si256::<1>(n),
+                _mm256_extracti128_si256::<1>(odd),
+            ),
+            half(x[0], _mm256_castsi256_si128(n), _mm256_castsi256_si128(odd)),
+        );
+        // Quadrants 1 and 2 negate.
+        let neg = _mm256_slli_epi32::<31>(_mm256_xor_si256(n, _mm256_srai_epi32::<1>(n)));
+        _mm256_xor_ps(v, _mm256_castsi256_ps(neg))
+    }
+
+    /// [`crate::rng::box_muller`] over eight word pairs, in lanes.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn box_muller_lanes(w1: [u32; super::LANES], w2: [u32; super::LANES]) -> super::Lanes {
+        let unit = |w: [u32; super::LANES]| {
+            // SAFETY: `w` is eight words; loadu has no alignment
+            // requirement.
+            let w = unsafe { _mm256_loadu_si256(w.as_ptr().cast()) };
+            // The 24 high bits convert exactly, as signed or unsigned.
+            let u = _mm256_cvtepi32_ps(_mm256_srli_epi32::<8>(w));
+            _mm256_mul_ps(u, _mm256_set1_ps(1.0 / (1u32 << 24) as f32))
+        };
+        let ln = logf_lanes(unit(w1));
+        let angle = _mm256_mul_ps(_mm256_set1_ps(std::f32::consts::TAU), unit(w2));
+        let cos = cosf_lanes(angle);
+        let r = _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), ln));
+        store8(_mm256_mul_ps(r, cos))
+    }
+
+    /// [`super::fill_normal`] with Box–Muller in AVX2 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fill_normal_avx2(rng: &mut super::Rng, out: &mut [f32], std: f32) {
+        rng.fill_octets(out, std, |w1, w2| box_muller_lanes(w1, w2));
+    }
+
+    /// [`logf_lanes`] over an array.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn logf_array(x: super::Lanes) -> super::Lanes {
+        store8(logf_lanes(load8(&x)))
+    }
+
+    /// [`cosf_lanes`] over an array.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure AVX2 is supported by the executing CPU.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn cosf_array(x: super::Lanes) -> super::Lanes {
+        store8(cosf_lanes(load8(&x)))
     }
 
     /// The 8×8 transpose of eight registers, as three rounds of

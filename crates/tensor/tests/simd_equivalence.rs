@@ -1,12 +1,12 @@
 //! SIMD-vs-scalar equivalence property sweeps.
 //!
 //! Every vector kernel in `tdfm_tensor::simd` (and the GEMM microkernel
-//! behind the matmul/conv ops, and `Rng::fill_normal`'s Box–Muller)
-//! claims *byte-identical* output across SIMD levels — no FMA, no lane
-//! reassociation (DESIGN.md §2.1a). These sweeps pin that claim over
-//! randomised GEMM shapes, conv geometries and normal fills, at every
-//! level the host CPU supports, including NaN/Inf propagation through the
-//! vector paths.
+//! behind the matmul/conv ops) claims *byte-identical* output across SIMD
+//! levels — no FMA, no lane reassociation (DESIGN.md §2.1a). These sweeps
+//! pin that claim over randomised GEMM shapes and conv geometries, at
+//! every level the host CPU supports, including NaN/Inf propagation
+//! through the vector paths. `Rng::fill_normal`'s Box–Muller has its own
+//! binary, `fill_normal.rs`.
 //!
 //! `force_simd` flips a process-global, so every test in this binary runs
 //! under one shared lock.
@@ -214,25 +214,6 @@ fn max_pool_sweep_is_bit_identical_across_levels() {
             let (train, cache) = max_pool2d_forward_train_with(&x, k, s, &scratch);
             (bits(&eval), bits(&train), cache.argmax().to_vec())
         });
-    }
-}
-
-#[test]
-fn normal_fill_is_bit_identical_across_levels() {
-    let _guard = level_lock();
-    // Box–Muller's lane kernel, over whole octets, ragged tails and
-    // several blocks, against the one-at-a-time draws.
-    for len in [1usize, 7, 8, 9, 64, 65, 200] {
-        let want: Vec<u32> = {
-            let mut rng = Rng::seed_from(len as u64);
-            (0..len).map(|_| (rng.normal() * 0.5).to_bits()).collect()
-        };
-        let got = assert_levels_agree(&format!("fill_normal len {len}"), || {
-            let mut out = vec![0.0f32; len];
-            Rng::seed_from(len as u64).fill_normal(&mut out, 0.5);
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        });
-        assert_eq!(got, want, "fill_normal len {len} differs from normal()");
     }
 }
 

@@ -45,9 +45,27 @@ else
     trap 'rm -rf "$smoke_dir"' EXIT
 fi
 
+# Every `cargo test` stage runs under a time limit, so a deadlock (a lock
+# taken twice in the scratch pool or the trace sink) fails its stage with
+# exit 124 instead of hanging until the workflow's job timeout. The test
+# binaries are built first, outside the limit; each limit is about three
+# times the stage's measured run on a 2-core host, rounded up to whole
+# minutes (tier-1 13 s, workspace 38 s, perfbench 1.3 s, TDFM_SIMD=off
+# 40 s).
+run_tests() {
+    local limit=$1 status=0
+    shift
+    cargo test "$@" --no-run
+    timeout --kill-after=10 "$limit" cargo test "$@" || status=$?
+    if [ "$status" -eq 124 ] || [ "$status" -eq 137 ]; then
+        echo "cargo test $* did not finish within ${limit} s" >&2
+    fi
+    return "$status"
+}
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
-cargo test -q
+run_tests 60 -q
 
 echo "== workspace build + tests (all crates) =="
 # Among them the kernel-allocation gate, crates/nn/tests/zero_alloc.rs:
@@ -58,7 +76,7 @@ echo "== workspace build + tests (all crates) =="
 # gate, crates/nn/tests/nan_propagation.rs: a NaN in any parameter or in
 # the input of every model must reach its logits.
 cargo build --release --workspace
-cargo test -q --workspace
+run_tests 120 -q --workspace
 
 echo "== benchmark tests (perfbench) =="
 # perfbench/ is a Cargo package of its own (empty [workspace]), so the
@@ -66,14 +84,14 @@ echo "== benchmark tests (perfbench) =="
 # (`every_unit_matches_its_pin_at_every_simd_level`) is the only check of
 # the trained-weight digests of `fit`, fault-aware training and
 # `fit_sharded` with all four aggregators, at every available SIMD level.
-CARGO_TARGET_DIR="$PWD/target/perfbench" cargo test --offline --locked -q \
+CARGO_TARGET_DIR="$PWD/target/perfbench" run_tests 60 --offline --locked -q \
     --manifest-path perfbench/Cargo.toml
 
 echo "== full test suite with the SIMD kernels disabled (TDFM_SIMD=off) =="
 # The scalar fallback is a first-class code path, not dead weight: every
 # test must pass with the vector kernels forced off. The binaries are
 # already built, so this re-runs execution only.
-TDFM_SIMD=off cargo test -q --workspace
+TDFM_SIMD=off run_tests 120 -q --workspace
 
 echo "== A/B perf gate: decision-rule tests =="
 # The gate itself (scripts/bench_ab.py) needs a base revision; its
